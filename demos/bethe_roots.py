@@ -17,7 +17,7 @@ import numpy as np
 from gaudin import (
     ModelSpec,
     diagonalize_singular,
-    expected_solution_count,
+    singular_dimension_formula,
     solve_bethe,
     solve_bethe_numeric,
 )
@@ -26,7 +26,7 @@ spec = ModelSpec(weights=(2, 2), z=(Fraction(0), Fraction(1)))
 m = 2
 sols = solve_bethe(spec, m)
 print(f"weights {spec.weights}, z = (0, 1), m = {m}: "
-      f"found {len(sols)} of {expected_solution_count(spec.n_sites, m)} expected")
+      f"found {len(sols)} of {singular_dimension_formula(spec.n_sites, m)} expected")
 for sol in sols:
     roots = ", ".join(f"{w:.6f}" for w in sol.roots)
     print(f"  roots [{roots}]")

@@ -21,13 +21,14 @@ the exact-algebra layer restricts z to rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import hamiltonian_array, vacuum_eigenvalue
+from .eigenbasis import _residual
+from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
+from .singular import singular_dimension_formula
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
@@ -59,11 +60,6 @@ class BetheSolution:
     @property
     def multiplicity_flag(self) -> bool:
         return self.multiplicity > 1
-
-
-def expected_solution_count(n_sites: int, m: int) -> int:
-    """C(m+N-2, m), the dimension of the singular subspace in the untruncated regime."""
-    return math.comb(m + n_sites - 2, m)
 
 
 def _z_scale(z: np.ndarray) -> float:
@@ -108,15 +104,19 @@ def _bethe_vector_numeric(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarr
     return psi
 
 
-def bethe_vector(spec: ModelSpec, roots) -> np.ndarray:
-    """psi_m = F(w_1)...F(w_m) v_0 in V_m coordinates (not normalized)."""
-    roots = np.asarray(roots, dtype=complex)
-    z = np.array([complex(x) for x in spec.z])
+def _check_distinct(roots: np.ndarray, z: np.ndarray) -> None:
     scale = _z_scale(z)
     for a in range(len(roots)):
         for b in range(a + 1, len(roots)):
             if abs(roots[a] - roots[b]) < 1e-12 * scale:
                 raise ValueError("Bethe roots must be pairwise distinct")
+
+
+def bethe_vector(spec: ModelSpec, roots) -> np.ndarray:
+    """psi_m = F(w_1)...F(w_m) v_0 in V_m coordinates (not normalized)."""
+    roots = np.asarray(roots, dtype=complex)
+    z = np.array([complex(x) for x in spec.z])
+    _check_distinct(roots, z)
     return _bethe_vector_numeric(spec.weights, z, roots)
 
 
@@ -138,10 +138,7 @@ def bethe_residual(spec: ModelSpec, m: int, roots) -> np.ndarray:
     scale = _z_scale(z)
     if np.min(np.abs(roots[:, None] - z[None, :])) < 1e-12 * scale:
         raise ValueError("root coincides with a site point")
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(roots[a] - roots[b]) < 1e-12 * scale:
-                raise ValueError("Bethe roots must be pairwise distinct")
+    _check_distinct(roots, z)
     lam = np.array([float(x) for x in _weights_of(spec)])
     return _residuals(lam, z, roots)
 
@@ -220,31 +217,21 @@ def _multiset_gap(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def _eigenvalue_tuple(weights, z: np.ndarray, roots: np.ndarray, vacuum: np.ndarray) -> np.ndarray:
-    lam = np.array([float(x) for x in weights])
-    return vacuum + np.array(
-        [np.sum(lam[i] / (roots - z[i])) for i in range(len(weights))]
-    )
+def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
+    """Singular residual, eigenvalue tuple and vector residual of the Bethe vector.
 
-
-def _annotate(weights, z, roots, vacuum, raise_e, hams, residual_eq, multiplicity):
+    The eigenvalues are E_i = E_i^vac + sum_k lam_i / (w_k - z_i); raise_e and
+    hams are the total E and the Hamiltonians on V_m as arrays.
+    """
     psi = _bethe_vector_numeric(weights, z, roots)
     sup = float(np.max(np.abs(psi)))
     singular_residual = float(np.max(np.abs(raise_e @ psi))) / sup if raise_e.size else 0.0
-    eigenvalues = _eigenvalue_tuple(weights, z, roots, vacuum)
-    vector_residual = 0.0
-    for i, ham in enumerate(hams):
-        vector_residual = max(
-            vector_residual, float(np.max(np.abs(ham @ psi - eigenvalues[i] * psi))) / sup
-        )
-    return BetheSolution(
-        roots=_sorted_roots(roots),
-        residual_eq=float(residual_eq),
-        eigenvalues=eigenvalues,
-        vector_residual=vector_residual,
-        singular_residual=singular_residual,
-        multiplicity=multiplicity,
+    n_sites = len(weights)
+    vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(n_sites)], dtype=complex)
+    eigenvalues = vacuum + np.array(
+        [np.sum(float(weights[i]) / (roots - z[i])) for i in range(n_sites)]
     )
+    return singular_residual, eigenvalues, float(_residual(hams, psi, eigenvalues))
 
 
 def _solve_degree_one(lam, z, polys, tol_root, dedup_tol):
@@ -358,7 +345,7 @@ def solve_bethe_numeric(
     Returns the distinct solutions found, canonically sorted, each annotated
     with its eigenvalue tuple and the eigen/singularity residuals of the
     reconstructed Bethe vector.  Completeness of the root set is never
-    asserted; callers compare len(result) with expected_solution_count.
+    asserted; callers compare len(result) with singular_dimension_formula.
     """
     weights = _weights_of(weights)
     if m < 1:
@@ -371,27 +358,26 @@ def solve_bethe_numeric(
         found = _solve_degree_one(lam, z, polys, tol_root, dedup_tol)
     else:
         if n_starts is None:
-            n_starts = 200 * expected_solution_count(len(weights), m)
+            n_starts = 200 * singular_dimension_formula(len(weights), m)
         rng = np.random.default_rng(seed)
         found = _solve_degree_many(lam, z, m, polys, tol_root, dedup_tol, n_starts, rng)
 
-    vacuum = np.array(
-        [
-            sum(
-                0.5 * lam[i] * lam[j] / (z[i] - z[j])
-                for j in range(len(weights))
-                if j != i
-            )
-            for i in range(len(weights))
-        ],
-        dtype=complex,
-    )
     raise_e = build_total_generator("E", weights, m).to_array(float)
     hams = [hamiltonian_array(weights, z, i, m) for i in range(len(weights))]
-    return [
-        _annotate(weights, z, roots, vacuum, raise_e, hams, res, mult)
-        for roots, res, mult in found
-    ]
+    solutions = []
+    for roots, res, mult in found:
+        singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, raise_e, hams)
+        solutions.append(
+            BetheSolution(
+                roots=_sorted_roots(roots),
+                residual_eq=float(res),
+                eigenvalues=eigenvalues,
+                vector_residual=vector_residual,
+                singular_residual=singular_residual,
+                multiplicity=mult,
+            )
+        )
+    return solutions
 
 
 def solve_bethe(
@@ -424,23 +410,13 @@ class SolutionReport:
 
 
 def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution, tol=1e-9) -> SolutionReport:
-    """Recompute the Bethe vector and its residuals independently of the solver."""
-    psi = bethe_vector(spec, sol.roots)
-    sup = float(np.max(np.abs(psi)))
+    """Recompute the Bethe vector and its residuals from the spec, reading only sol.roots."""
+    roots = np.asarray(sol.roots, dtype=complex)
     z = np.array([complex(x) for x in spec.z])
-    vacuum = np.array(
-        [complex(float(vacuum_eigenvalue(spec, i)), 0.0) for i in range(spec.n_sites)]
-    )
-    eigenvalues = _eigenvalue_tuple(spec.weights, z, np.asarray(sol.roots, dtype=complex), vacuum)
+    _check_distinct(roots, z)
     raise_e = build_total_generator("E", spec, m).to_array(float)
-    singular_residual = float(np.max(np.abs(raise_e @ psi))) / sup if raise_e.size else 0.0
-    vector_residual = 0.0
-    for i in range(spec.n_sites):
-        ham = hamiltonian_array(spec.weights, z, i, m)
-        vector_residual = max(
-            vector_residual,
-            float(np.max(np.abs(ham @ psi - eigenvalues[i] * psi))) / sup,
-        )
+    hams = [hamiltonian_array(spec.weights, z, i, m) for i in range(spec.n_sites)]
+    singular_residual, _, vector_residual = _diagnostics(spec.weights, z, roots, raise_e, hams)
     return SolutionReport(
         singular_residual=singular_residual,
         vector_residual=vector_residual,

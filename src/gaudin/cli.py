@@ -14,12 +14,7 @@ import io
 import json
 import sys
 
-from .bethe import (
-    DEFAULT_DEDUP_TOL,
-    DEFAULT_TOL_ROOT,
-    expected_solution_count,
-    solve_bethe,
-)
+from .bethe import DEFAULT_DEDUP_TOL, DEFAULT_TOL_ROOT, solve_bethe
 from .eigenbasis import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
@@ -253,7 +248,7 @@ def cmd_bethe(args) -> int:
     payload = {
         "m": m,
         "solutions": entries,
-        "expected_count": expected_solution_count(spec.n_sites, m),
+        "expected_count": singular_dimension_formula(spec.n_sites, m),
         "found": len(solutions),
     }
     header = [
@@ -272,38 +267,45 @@ def cmd_bethe(args) -> int:
     return EXIT_OK
 
 
+# every optional flag with its argparse settings; each command takes the ones it reads
+_FLAGS = {
+    "--m": dict(type=int, default=None, help="spin deviation level"),
+    "--m-max": dict(dest="m_max", type=int, default=None),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
+    "--tol-root": dict(dest="tol_root", type=float, default=DEFAULT_TOL_ROOT),
+    "--dedup-tol": dict(dest="dedup_tol", type=float, default=DEFAULT_DEDUP_TOL),
+    "--tol-rank": dict(dest="tol_rank", type=float, default=DEFAULT_TOL_RANK),
+    "--n-starts": dict(dest="n_starts", type=int, default=None),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--emit-matrices": dict(
+        dest="emit_matrices",
+        action="store_true",
+        help="include exact Hamiltonian matrices as triplets",
+    ),
+}
+
+_COMMANDS = {
+    "decompose": (cmd_decompose, ()),
+    "verify": (cmd_verify, ("--emit-matrices",)),
+    "singular": (cmd_singular, ("--m",)),
+    "eigenbasis": (cmd_eigenbasis, ("--m-max", "--tol", "--tol-rank", "--seed")),
+    "bethe": (cmd_bethe, ("--m", "--tol-root", "--dedup-tol", "--n-starts", "--seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaudin",
         description="SL(2) Gaudin model toolkit: exact weight-space algebra and Bethe root finding",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "decompose": cmd_decompose,
-        "verify": cmd_verify,
-        "singular": cmd_singular,
-        "eigenbasis": cmd_eigenbasis,
-        "bethe": cmd_bethe,
-    }
-    for name, func in commands.items():
+    for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="path to the model JSON file")
-        p.add_argument("--m", type=int, default=None, help="spin deviation level")
-        p.add_argument("--m-max", dest="m_max", type=int, default=None)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--tol-root", dest="tol_root", type=float, default=DEFAULT_TOL_ROOT)
-        p.add_argument("--dedup-tol", dest="dedup_tol", type=float, default=DEFAULT_DEDUP_TOL)
-        p.add_argument("--tol-rank", dest="tol_rank", type=float, default=DEFAULT_TOL_RANK)
-        p.add_argument("--n-starts", dest="n_starts", type=int, default=None)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--emit-matrices",
-            dest="emit_matrices",
-            action="store_true",
-            help="verify only: include exact Hamiltonian matrices as triplets",
-        )
         p.set_defaults(func=func)
     return parser
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import build_hamiltonian, vacuum_eigenvalue
-from .rational_linalg import solve
 from .singular import singular_basis_kernel
 from .sl2 import DEFAULT_SEED, ModelSpec, build_total_generator, enumerate_weight_space
 
@@ -75,12 +74,8 @@ def _family_values(mats, vecs):
         v = vecs[:, j]
         v = v / np.linalg.norm(v)
         vecs[:, j] = v
-        sup = np.max(np.abs(v))
-        for a, mat in enumerate(mats):
-            mv = mat @ v
-            s = np.vdot(v, mv)
-            eigs[a, j] = s
-            worst = max(worst, np.max(np.abs(mv - s * v)) / sup)
+        eigs[:, j] = [np.vdot(v, mat @ v) for mat in mats]
+        worst = max(worst, _residual(mats, v, eigs[:, j]))
     return eigs, worst
 
 
@@ -161,6 +156,7 @@ def simultaneous_eigenvectors(mats, tol=DEFAULT_TOL, rng=None):
 
 
 def _residual(ham_arrays, v, eigenvalues):
+    """max_i |H_i v - E_i v| / max |v|: the joint-eigenvector residual."""
     sup = np.max(np.abs(v))
     worst = 0.0
     for mat, s in zip(ham_arrays, eigenvalues):
@@ -168,13 +164,36 @@ def _residual(ham_arrays, v, eigenvalues):
     return worst
 
 
+def _restrict(ops, vectors, raise_e):
+    """Exact matrices R with op K = K R, K the canonical kernel basis of raise_e.
+
+    vectors are the columns of K.  Row k of R is read off the image op K at
+    the first coordinate where K's row is the unit row e_k (the free column
+    of vector k always is one).  That is exact only when op preserves
+    ker raise_e, which is checked exactly: raise_e must annihilate every
+    column of op K.  Raises ValueError otherwise.
+    """
+    unit_at = {}
+    for c in range(len(vectors[0])):
+        nonzero = [k for k, vec in enumerate(vectors) if vec[c] != 0]
+        if len(nonzero) == 1 and vectors[nonzero[0]][c] == 1:
+            unit_at.setdefault(nonzero[0], c)
+    restricted = []
+    for op in ops:
+        images = [op.apply(list(vec)) for vec in vectors]
+        if any(x != 0 for col in images for x in raise_e.apply(col)):
+            raise ValueError("operator does not preserve the kernel of the raising operator")
+        restricted.append([[col[unit_at[k]] for col in images] for k in range(len(vectors))])
+    return restricted
+
+
 def diagonalize_singular(spec: ModelSpec, m: int, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
-    The restriction of each H_i to the exact kernel basis is computed in
-    rational arithmetic (the subspace is invariant, so the linear systems are
-    consistent), converted to floats and jointly diagonalized.  Eigenvectors
-    are returned in V_m coordinates with unit norm and verified residuals.
+    The restriction of each H_i to the exact kernel basis is read off in
+    rational arithmetic (the subspace is invariant, which is checked exactly),
+    converted to floats and jointly diagonalized.  Eigenvectors are returned
+    in V_m coordinates with unit norm and verified residuals.
     """
     kernel = singular_basis_kernel(spec, m)
     count = kernel.count
@@ -182,17 +201,13 @@ def diagonalize_singular(spec: ModelSpec, m: int, tol=DEFAULT_TOL, seed=DEFAULT_
         return []
     space = enumerate_weight_space(spec, m)
     hams = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
-
-    basis_rows = [[kernel.vectors[k][r] for k in range(count)] for r in range(space.dim)]
-    restricted = []
-    for op in hams:
-        image_cols = [op.apply(list(vec)) for vec in kernel.vectors]
-        rhs_rows = [[image_cols[k][r] for k in range(count)] for r in range(space.dim)]
-        restricted.append(solve(basis_rows, rhs_rows))
+    restricted = _restrict(hams, kernel.vectors, build_total_generator("E", spec, m))
 
     restricted_f = [np.array(mat, dtype=float) for mat in restricted]
     ham_arrays = [op.to_array(float) for op in hams]
-    basis_f = np.array(basis_rows, dtype=float)
+    basis_f = np.array(
+        [[kernel.vectors[k][r] for k in range(count)] for r in range(space.dim)], dtype=float
+    )
 
     rng = np.random.default_rng(seed)
     vecs, _ = simultaneous_eigenvectors(restricted_f, tol, rng)

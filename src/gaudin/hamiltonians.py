@@ -69,12 +69,15 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
 
 
 def vacuum_eigenvalue(spec: ModelSpec, i: int) -> Fraction:
-    """Eigenvalue of H_i on the vacuum vector: (1/2) sum_{j != i} lam_i lam_j / (z_i - z_j)."""
-    total = Fraction(0)
-    for j in range(spec.n_sites):
-        if j != i:
-            total += Fraction(spec.weights[i] * spec.weights[j], 2) / (spec.z[i] - spec.z[j])
-    return total
+    """Exact eigenvalue of H_i on the vacuum vector."""
+    return _vacuum_eigenvalue(spec.weights, spec.z, i)
+
+
+def _vacuum_eigenvalue(weights, z, i: int):
+    """sum_{j != i} lam_i lam_j / (2 (z_i - z_j)), in the number type of z (Fraction or complex)."""
+    return sum(
+        weights[i] * weights[j] / (2 * (z[i] - z[j])) for j in range(len(weights)) if j != i
+    )
 
 
 @dataclass

@@ -61,21 +61,3 @@ def nullspace(rows, n_cols=None):
         basis.append(vec)
     return basis
 
-
-def solve(a_rows, b_rows):
-    """Solve A X = B exactly.  A must have full column rank.
-
-    Returns X as a list of rows; raises ValueError when the system is
-    inconsistent or rank-deficient.
-    """
-    n = len(a_rows)
-    if len(b_rows) != n:
-        raise ValueError("A and B must have the same number of rows")
-    n_cols = len(a_rows[0]) if a_rows else 0
-    aug = [list(a_rows[i]) + list(b_rows[i]) for i in range(n)]
-    reduced, pivots = rref(aug)
-    if any(p >= n_cols for p in pivots):
-        raise ValueError("inconsistent linear system")
-    if len(pivots) != n_cols:
-        raise ValueError("coefficient matrix is rank deficient")
-    return [reduced[i][n_cols:] for i in range(n_cols)]

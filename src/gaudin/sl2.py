@@ -14,11 +14,11 @@ sparse matrices of the site-local and total generator actions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -97,21 +97,35 @@ class WeightSpace:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def _space(weights: tuple[int, ...], m: int) -> WeightSpace:
-    if 0 <= m <= sum(weights):
-        states = tuple(
-            s for s in product(*(range(w + 1) for w in weights)) if sum(s) == m
-        )
-    else:
-        states = ()
+    """The one weight-space builder, cached per (weights, m).
+
+    Outside 0..sum(weights) it returns the empty space, the codomain of E on
+    V_0 and of F on the top subspace.
+    """
+    states = tuple(_bounded_compositions(weights, m))
     return WeightSpace(weights, m, states, {s: i for i, s in enumerate(states)})
+
+
+def _bounded_compositions(weights, m):
+    """Tuples (n_1..n_N) with sum m and 0 <= n_i <= weights[i], in lex order."""
+    if not weights:
+        if m == 0:
+            yield ()
+        return
+    rest = sum(weights[1:])
+    for first in range(max(0, m - rest), min(weights[0], m) + 1):
+        for tail in _bounded_compositions(weights[1:], m - first):
+            yield (first,) + tail
 
 
 def enumerate_weight_space(spec_or_weights, m: int) -> WeightSpace:
     """Weight subspace of spin deviation m, states sorted lexicographically.
 
     The count equals C(N+m-1, m) while m <= min(weights); beyond that the
-    occupation bound n_i <= lam_i truncates the enumeration.
+    occupation bound n_i <= lam_i truncates the enumeration.  Repeated calls
+    return the same cached object.
     """
     weights = _weights_of(spec_or_weights)
     if not 0 <= m <= sum(weights):
@@ -257,21 +271,26 @@ class SparseOperator:
         return arr
 
 
-def build_site_operator(gen: str, site: int, spec_or_weights, m: int) -> SparseOperator:
-    """Matrix of the single-site generator X^(site) restricted to V_m."""
-    weights = _weights_of(spec_or_weights)
+def _generator_on_sites(gen: str, sites, weights, m: int) -> SparseOperator:
+    """Matrix of sum_{i in sites} X^(i) from V_m to the adjacent degree."""
     dom = enumerate_weight_space(weights, m)
     cod = _space(weights, m + _DEGREE_STEP[gen])
     op = SparseOperator.zero(dom, cod)
     for col, state in enumerate(dom.states):
-        hit = apply_site_generator(gen, site, state, weights)
-        if hit is None:
-            continue
-        coeff, new_state = hit
-        row = cod.index.get(new_state)
-        if row is not None:
-            op.add_term(row, col, coeff)
+        for site in sites:
+            hit = apply_site_generator(gen, site, state, weights)
+            if hit is None:
+                continue
+            coeff, new_state = hit
+            row = cod.index.get(new_state)
+            if row is not None:
+                op.add_term(row, col, coeff)
     return op
+
+
+def build_site_operator(gen: str, site: int, spec_or_weights, m: int) -> SparseOperator:
+    """Matrix of the single-site generator X^(site) restricted to V_m."""
+    return _generator_on_sites(gen, (site,), _weights_of(spec_or_weights), m)
 
 
 def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
@@ -282,16 +301,4 @@ def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
     subspace) the codomain is the zero space and the map is the zero map.
     """
     weights = _weights_of(spec_or_weights)
-    dom = enumerate_weight_space(weights, m)
-    cod = _space(weights, m + _DEGREE_STEP[gen])
-    op = SparseOperator.zero(dom, cod)
-    for col, state in enumerate(dom.states):
-        for site in range(len(weights)):
-            hit = apply_site_generator(gen, site, state, weights)
-            if hit is None:
-                continue
-            coeff, new_state = hit
-            row = cod.index.get(new_state)
-            if row is not None:
-                op.add_term(row, col, coeff)
-    return op
+    return _generator_on_sites(gen, range(len(weights)), weights, m)

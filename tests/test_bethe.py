@@ -11,12 +11,13 @@ from gaudin import (
     build_site_operator,
     build_total_generator,
     diagonalize_singular,
-    expected_solution_count,
     lowering_field,
     lowering_field_exact,
     singular_basis_kernel,
+    singular_dimension_formula,
     solve_bethe,
     solve_bethe_numeric,
+    vacuum_eigenvalue,
     verify_solution,
 )
 from gaudin.bethe import _cleared_system, _multiset_gap, _site_polynomials
@@ -193,7 +194,7 @@ class TestClearedSystem:
 class TestSolveBethe:
     def test_two_site_closed_form(self):
         sols = solve_bethe(SPEC2, 1)
-        assert len(sols) == 1 == expected_solution_count(2, 1)
+        assert len(sols) == 1 == singular_dimension_formula(2, 1)
         sol = sols[0]
         assert abs(sol.roots[0] - 0.5) < 1e-12
         assert abs(sol.eigenvalues[0] - 1.5) < 1e-12
@@ -203,7 +204,7 @@ class TestSolveBethe:
 
     def test_three_site_two_distinct_roots(self):
         sols = solve_bethe(SPEC3, 1)
-        assert len(sols) == 2 == expected_solution_count(3, 1)
+        assert len(sols) == 2 == singular_dimension_formula(3, 1)
         for sol in sols:
             assert sol.singular_residual <= 1e-9
             assert sol.vector_residual <= 1e-9
@@ -224,7 +225,7 @@ class TestSolveBethe:
         # hand reduction via symmetric functions: w1 + w2 = 1, w1 w2 = 1/3
         spec = ModelSpec((2, 2), (Fraction(0), Fraction(1)))
         sols = solve_bethe(spec, 2)
-        assert len(sols) == 1 == expected_solution_count(2, 2)
+        assert len(sols) == 1 == singular_dimension_formula(2, 2)
         sol = sols[0]
         expected = sorted(
             np.roots([1.0, -1.0, 1.0 / 3.0]), key=lambda c: (c.real, c.imag)
@@ -301,13 +302,30 @@ class TestVerification:
                 assert sol.singular_residual <= 10 * 1e-11
                 assert sol.vector_residual <= 10 * 1e-11
 
+    def test_solver_and_verification_agree_exactly(self):
+        spec = ModelSpec((2, 2, 2, 2), tuple(Fraction(k * k + 1, k + 2) for k in range(4)))
+        sols = solve_bethe(spec, 2)
+        assert len(sols) == singular_dimension_formula(4, 2)
+        lam = np.array(spec.weights, dtype=float)
+        z = np.array([complex(x) for x in spec.z])
+        for sol in sols:
+            report = verify_solution(spec, 2, sol)
+            assert report.ok
+            assert report.singular_residual == sol.singular_residual
+            assert report.vector_residual == sol.vector_residual
+            # the float vacuum is the exact one up to rounding
+            exact = np.array(
+                [complex(vacuum_eigenvalue(spec, i)) for i in range(4)]
+            ) + np.array([np.sum(lam[i] / (sol.roots - z[i])) for i in range(4)])
+            assert np.allclose(sol.eigenvalues, exact, rtol=1e-14, atol=0)
+
 
 class TestSpans:
     def test_bethe_vectors_span_singular_subspace(self):
         spec = ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3)))
         m = 2
         sols = solve_bethe(spec, m)
-        expected = expected_solution_count(spec.n_sites, m)
+        expected = singular_dimension_formula(spec.n_sites, m)
         assert len(sols) == expected
         kernel = singular_basis_kernel(spec, m)
         kernel_f = np.array(

@@ -53,6 +53,12 @@ class TestDecompose:
         assert lines[0] == "m,dim,binomial,truncated"
         assert len(lines) == 4
 
+    def test_flag_of_another_command_is_rejected(self, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--spec", spec_file(SPEC_11), "--n-starts", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-starts 5" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_valid_spec_passes(self, spec_file, capsys):

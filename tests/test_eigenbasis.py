@@ -8,13 +8,17 @@ from gaudin import (
     DiagonalizationError,
     ModelSpec,
     build_eigenbasis,
+    build_hamiltonian,
+    build_site_operator,
     build_total_generator,
     diagonalize_singular,
     enumerate_weight_space,
     simultaneous_eigenvectors,
+    singular_basis_kernel,
     singular_dimension_formula,
     verify_nonsingularity,
 )
+from gaudin.eigenbasis import _restrict
 
 from conftest import random_spec
 
@@ -102,6 +106,36 @@ class TestDiagonalizeSingular:
                 for v in vecs:
                     assert v.residual <= 1e-9
                     assert abs(np.linalg.norm(v.coords) - 1.0) < 1e-12
+
+
+def ladder_spec(weights):
+    return ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
+
+
+class TestRestriction:
+    def test_kernel_times_restriction_is_image(self):
+        # a generic level (N, lam, m) = (5, 4, 3) and a truncated one, m > min(weights)
+        for spec, m in ((ladder_spec((4,) * 5), 3), (ladder_spec((1, 2, 3, 4)), 3)):
+            vectors = singular_basis_kernel(spec, m).vectors
+            hams = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
+            restricted = _restrict(hams, vectors, build_total_generator("E", spec, m))
+            count = len(vectors)
+            assert count > 0
+            for op, mat in zip(hams, restricted):
+                for col in range(count):
+                    image = op.apply(list(vectors[col]))
+                    combo = [
+                        sum(vectors[k][r] * mat[k][col] for k in range(count))
+                        for r in range(len(image))
+                    ]
+                    assert combo == image
+
+    def test_non_invariant_operator_raises(self):
+        spec = ladder_spec((1, 2, 3))
+        vectors = singular_basis_kernel(spec, 2).vectors
+        site_h = build_site_operator("H", 0, spec, 2)
+        with pytest.raises(ValueError, match="does not preserve"):
+            _restrict([site_h], vectors, build_total_generator("E", spec, 2))
 
 
 class TestBuildEigenbasis:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaudin.rational_linalg import nullspace, rank, rref, solve
+from gaudin.rational_linalg import nullspace, rank, rref
 
 
 def F(x):
@@ -69,36 +69,3 @@ class TestNullspace:
         with pytest.raises(ValueError):
             nullspace([])
 
-
-class TestSolve:
-    def test_exact_solution(self):
-        a = [[F(2), F(0)], [F(0), F(4)], [F(2), F(4)]]
-        b = [[F(1)], [F(2)], [F(3)]]
-        assert solve(a, b) == [[Fraction(1, 2)], [Fraction(1, 2)]]
-
-    def test_inconsistent_raises(self):
-        a = [[F(1)], [F(1)]]
-        b = [[F(1)], [F(2)]]
-        with pytest.raises(ValueError):
-            solve(a, b)
-
-    def test_rank_deficient_raises(self):
-        a = [[F(1), F(2)], [F(2), F(4)]]
-        b = [[F(1)], [F(2)]]
-        with pytest.raises(ValueError):
-            solve(a, b)
-
-    def test_random_roundtrip(self, rng):
-        for _ in range(10):
-            c = int(rng.integers(1, 5))
-            a = rng.integers(-4, 5, size=(c + 2, c))
-            x = rng.integers(-4, 5, size=(c, 2))
-            if np.linalg.matrix_rank(a.astype(float)) < c:
-                continue
-            a_rows = [[F(int(v)) for v in row] for row in a]
-            x_rows = [[F(int(v)) for v in row] for row in x]
-            b_rows = [
-                [sum(a_rows[i][k] * x_rows[k][j] for k in range(c)) for j in range(2)]
-                for i in range(c + 2)
-            ]
-            assert solve(a_rows, b_rows) == x_rows

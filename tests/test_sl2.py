@@ -88,6 +88,17 @@ class TestEnumeration:
         ws = enumerate_weight_space(spec, 2)
         assert ws.dim < weight_space_dimension_formula(2, 2)
 
+    def test_repeat_calls_return_the_cached_space(self):
+        assert enumerate_weight_space((1, 2, 3), 2) is enumerate_weight_space((1, 2, 3), 2)
+        spec = ModelSpec((1, 2, 3), (0, 1, 2))
+        assert enumerate_weight_space(spec, 2) is enumerate_weight_space([1, 2, 3], 2)
+
+    def test_every_level_matches_the_filtered_box(self):
+        for weights in ((1, 1), (1, 2, 3, 4), (3, 3, 3)):
+            for m in range(sum(weights) + 1):
+                states = enumerate_weight_space(weights, m).states
+                assert list(states) == brute_force_states(weights, m)
+
 
 class TestSiteGenerator:
     def test_raising_coefficient(self):
