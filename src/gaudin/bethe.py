@@ -21,6 +21,7 @@ the exact-algebra layer restricts z to rationals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,14 +68,24 @@ def _z_scale(z: np.ndarray) -> float:
     return max(spread, 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _site_lowering_arrays(weights: tuple[int, ...], m: int) -> tuple[np.ndarray, ...]:
+    """Read-only complex arrays of the site lowering operators F^(k) on V_m, cached."""
+    arrays = []
+    for k in range(len(weights)):
+        site = build_site_operator("F", k, weights, m).to_array(complex)
+        site.flags.writeable = False
+        arrays.append(site)
+    return tuple(arrays)
+
+
 def _lowering_array(weights, z: np.ndarray, w: complex, m: int) -> np.ndarray:
     scale = _z_scale(z)
     if np.min(np.abs(w - z)) < 1e-12 * scale:
         raise ValueError(f"lowering field evaluated at a pole: w={w}")
     arr = None
-    for k in range(len(weights)):
-        site = build_site_operator("F", k, weights, m).to_array(complex)
-        term = site / (w - z[k])
+    for site, zk in zip(_site_lowering_arrays(tuple(weights), m), z):
+        term = site / (w - zk)
         arr = term if arr is None else arr + term
     return arr
 
@@ -205,15 +216,22 @@ def _sorted_roots(roots) -> np.ndarray:
     return np.array(sorted(np.asarray(roots, dtype=complex), key=lambda c: (c.real, c.imag)))
 
 
-def _multiset_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy matching distance between two root multisets of equal size."""
-    remaining = list(b)
-    worst = 0.0
-    for x in a:
-        dists = [abs(x - y) for y in remaining]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        remaining.pop(j)
+def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Greedy matching distance from the root multiset a to each row of kept, shape (K, m).
+
+    Each element of a in turn is matched to the nearest still unused root of
+    the row (the first one on ties) and the gap is the largest such distance.
+    """
+    rows = np.arange(len(kept))
+    diff = a[None, :, None] - kept[:, None, :]
+    # [r, i, j] = |a_i - kept_rj| rounded as the scalar abs() does; np.abs on a
+    # complex array may take a vector path that differs in the last bit
+    dists = np.hypot(diff.real, diff.imag)
+    worst = np.zeros(len(kept))
+    for i in range(len(a)):
+        j = np.argmin(dists[:, i, :], axis=1)
+        worst = np.maximum(worst, dists[rows, i, j])
+        dists[rows, :, j] = np.inf
     return worst
 
 
@@ -315,16 +333,20 @@ def _solve_degree_many(lam, z, m, polys, tol_root, dedup_tol, n_starts, rng):
             bad = ~np.all(np.isfinite(w), axis=-1) | (np.max(np.abs(w), axis=-1) > 1e6 * scale)
             active &= ~bad
 
-        candidates = []
-        for row in w[converged]:
-            res = float(np.max(np.abs(_residuals(lam, z, row))))
-            if np.isfinite(res) and res <= tol_root:
-                candidates.append((res, _sorted_roots(row)))
+        rows = w[converged]
+        residuals = np.max(np.abs(_residuals(lam, z, rows)), axis=-1)
+    candidates = [
+        (float(res), _sorted_roots(row))
+        for res, row in zip(residuals, rows)
+        if np.isfinite(res) and res <= tol_root
+    ]
     candidates.sort(key=lambda t: t[0])
     solutions = []
+    kept = np.empty((len(candidates), m), dtype=complex)
     for res, roots in candidates:
-        if any(_multiset_gap(roots, kept) <= dedup_tol for _, kept in solutions):
+        if np.any(_multiset_gaps(roots, kept[: len(solutions)]) <= dedup_tol):
             continue
+        kept[len(solutions)] = roots
         solutions.append((res, roots))
     solutions.sort(key=lambda t: tuple((c.real, c.imag) for c in t[1]))
     return [(roots, res, 1) for res, roots in solutions]
@@ -369,7 +391,7 @@ def solve_bethe_numeric(
         singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, raise_e, hams)
         solutions.append(
             BetheSolution(
-                roots=_sorted_roots(roots),
+                roots=roots,
                 residual_eq=float(res),
                 eigenvalues=eigenvalues,
                 vector_residual=vector_residual,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import build_hamiltonian, vacuum_eigenvalue
-from .singular import singular_basis_kernel
+from .singular import _kernel_vectors
 from .sl2 import DEFAULT_SEED, ModelSpec, build_total_generator, enumerate_weight_space
 
 DEFAULT_TOL = 1e-9
@@ -195,19 +195,17 @@ def diagonalize_singular(spec: ModelSpec, m: int, tol=DEFAULT_TOL, seed=DEFAULT_
     converted to floats and jointly diagonalized.  Eigenvectors are returned
     in V_m coordinates with unit norm and verified residuals.
     """
-    kernel = singular_basis_kernel(spec, m)
-    count = kernel.count
+    raise_e = build_total_generator("E", spec, m)
+    kernel = _kernel_vectors(raise_e)
+    count = len(kernel)
     if count == 0:
         return []
-    space = enumerate_weight_space(spec, m)
     hams = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
-    restricted = _restrict(hams, kernel.vectors, build_total_generator("E", spec, m))
+    restricted = _restrict(hams, kernel, raise_e)
 
     restricted_f = [np.array(mat, dtype=float) for mat in restricted]
     ham_arrays = [op.to_array(float) for op in hams]
-    basis_f = np.array(
-        [[kernel.vectors[k][r] for k in range(count)] for r in range(space.dim)], dtype=float
-    )
+    basis_f = np.array([[kernel[k][r] for k in range(count)] for r in range(raise_e.domain.dim)], dtype=float)
 
     rng = np.random.default_rng(seed)
     vecs, _ = simultaneous_eigenvectors(restricted_f, tol, rng)

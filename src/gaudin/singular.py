@@ -181,10 +181,11 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
     return SingularBasis(m, tuple(labels), tuple(vectors))
 
 
+def _kernel_vectors(raise_e) -> tuple:
+    """Canonical exact nullspace basis of the total raising operator, one tuple per vector."""
+    return tuple(tuple(v) for v in nullspace(raise_e.rows(), n_cols=raise_e.domain.dim))
+
+
 def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
     """Exact nullspace of the total raising operator on V_m (canonical basis)."""
-    weights = _weights_of(spec_or_weights)
-    space = enumerate_weight_space(weights, m)
-    e_op = build_total_generator("E", weights, m)
-    vectors = nullspace(e_op.rows(), n_cols=space.dim)
-    return SingularBasis(m, None, tuple(tuple(v) for v in vectors))
+    return SingularBasis(m, None, _kernel_vectors(build_total_generator("E", spec_or_weights, m)))

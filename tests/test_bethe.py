@@ -20,7 +20,13 @@ from gaudin import (
     vacuum_eigenvalue,
     verify_solution,
 )
-from gaudin.bethe import _cleared_system, _multiset_gap, _site_polynomials
+from gaudin.bethe import (
+    DEFAULT_DEDUP_TOL,
+    _cleared_system,
+    _multiset_gaps,
+    _site_lowering_arrays,
+    _site_polynomials,
+)
 
 from conftest import random_spec
 
@@ -38,6 +44,22 @@ def rational_off_poles(rng, spec):
         w = random_rational(rng)
         if all(w != zk for zk in spec.z):
             return w
+
+
+def canonically_sorted(roots):
+    return np.array(sorted(roots, key=lambda c: (c.real, c.imag)))
+
+
+def multiset_gap_reference(a, b):
+    """Greedy matching distance between two root multisets, one pair at a time."""
+    remaining = list(b)
+    worst = 0.0
+    for x in a:
+        dists = [abs(x - y) for y in remaining]
+        j = int(np.argmin(dists))
+        worst = max(worst, dists[j])
+        remaining.pop(j)
+    return worst
 
 
 class TestLoweringField:
@@ -66,6 +88,32 @@ class TestLoweringField:
             a = lowering_field_exact(spec, w1, 1) @ lowering_field_exact(spec, w2, 0)
             b = lowering_field_exact(spec, w2, 1) @ lowering_field_exact(spec, w1, 0)
             assert (a - b).is_zero()
+
+    def test_cached_site_arrays_are_read_only(self):
+        for site in _site_lowering_arrays((1, 2), 1):
+            assert not site.flags.writeable
+            with pytest.raises(ValueError):
+                site[0, 0] = 7.0
+
+    def test_result_is_fresh_and_writable(self):
+        spec = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
+        first = lowering_field(spec, 0.25, 1)
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(lowering_field(spec, 0.25, 1), expected)
+
+    def test_cache_keys_on_weight_order(self):
+        z = (Fraction(0), Fraction(1))
+        a = _site_lowering_arrays((1, 2), 1)
+        b = _site_lowering_arrays((2, 1), 1)
+        assert any(x.shape != y.shape or not np.array_equal(x, y) for x, y in zip(a, b))
+        for weights in ((1, 2), (2, 1)):
+            spec = ModelSpec(weights, z)
+            fresh = None
+            for k in range(2):
+                term = build_site_operator("F", k, spec, 1).to_array(complex) / (0.25 - complex(z[k]))
+                fresh = term if fresh is None else fresh + term
+            assert np.array_equal(lowering_field(spec, 0.25, 1), fresh)
 
 
 def site_cartan_sum(spec, w, m):
@@ -260,6 +308,23 @@ class TestSolveBethe:
         with pytest.raises(ValueError):
             solve_bethe(SPEC2, 0)
 
+    def test_repeat_solve_is_identical(self):
+        spec = ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3)))
+        a = solve_bethe(spec, 2)
+        b = solve_bethe(spec, 2)
+        assert len(a) == len(b) > 0
+        for x, y in zip(a, b):
+            for field in ("roots", "residual_eq", "eigenvalues", "vector_residual",
+                          "singular_residual", "multiplicity"):
+                assert np.array_equal(getattr(x, field), getattr(y, field))
+
+    def test_roots_come_out_canonically_sorted(self):
+        double = solve_bethe_numeric((1, 1, 1), np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)]), 1)
+        complex_z = solve_bethe_numeric((2, 2, 2), np.array([0.0, 1.0 + 0.5j, 2.5 - 0.25j]), 2)
+        assert len(double) == 1 and len(complex_z) == 3
+        for sol in double + complex_z:
+            assert np.array_equal(sol.roots, canonically_sorted(sol.roots))
+
 
 class TestVerification:
     def test_true_solution_verifies(self):
@@ -337,9 +402,36 @@ class TestSpans:
         numeric_rank = int(np.sum(svals > 1e-8 * svals[0]))
         assert numeric_rank == expected
 
-    def test_multiset_gap_helper(self):
-        a = np.array([1.0 + 1j, 2.0])
-        b = np.array([2.0 + 1e-12j, 1.0 + 1j])
-        assert _multiset_gap(a, b) < 1e-9
-        c = np.array([1.0 + 1j, 3.0])
-        assert _multiset_gap(a, c) > 0.5
+    def test_multiset_gaps_match_greedy_reference(self):
+        rng = np.random.default_rng(4242)
+        lattice = np.array([complex(x, y) for x in range(-2, 3) for y in range(-2, 3)])
+        for m in range(1, 5):
+            for n_kept in range(21):
+                if n_kept % 2:  # lattice points: many exact distance ties
+                    a = rng.choice(lattice, m)
+                else:
+                    a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                rows = []
+                for r in range(n_kept):
+                    kind = r % 4
+                    if kind == 0:
+                        row = rng.permutation(a)
+                    elif kind == 1:
+                        phase = np.exp(2j * np.pi * rng.uniform(size=m))
+                        row = rng.permutation(a + 0.5 * DEFAULT_DEDUP_TOL * phase)
+                    elif kind == 2:
+                        row = rng.choice(lattice, m)
+                    else:
+                        row = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                    rows.append(row)
+                kept = np.array(rows, dtype=complex).reshape(n_kept, m)
+                gaps = _multiset_gaps(a, kept)
+                reference = np.array([multiset_gap_reference(a, row) for row in kept], dtype=float)
+                assert gaps.shape == (n_kept,)
+                assert np.array_equal(gaps, reference)
+
+    def test_multiset_gaps_break_ties_on_first_minimum(self):
+        # 0 is equally far from 1 and -1; the first one listed is taken, leaving the other for 1.5
+        a = np.array([0.0, 1.5], dtype=complex)
+        kept = np.array([[1.0, -1.0], [-1.0, 1.0], [1.5, 1e-12j]])
+        assert np.array_equal(_multiset_gaps(a, kept), [2.5, 1.0, 1e-12])
