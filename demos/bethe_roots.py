@@ -5,9 +5,9 @@ Each solution w_1..w_m of
     sum_j lam_j/(w_k - z_j) + sum_{l != k} 2/(w_l - w_k) = 0
 
 turns the Bethe vector F(w_1)...F(w_m) v_0 into a singular common
-eigenvector.  The solver reports found-vs-expected counts (completeness of
-the root set is an open question, never asserted) and annotates every
-solution with its eigenvalue tuple and residuals.
+eigenvector.  The solver derives one root set from each singular joint
+eigenvector, so the expected count is the exact singular dimension; it
+annotates every solution with its eigenvalue tuple and residuals.
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ import numpy as np
 from gaudin import (
     ModelSpec,
     diagonalize_singular,
-    singular_dimension_formula,
+    singular_dimension,
     solve_bethe,
     solve_bethe_numeric,
 )
@@ -26,7 +26,7 @@ spec = ModelSpec(weights=(2, 2), z=(Fraction(0), Fraction(1)))
 m = 2
 sols = solve_bethe(spec, m)
 print(f"weights {spec.weights}, z = (0, 1), m = {m}: "
-      f"found {len(sols)} of {singular_dimension_formula(spec.n_sites, m)} expected")
+      f"found {len(sols)} of {singular_dimension(spec, m)} expected")
 for sol in sols:
     roots = ", ".join(f"{w:.6f}" for w in sol.roots)
     print(f"  roots [{roots}]")

@@ -6,17 +6,21 @@ all Hamiltonians exactly when the parameters satisfy
 
     f_k(w) = sum_j lam_j / (w_k - z_j) + sum_{l != k} 2 / (w_l - w_k) = 0.
 
-Roots are found on the pole-cleared polynomial system
+For m = 1 the roots are those of P(w) = sum_j lam_j prod_{j' != j} (w - z_{j'}),
+computed from companion-matrix eigenvalues.  For m >= 2 they come from the
+singular joint eigenvectors (Heine-Stieltjes): eigenvalues E_i fix
+Lambda_i = sum_k 1 / (z_i - w_k) = -(E_i - E_i^vac) / lam_i, and
+y(x) = prod_k (x - w_k) solves
 
-    g_k = P(w_k) Q_k + 2 R(w_k) S_k,
-    P(w) = sum_j lam_j prod_{j' != j} (w - z_{j'}),   R(w) = prod_j (w - z_j),
-    Q_k = prod_{l != k} (w_l - w_k),   S_k = sum_{l != k} prod_{l' != k,l} (w_{l'} - w_k),
+    R y'' - P y' + V y = 0,    R(x) = prod_j (x - z_j),
 
-by multi-start Newton with the analytic Jacobian (m = 1 reduces to the roots
-of P, computed from companion-matrix eigenvalues).  Spurious roots introduced
-by the clearing (w_k = z_j or w_k = w_l) are rejected by re-evaluating the
-original f_k.  Complex site points are accepted by the numeric layer; only
-the exact-algebra layer restricts z to rationals.
+where V has degree N - 2 and V(z_i) = P(z_i) Lambda_i.  So y is the null
+vector of a linear map on polynomials of degree m, and each of the
+singular_dimension eigenvectors gives one root set: no random starts and no
+duplicates.  Every root set is polished by Newton on f_k with its analytic
+Jacobian and reported only when its residual reaches tol_root.  Complex site
+points are accepted by the numeric layer; only the exact-algebra layer
+restricts z to rationals.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import _residual
+from .eigenbasis import _family_values, _residual
 from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
-from .singular import singular_dimension_formula
+from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
@@ -40,7 +44,6 @@ from .sl2 import (
 )
 
 DEFAULT_TOL_ROOT = 1e-11
-DEFAULT_DEDUP_TOL = 1e-8
 
 
 @dataclass
@@ -48,7 +51,8 @@ class BetheSolution:
     """One solution of the Bethe system, roots canonically sorted.
 
     multiplicity > 1 marks a collapsed cluster of root candidates (a double
-    solution of the m = 1 polynomial); such solutions are reported once.
+    solution of the m = 1 polynomial, or several singular eigenvectors giving
+    one root set); such solutions are reported once.
     """
 
     roots: np.ndarray
@@ -155,65 +159,54 @@ def bethe_residual(spec: ModelSpec, m: int, roots) -> np.ndarray:
 
 
 def _site_polynomials(lam: np.ndarray, z: np.ndarray):
-    """Coefficient arrays (highest first) of P, P', R, R'."""
+    """Coefficient arrays (highest first) of P and R."""
     r_coeffs = np.poly(z) if len(z) else np.array([1.0 + 0j])
     p_coeffs = np.zeros(len(z), dtype=complex)
     for j in range(len(z)):
         p_coeffs = p_coeffs + lam[j] * np.poly(np.delete(z, j))
-    return p_coeffs, np.polyder(p_coeffs), r_coeffs, np.polyder(r_coeffs)
+    return p_coeffs, r_coeffs
 
 
-def _cleared_system(w: np.ndarray, lam: np.ndarray, z: np.ndarray, polys):
-    """Value and Jacobian of the cleared system for a batch of root vectors.
+def _jacobian(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d f_k / d w_l for a batch of root vectors; w has shape (..., m)."""
+    diff = w[..., None, :] - w[..., :, None]  # [..., k, l] = w_l - w_k
+    np.einsum("...kk->...k", diff)[...] = np.inf
+    pair = 2.0 * (1.0 / diff) ** 2  # 0 on the diagonal
+    jac = -pair
+    np.einsum("...kk->...k", jac)[...] = -np.sum(lam / (w[..., None] - z) ** 2, axis=-1) + np.sum(pair, axis=-1)
+    return jac
 
-    w has shape (S, m); returns g of shape (S, m) and J of shape (S, m, m).
+
+def _polish(lam: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """Newton on f_k for root vectors w of shape (S, m); each row keeps its best iterate.
+
+    Returns the rows and their residuals max_k |f_k|.
     """
-    p_c, dp_c, r_c, dr_c = polys
-    n_starts, m = w.shape
-    pw = np.polyval(p_c, w)
-    dpw = np.polyval(dp_c, w)
-    rw = np.polyval(r_c, w)
-    drw = np.polyval(dr_c, w)
+    with np.errstate(all="ignore"):
+        f = _residuals(lam, z, w)
+        res = np.max(np.abs(f), axis=-1)
+        for _ in range(20):
+            try:
+                step = np.linalg.solve(_jacobian(lam, z, w), f[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                break
+            trial = w - step
+            trial_f = _residuals(lam, z, trial)
+            trial_res = np.max(np.abs(trial_f), axis=-1)
+            better = trial_res < res
+            if not better.any():
+                break
+            w[better], f[better], res[better] = trial[better], trial_f[better], trial_res[better]
+    return w, res
 
-    diff = w[:, None, :] - w[:, :, None]  # [s, k, l] = w_l - w_k
 
-    def prod_excl(k, excluded):
-        out = np.ones(n_starts, dtype=complex)
-        for l in range(m):
-            if l != k and l not in excluded:
-                out = out * diff[:, k, l]
-        return out
-
-    g = np.zeros((n_starts, m), dtype=complex)
-    jac = np.zeros((n_starts, m, m), dtype=complex)
-    for k in range(m):
-        q_k = prod_excl(k, ())
-        t = {l: prod_excl(k, (l,)) for l in range(m) if l != k}
-        s_k = sum(t.values()) if t else np.zeros(n_starts, dtype=complex)
-        g[:, k] = pw[:, k] * q_k + 2.0 * rw[:, k] * s_k
-
-        ds_own = np.zeros(n_starts, dtype=complex)
-        for l in range(m):
-            if l == k:
-                continue
-            for p in range(m):
-                if p != k and p != l:
-                    ds_own = ds_own - prod_excl(k, (l, p))
-        jac[:, k, k] = dpw[:, k] * q_k - pw[:, k] * s_k + 2.0 * drw[:, k] * s_k + 2.0 * rw[:, k] * ds_own
-
-        for q in range(m):
-            if q == k:
-                continue
-            ds_q = np.zeros(n_starts, dtype=complex)
-            for l in range(m):
-                if l != k and l != q:
-                    ds_q = ds_q + prod_excl(k, (l, q))
-            jac[:, k, q] = pw[:, k] * t[q] + 2.0 * rw[:, k] * ds_q
-    return g, jac
+def _root_key(c: complex) -> tuple:
+    # a conjugate pair whose real parts differ in the last bits orders by imaginary part
+    return (round(c.real, 9), c.imag)
 
 
 def _sorted_roots(roots) -> np.ndarray:
-    return np.array(sorted(np.asarray(roots, dtype=complex), key=lambda c: (c.real, c.imag)))
+    return np.array(sorted(np.asarray(roots, dtype=complex), key=_root_key))
 
 
 def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -252,17 +245,10 @@ def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
     return singular_residual, eigenvalues, float(_residual(hams, psi, eigenvalues))
 
 
-def _solve_degree_one(lam, z, polys, tol_root, dedup_tol):
-    """Roots of P via the companion matrix, polished, clustered for collapses.
-
-    A double root of P splits numerically by about sqrt(machine epsilon), so
-    the collapse detection uses a cluster width of at least 1e-7 times the
-    site-point scale; genuinely distinct desk-scale roots sit far above it.
-    """
-    p_c, dp_c, _, _ = polys
-    raw = np.roots(p_c)
+def _degree_one_roots(lam, z, p_coeffs, tol_root) -> np.ndarray:
+    """Roots of P via the companion matrix, each polished by Newton on f_1; shape (N - 1, 1)."""
     polished = []
-    for w in raw:
+    for w in np.roots(p_coeffs):
         for _ in range(50):
             fw = np.sum(lam / (w - z))
             if abs(fw) <= 0.1 * tol_root:
@@ -275,119 +261,107 @@ def _solve_degree_one(lam, z, polys, tol_root, dedup_tol):
             if abs(step) < 1e-16 * max(1.0, abs(w)):
                 break
         polished.append(w)
-    cluster_tol = max(dedup_tol, 1e-7 * _z_scale(z))
-    clusters = []
-    for w in sorted(polished, key=lambda c: (c.real, c.imag)):
-        for cluster in clusters:
-            if abs(cluster[0] - w) <= cluster_tol:
-                cluster.append(w)
+    return np.array(polished, dtype=complex).reshape(-1, 1)
+
+
+def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
+    """Roots of the null vector y of y -> R y'' - P y' + V y on polynomials of degree <= m."""
+    images = []
+    for d in range(m + 1):
+        mono = np.zeros(d + 1)
+        mono[0] = 1.0  # x^d
+        image = np.polysub(np.polymul(r_coeffs, np.polyder(mono, 2)), np.polymul(p_coeffs, np.polyder(mono)))
+        images.append(np.polyadd(image, np.polymul(v_coeffs, mono)))
+    size = max(len(image) for image in images)
+    matrix = np.array([np.pad(image, (size - len(image), 0)) for image in images]).T
+    y = np.linalg.svd(matrix)[2][-1].conj()  # coefficient of x^d at index d
+    return np.roots(y[::-1])
+
+
+def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root) -> np.ndarray:
+    """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
+
+    The last `count` right singular vectors of the total E span the singular
+    subspace.  The eigenvectors of one seeded random combination of the
+    restricted Hamiltonians give the eigenvalue tuples as Rayleigh quotients;
+    they only start the polish, so no residual gate applies to them.
+    """
+    kernel = np.linalg.svd(raise_e)[2][-count:].conj().T
+    restricted = [kernel.conj().T @ ham @ kernel for ham in hams]
+    t = np.random.default_rng(seed).standard_normal(len(hams))
+    _, vecs = np.linalg.eig(sum(ti * mat for ti, mat in zip(t, restricted)))
+    energies, _ = _family_values(restricted, vecs)
+    vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
+    site_sums = -(energies - vacuum[:, None]) / lam[:, None]  # Lambda_i per eigenvector
+    p_coeffs, r_coeffs = polys
+    v_coeffs = np.linalg.lstsq(
+        np.vander(z, len(z) - 1), np.polyval(p_coeffs, z)[:, None] * site_sums, rcond=None
+    )[0]
+    rows = [_heine_stieltjes_roots(p_coeffs, r_coeffs, v, m) for v in v_coeffs.T]
+    w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
+    w, res = _polish(lam, z, w.reshape(-1, m))
+    return w[res <= tol_root]
+
+
+def _collapse(lam, z, rows: np.ndarray, tol_root) -> list:
+    """Report root sets closer than 1e-7 times the site-point scale once, with their count.
+
+    A double root of P splits numerically by about sqrt(machine epsilon), so
+    the collapse width is 1e-7 times the site-point scale; genuinely distinct
+    desk-scale roots sit far above it.  Each group is reported as its
+    mean, with multiplicity the group size; a lone root set whose residual
+    exceeds tol_root is dropped.  Returns (roots, residual, multiplicity) in
+    canonical order.
+    """
+    tol = 1e-7 * _z_scale(z)
+    groups = []
+    for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: [_root_key(c) for c in r]):
+        for group in groups:
+            if _multiset_gaps(row, group[0][None])[0] <= tol:
+                group.append(row)
                 break
         else:
-            clusters.append([w])
+            groups.append([row])
     out = []
-    for cluster in clusters:
-        mean = complex(np.mean(cluster))
-        residual = abs(np.sum(lam / (mean - z)))
-        if len(cluster) == 1 and residual > tol_root:
+    for group in groups:
+        roots = np.mean(group, axis=0)
+        residual = max(abs(f) for f in _residuals(lam, z, roots))
+        if len(group) == 1 and not residual <= tol_root:
             continue
-        out.append((np.array([mean]), residual, len(cluster)))
+        out.append((roots, residual, len(group)))
     return out
 
 
-def _newton_starts(lam, z, m, n_starts, rng):
-    scale = _z_scale(z)
-    barycenter = complex(np.sum(lam * z) / np.sum(lam))
-    centroid = complex(np.mean(z))
-    n_bary = n_starts // 2
-    gauss = rng.standard_normal((n_bary, m)) + 1j * rng.standard_normal((n_bary, m))
-    starts_a = barycenter + 0.5 * scale * gauss
-    n_disc = n_starts - n_bary
-    radius = 2.0 * scale * np.sqrt(rng.uniform(size=(n_disc, m)))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=(n_disc, m))
-    starts_b = centroid + radius * np.exp(1j * angle)
-    return np.concatenate([starts_a, starts_b], axis=0)
-
-
-def _solve_degree_many(lam, z, m, polys, tol_root, dedup_tol, n_starts, rng):
-    w = _newton_starts(lam, z, m, n_starts, rng)
-    scale = _z_scale(z)
-    active = np.ones(len(w), dtype=bool)
-    converged = np.zeros(len(w), dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            if not active.any():
-                break
-            res = np.max(np.abs(_residuals(lam, z, w[active])), axis=-1)
-            newly = res <= tol_root
-            idx = np.flatnonzero(active)
-            converged[idx[newly]] = True
-            active[idx[newly]] = False
-            if not active.any():
-                break
-            g, jac = _cleared_system(w[active], lam, z, polys)
-            try:
-                step = np.linalg.solve(jac, g[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                step = np.einsum("sij,sj->si", np.linalg.pinv(jac), g)
-            w[active] -= step
-            bad = ~np.all(np.isfinite(w), axis=-1) | (np.max(np.abs(w), axis=-1) > 1e6 * scale)
-            active &= ~bad
-
-        rows = w[converged]
-        residuals = np.max(np.abs(_residuals(lam, z, rows)), axis=-1)
-    candidates = [
-        (float(res), _sorted_roots(row))
-        for res, row in zip(residuals, rows)
-        if np.isfinite(res) and res <= tol_root
-    ]
-    candidates.sort(key=lambda t: t[0])
-    solutions = []
-    kept = np.empty((len(candidates), m), dtype=complex)
-    for res, roots in candidates:
-        if np.any(_multiset_gaps(roots, kept[: len(solutions)]) <= dedup_tol):
-            continue
-        kept[len(solutions)] = roots
-        solutions.append((res, roots))
-    solutions.sort(key=lambda t: tuple((c.real, c.imag) for c in t[1]))
-    return [(roots, res, 1) for res, roots in solutions]
-
-
-def solve_bethe_numeric(
-    weights,
-    z,
-    m: int,
-    *,
-    tol_root=DEFAULT_TOL_ROOT,
-    dedup_tol=DEFAULT_DEDUP_TOL,
-    n_starts=None,
-    seed=DEFAULT_SEED,
-):
+def solve_bethe_numeric(weights, z, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=DEFAULT_SEED):
     """Solve the Bethe system for arbitrary complex site points z.
 
-    Returns the distinct solutions found, canonically sorted, each annotated
-    with its eigenvalue tuple and the eigen/singularity residuals of the
-    reconstructed Bethe vector.  Completeness of the root set is never
-    asserted; callers compare len(result) with singular_dimension_formula.
+    Returns the solutions found, canonically sorted, each annotated with its
+    eigenvalue tuple and the eigen/singularity residuals of the reconstructed
+    Bethe vector.  For m >= 2 each of the singular_dimension(weights, m)
+    singular joint eigenvectors gives one candidate; a candidate whose polish
+    misses tol_root is left out, so callers compare len(result) with
+    singular_dimension.  Root sets that agree to the collapse width are
+    reported once with their multiplicity.  seed draws the random combination
+    of Hamiltonians whose eigenvectors separate the singular subspace.
     """
     weights = _weights_of(weights)
     if m < 1:
         raise ValueError("m must be at least 1")
     z = np.asarray(z, dtype=complex)
     lam = np.array([float(x) for x in weights])
-    polys = _site_polynomials(lam, z)
-
-    if m == 1:
-        found = _solve_degree_one(lam, z, polys, tol_root, dedup_tol)
-    else:
-        if n_starts is None:
-            n_starts = 200 * singular_dimension_formula(len(weights), m)
-        rng = np.random.default_rng(seed)
-        found = _solve_degree_many(lam, z, m, polys, tol_root, dedup_tol, n_starts, rng)
-
     raise_e = build_total_generator("E", weights, m).to_array(float)
+    count = singular_dimension(weights, m)
+    if count == 0:
+        return []
     hams = [hamiltonian_array(weights, z, i, m) for i in range(len(weights))]
+    polys = _site_polynomials(lam, z)
+    if m == 1:
+        rows = _degree_one_roots(lam, z, polys[0], tol_root)
+    else:
+        rows = _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root)
+
     solutions = []
-    for roots, res, mult in found:
+    for roots, res, mult in _collapse(lam, z, rows, tol_root):
         singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, raise_e, hams)
         solutions.append(
             BetheSolution(
@@ -402,26 +376,10 @@ def solve_bethe_numeric(
     return solutions
 
 
-def solve_bethe(
-    spec: ModelSpec,
-    m: int,
-    *,
-    tol_root=DEFAULT_TOL_ROOT,
-    dedup_tol=DEFAULT_DEDUP_TOL,
-    n_starts=None,
-    seed=DEFAULT_SEED,
-):
+def solve_bethe(spec: ModelSpec, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=DEFAULT_SEED):
     """Solve the Bethe system of a model instance (see solve_bethe_numeric)."""
     z = np.array([complex(x) for x in spec.z])
-    return solve_bethe_numeric(
-        spec.weights,
-        z,
-        m,
-        tol_root=tol_root,
-        dedup_tol=dedup_tol,
-        n_starts=n_starts,
-        seed=seed,
-    )
+    return solve_bethe_numeric(spec.weights, z, m, tol_root=tol_root, seed=seed)
 
 
 @dataclass

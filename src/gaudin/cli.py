@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from .bethe import DEFAULT_DEDUP_TOL, DEFAULT_TOL_ROOT, solve_bethe
+from .bethe import DEFAULT_TOL_ROOT, solve_bethe
 from .eigenbasis import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
@@ -26,6 +26,7 @@ from .hamiltonians import build_hamiltonian, verify_family
 from .singular import (
     singular_basis_gordan,
     singular_basis_kernel,
+    singular_dimension,
     singular_dimension_formula,
 )
 from .rational_linalg import rank
@@ -211,14 +212,7 @@ def cmd_bethe(args) -> int:
     if m is None:
         print("error: --m is required for the bethe command", file=sys.stderr)
         return EXIT_INPUT
-    solutions = solve_bethe(
-        spec,
-        m,
-        tol_root=args.tol_root,
-        dedup_tol=args.dedup_tol,
-        n_starts=args.n_starts,
-        seed=args.seed,
-    )
+    solutions = solve_bethe(spec, m, tol_root=args.tol_root, seed=args.seed)
     entries = []
     rows = []
     for j, sol in enumerate(solutions):
@@ -248,7 +242,7 @@ def cmd_bethe(args) -> int:
     payload = {
         "m": m,
         "solutions": entries,
-        "expected_count": singular_dimension_formula(spec.n_sites, m),
+        "expected_count": singular_dimension(spec, m),
         "found": len(solutions),
     }
     header = [
@@ -264,7 +258,10 @@ def cmd_bethe(args) -> int:
     for i in range(spec.n_sites):
         header.extend([f"eigenvalue_{i}_re", f"eigenvalue_{i}_im"])
     _emit(payload, (header, rows), args)
-    return EXIT_OK
+    verified = all(
+        sol.singular_residual <= DEFAULT_TOL and sol.vector_residual <= DEFAULT_TOL for sol in solutions
+    )
+    return EXIT_OK if verified else EXIT_VERIFY
 
 
 # every optional flag with its argparse settings; each command takes the ones it reads
@@ -273,9 +270,7 @@ _FLAGS = {
     "--m-max": dict(dest="m_max", type=int, default=None),
     "--tol": dict(type=float, default=DEFAULT_TOL),
     "--tol-root": dict(dest="tol_root", type=float, default=DEFAULT_TOL_ROOT),
-    "--dedup-tol": dict(dest="dedup_tol", type=float, default=DEFAULT_DEDUP_TOL),
     "--tol-rank": dict(dest="tol_rank", type=float, default=DEFAULT_TOL_RANK),
-    "--n-starts": dict(dest="n_starts", type=int, default=None),
     "--seed": dict(type=int, default=DEFAULT_SEED),
     "--emit-matrices": dict(
         dest="emit_matrices",
@@ -289,7 +284,7 @@ _COMMANDS = {
     "verify": (cmd_verify, ("--emit-matrices",)),
     "singular": (cmd_singular, ("--m",)),
     "eigenbasis": (cmd_eigenbasis, ("--m-max", "--tol", "--tol-rank", "--seed")),
-    "bethe": (cmd_bethe, ("--m", "--tol-root", "--dedup-tol", "--n-starts", "--seed")),
+    "bethe": (cmd_bethe, ("--m", "--tol-root", "--seed")),
 }
 
 

@@ -48,6 +48,19 @@ def singular_dimension_formula(n_sites: int, m: int) -> int:
     return math.comb(m + n_sites - 2, m)
 
 
+def singular_dimension(spec_or_weights, m: int) -> int:
+    """Exact dimension dim V_m - dim V_{m-1} of the singular subspace of V_m.
+
+    Zero when 2m > sum(weights): the total raising operator is then injective
+    on V_m.  Equals singular_dimension_formula while m <= min(weights).
+    """
+    weights = _weights_of(spec_or_weights)
+    if m < 0 or 2 * m > sum(weights):
+        return 0
+    below = enumerate_weight_space(weights, m - 1).dim if m >= 1 else 0
+    return enumerate_weight_space(weights, m).dim - below
+
+
 @dataclass(frozen=True)
 class GordanCoefficients:
     m: int

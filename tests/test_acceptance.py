@@ -20,6 +20,7 @@ from gaudin import (
     lowering_field_exact,
     singular_basis_gordan,
     singular_basis_kernel,
+    singular_dimension,
     singular_dimension_formula,
     solve_bethe,
     solve_bethe_numeric,
@@ -159,17 +160,17 @@ def _match_eigenvalue_multisets(a, b, tol):
 
 def test_criterion_6_cross_route_consistency():
     def check():
-        exercised_m2 = 0
+        cases = {1: 0, 2: 0, 3: 0}
         for spec in SPECS:
-            for m in (1, 2):
-                if m > spec.min_weight:
+            for m in (1, 2, 3):
+                if 2 * m > spec.total_weight:
                     continue
-                expected = singular_dimension_formula(spec.n_sites, m)
+                expected = singular_dimension(spec, m)
                 sols = solve_bethe(spec, m)
-                if len(sols) != expected:
+                assert len(sols) == expected, (spec, m, len(sols), expected)
+                cases[m] += 1
+                if expected == 0:
                     continue
-                if m == 2:
-                    exercised_m2 += 1
                 bethe_tuples = [sol.eigenvalues for sol in sols]
                 diag_tuples = [ev.eigenvalues for ev in diagonalize_singular(spec, m)]
                 _match_eigenvalue_multisets(bethe_tuples, diag_tuples, 1e-8)
@@ -184,9 +185,10 @@ def test_criterion_6_cross_route_consistency():
                 svals = np.linalg.svd(stacked, compute_uv=False)
                 numeric_rank = int(np.sum(svals > 1e-8 * svals[0]))
                 assert numeric_rank == expected
-        assert exercised_m2 >= 1
+        # every (spec, m) with 2m <= sum(weights), truncated levels included
+        assert sum(cases.values()) == 56 and min(cases.values()) >= 1
 
-    _report(6, "Bethe eigenvalue tuples and spans match the singular diagonalization", check)
+    _report(6, "Bethe root sets are complete and match the singular diagonalization", check)
 
 
 def test_criterion_7_operator_identities_at_rational_points():

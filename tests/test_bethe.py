@@ -14,18 +14,21 @@ from gaudin import (
     lowering_field,
     lowering_field_exact,
     singular_basis_kernel,
+    singular_dimension,
     singular_dimension_formula,
     solve_bethe,
     solve_bethe_numeric,
     vacuum_eigenvalue,
     verify_solution,
 )
+import gaudin
 from gaudin.bethe import (
-    DEFAULT_DEDUP_TOL,
-    _cleared_system,
+    _jacobian,
     _multiset_gaps,
+    _polish,
+    _residuals,
     _site_lowering_arrays,
-    _site_polynomials,
+    _sorted_roots,
 )
 
 from conftest import random_spec
@@ -47,7 +50,7 @@ def rational_off_poles(rng, spec):
 
 
 def canonically_sorted(roots):
-    return np.array(sorted(roots, key=lambda c: (c.real, c.imag)))
+    return np.array(sorted(roots, key=lambda c: (round(c.real, 9), c.imag)))
 
 
 def multiset_gap_reference(a, b):
@@ -215,28 +218,39 @@ class TestBetheResidual:
             bethe_residual(SPEC2, 2, [0.5])
 
 
-class TestClearedSystem:
-    def test_jacobian_matches_finite_differences(self, rng):
+class TestPolish:
+    def test_jacobian_matches_finite_differences(self):
         lam = np.array([2.0, 1.0, 3.0])
         z = np.array([0.0 + 0j, 1.0 + 0j, -0.5 + 0j])
-        polys = _site_polynomials(lam, z)
         w = np.array([[0.3 + 0.4j, -1.2 + 0.1j, 2.0 - 0.3j]])
-        g0, jac = _cleared_system(w, lam, z, polys)
+        f0 = _residuals(lam, z, w)
+        jac = _jacobian(lam, z, w)
+        assert np.all(np.isfinite(jac))
         h = 1e-7
         for q in range(3):
             bumped = w.copy()
             bumped[0, q] += h
-            g1, _ = _cleared_system(bumped, lam, z, polys)
-            fd = (g1[0] - g0[0]) / h
+            fd = (_residuals(lam, z, bumped)[0] - f0[0]) / h
             assert np.allclose(jac[0, :, q], fd, rtol=1e-5, atol=1e-5)
 
-    def test_cleared_system_vanishes_at_known_solution(self):
+    def test_polish_recovers_known_solution_from_perturbation(self):
+        # weights (2, 2) at z = (0, 1): w1 + w2 = 1, w1 w2 = 1/3
+        lam = np.array([2.0, 2.0])
         z = np.array([0.0 + 0j, 1.0 + 0j])
-        roots = np.array([[0.5 + np.sqrt(3) / 6 * 1j, 0.5 - np.sqrt(3) / 6 * 1j]])
-        lam22 = np.array([2.0, 2.0])
-        polys22 = _site_polynomials(lam22, z)
-        g, _ = _cleared_system(roots, lam22, z, polys22)
-        assert np.max(np.abs(g)) < 1e-12
+        exact = np.array([0.5 - np.sqrt(3) / 6 * 1j, 0.5 + np.sqrt(3) / 6 * 1j])
+        start = (exact + 1e-6 * np.array([1.0 - 2.0j, -0.5 + 1.0j]))[None, :]
+        assert np.max(np.abs(_residuals(lam, z, start))) > 1e-6
+        w, res = _polish(lam, z, start.copy())
+        assert res[0] <= 1e-14
+        assert np.max(np.abs(w[0] - exact)) < 1e-14
+        assert res[0] == np.max(np.abs(_residuals(lam, z, w)))
+
+    def test_sorted_roots_order_a_conjugate_pair_one_ulp_apart(self):
+        # real parts one ulp apart read as equal, so the pair orders by
+        # imaginary part; (real, imag) order would put -0.25j last
+        pair = [complex(0.5, 0.25), complex(np.nextafter(0.5, 1.0), -0.25)]
+        for roots in (pair, pair[::-1]):
+            assert np.array_equal(_sorted_roots(roots), [pair[1], pair[0]])
 
 
 class TestSolveBethe:
@@ -317,6 +331,43 @@ class TestSolveBethe:
             for field in ("roots", "residual_eq", "eigenvalues", "vector_residual",
                           "singular_residual", "multiplicity"):
                 assert np.array_equal(getattr(x, field), getattr(y, field))
+
+    def test_truncated_probe_has_no_solutions(self):
+        # 2m > sum(weights) = 3: the raising operator is injective on V_m
+        probe = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
+        for m in (2, 3):
+            assert singular_dimension(probe, m) == 0
+            assert solve_bethe(probe, m) == []
+
+    def test_no_coincident_roots_at_weight_one_sites(self):
+        # the singular subspace of V_2 is 2-dimensional; a spurious [0, 0]
+        # (roots on a site point, vector residual 2.4) must not be reported
+        spec = ModelSpec((1, 1, 1, 1), tuple(Fraction(k) for k in range(4)))
+        sols = solve_bethe(spec, 2)
+        assert len(sols) == 2 == singular_dimension(spec, 2)
+        for sol in sols:
+            assert verify_solution(spec, 2, sol).ok
+            assert np.min(np.abs(sol.roots[:, None] - np.arange(4))) > 0.1
+
+    def test_near_coalescent_sites_return_only_verified_solutions(self):
+        z = np.array([0.0, 1.0, 1.0 + 1e-6], dtype=complex)
+        sols = solve_bethe_numeric((2, 2, 2), z, 2)
+        assert 1 <= len(sols) <= singular_dimension((2, 2, 2), 2)
+        for sol in sols:
+            assert sol.singular_residual <= 1e-9 and sol.vector_residual <= 1e-9
+
+    def test_roots_match_the_singular_eigenvalues(self):
+        # one root set per singular joint eigenvector, with its eigenvalue tuple
+        spec = ModelSpec((3, 3, 3, 3), tuple(Fraction(k * k + 1, k + 2) for k in range(4)))
+        for m in (2, 3):
+            sols = solve_bethe(spec, m)
+            diag = diagonalize_singular(spec, m)
+            assert len(sols) == len(diag) == singular_dimension(spec, m)
+            remaining = [ev.eigenvalues for ev in diag]
+            for sol in sols:
+                gaps = [np.max(np.abs(sol.eigenvalues - ev)) for ev in remaining]
+                assert min(gaps) < 1e-9
+                remaining.pop(int(np.argmin(gaps)))
 
     def test_roots_come_out_canonically_sorted(self):
         double = solve_bethe_numeric((1, 1, 1), np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)]), 1)
@@ -418,7 +469,7 @@ class TestSpans:
                         row = rng.permutation(a)
                     elif kind == 1:
                         phase = np.exp(2j * np.pi * rng.uniform(size=m))
-                        row = rng.permutation(a + 0.5 * DEFAULT_DEDUP_TOL * phase)
+                        row = rng.permutation(a + 0.5e-8 * phase)
                     elif kind == 2:
                         row = rng.choice(lattice, m)
                     else:
@@ -435,3 +486,33 @@ class TestSpans:
         a = np.array([0.0, 1.5], dtype=complex)
         kept = np.array([[1.0, -1.0], [-1.0, 1.0], [1.5, 1e-12j]])
         assert np.array_equal(_multiset_gaps(a, kept), [2.5, 1.0, 1e-12])
+
+
+class TestBenchmarkInterface:
+    """The benchmark harness patches these gaudin.bethe globals and passes seed=."""
+
+    def test_patched_builders_are_module_globals(self):
+        assert gaudin.bethe.build_site_operator is gaudin.sl2.build_site_operator
+        assert gaudin.bethe.build_total_generator is gaudin.sl2.build_total_generator
+        assert gaudin.bethe.hamiltonian_array is gaudin.hamiltonians.hamiltonian_array
+
+    def test_verify_solution_reads_the_patched_builders(self, monkeypatch):
+        calls = {}
+        for name in ("build_total_generator", "hamiltonian_array"):
+            original = getattr(gaudin.bethe, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gaudin.bethe, name, counted)
+        (sol,) = solve_bethe(SPEC2, 1, seed=5)
+        calls.clear()
+        assert verify_solution(SPEC2, 1, sol).ok
+        assert calls == {"build_total_generator": 1, "hamiltonian_array": 2}
+
+    def test_solvers_take_a_seed(self):
+        z = np.array([0.0, 1.0, 3.0], dtype=complex)
+        a = solve_bethe_numeric((2, 2, 2), z, 2, seed=5)
+        b = solve_bethe(ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3))), 2, seed=6)
+        assert len(a) == len(b) == 3

@@ -1,12 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
+import gaudin.cli
+from gaudin.bethe import BetheSolution
 from gaudin.cli import main
 
 
 SPEC_11 = '{"weights": [1, 1], "z": ["0", "1"]}'
 SPEC_222 = '{"weights": [2, 2, 2], "z": ["0", "1", "3/2"]}'
+SPEC_1234 = '{"weights": [1, 2, 3, 4], "z": ["0", "1", "2", "3"]}'
 
 
 @pytest.fixture
@@ -160,6 +164,37 @@ class TestBethe:
 
     def test_requires_m(self, spec_file, capsys):
         assert main(["bethe", "--spec", spec_file(SPEC_11)]) == 2
+
+    def test_expected_count_is_the_exact_singular_dimension(self, spec_file, capsys):
+        # the untruncated binomial C(4, 2) would be 6; weight 1 at site 1 leaves 5
+        code, payload = run_json(["bethe", "--spec", spec_file(SPEC_1234), "--m", "2"], capsys)
+        assert code == 0
+        assert payload["expected_count"] == payload["found"] == 5
+        assert sorted(payload) == ["expected_count", "found", "m", "solutions"]
+        assert sorted(payload["solutions"][0]) == [
+            "eigenvalues", "multiplicity_flag", "residual_eq", "roots", "singular_residual", "vector_residual",
+        ]
+
+    @pytest.mark.parametrize("residuals", [(0.0, 0.5), (2e-9, 0.0), (float("nan"), 0.0)])
+    def test_unverified_solution_exits_1(self, spec_file, capsys, monkeypatch, residuals):
+        singular_residual, vector_residual = residuals
+        bad = BetheSolution(
+            roots=np.array([0.25 + 0.0j]),
+            residual_eq=0.0,
+            eigenvalues=np.zeros(2, dtype=complex),
+            vector_residual=vector_residual,
+            singular_residual=singular_residual,
+        )
+        monkeypatch.setattr(gaudin.cli, "solve_bethe", lambda *args, **kwargs: [bad])
+        code, payload = run_json(["bethe", "--spec", spec_file(SPEC_11), "--m", "1"], capsys)
+        assert code == 1
+        assert payload["found"] == 1
+
+    def test_removed_solver_flags_are_rejected(self, spec_file, capsys):
+        for flag in ("--n-starts", "--dedup-tol"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bethe", "--spec", spec_file(SPEC_11), "--m", "1", flag, "5"])
+            assert exc.value.code == 2
 
 
 class TestDeterminism:

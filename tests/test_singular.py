@@ -15,6 +15,7 @@ from gaudin import (
     pochhammer,
     singular_basis_gordan,
     singular_basis_kernel,
+    singular_dimension,
     singular_dimension_formula,
 )
 from gaudin.rational_linalg import rank
@@ -223,6 +224,21 @@ class TestKernelBasis:
             for m in range(spec.min_weight + 1):
                 basis = singular_basis_kernel(spec, m)
                 assert basis.count == singular_dimension_formula(spec.n_sites, m)
+
+    def test_exact_dimension_counts_the_kernel_at_every_level(self, rng):
+        for _ in range(5):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            for m in range(spec.total_weight + 1):
+                basis = singular_basis_kernel(spec, m)
+                assert basis.count == singular_dimension(spec, m) == singular_dimension(spec.weights, m)
+                if m <= spec.min_weight:
+                    assert basis.count == singular_dimension_formula(spec.n_sites, m)
+
+    def test_exact_dimension_in_the_truncated_regime(self):
+        assert singular_dimension((1, 2, 3, 4), 2) == 5 < singular_dimension_formula(4, 2)
+        assert singular_dimension((1, 2), 1) == 1
+        assert singular_dimension((1, 2), 2) == singular_dimension((1, 2), 3) == 0
+        assert singular_dimension((1, 1), 0) == 1
 
     def test_labels_absent(self):
         assert singular_basis_kernel((2, 2), 1).labels is None
