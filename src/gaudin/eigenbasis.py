@@ -10,10 +10,12 @@ their eigenvalue tuples unchanged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import build_hamiltonian, vacuum_eigenvalue
+from .hamiltonians import _float_array, _integer_family, _scale, vacuum_eigenvalue
+from .rational_linalg import _cleared
 from .singular import _kernel_vectors
 from .sl2 import DEFAULT_SEED, ModelSpec, build_total_generator, enumerate_weight_space
 
@@ -164,47 +166,63 @@ def _residual(ham_arrays, v, eigenvalues):
     return worst
 
 
-def _restrict(ops, vectors, raise_e):
-    """Exact matrices R with op K = K R, K the canonical kernel basis of raise_e.
+def _restrict(ops, scale, vectors, raise_e):
+    """Exact matrices R with H K = K R, H = op / scale, K the canonical kernel basis of raise_e.
 
-    vectors are the columns of K.  Row k of R is read off the image op K at
-    the first coordinate where K's row is the unit row e_k (the free column
-    of vector k always is one).  That is exact only when op preserves
-    ker raise_e, which is checked exactly: raise_e must annihilate every
-    column of op K.  Raises ValueError otherwise.
+    ops are integer matrices (scale * H) and vectors the columns of K, each
+    cleared to integers L_k v_k.  Row k of R is read off the integer image
+    op(L_l v_l) / (scale L_l) at the first coordinate where K's row is the
+    unit row e_k (the free column of vector k always is one).  That is exact
+    only when H preserves ker raise_e, which is checked exactly on the
+    integer images: raise_e must annihilate every one.  Raises ValueError
+    otherwise.
     """
     unit_at = {}
     for c in range(len(vectors[0])):
         nonzero = [k for k, vec in enumerate(vectors) if vec[c] != 0]
         if len(nonzero) == 1 and vectors[nonzero[0]][c] == 1:
             unit_at.setdefault(nonzero[0], c)
+    cleared = [_cleared(vec) for vec in vectors]
     restricted = []
     for op in ops:
-        images = [op.apply(list(vec)) for vec in vectors]
-        if any(x != 0 for col in images for x in raise_e.apply(col)):
+        images = [(scale * lcm, op.apply(ints)) for lcm, ints in cleared]
+        if any(x != 0 for _, col in images for x in raise_e.apply(col)):
             raise ValueError("operator does not preserve the kernel of the raising operator")
-        restricted.append([[col[unit_at[k]] for col in images] for k in range(len(vectors))])
+        restricted.append(
+            [[Fraction(col[unit_at[k]], den) for den, col in images] for k in range(len(vectors))]
+        )
     return restricted
+
+
+def _level_family(spec: ModelSpec, m: int):
+    """(D, the integer matrices D H_i, the float arrays of H_i) on V_m, built once per level."""
+    scale = _scale(spec.z)
+    ints = _integer_family(spec, m, scale)
+    return scale, ints, [_float_array(op, scale) for op in ints]
 
 
 def diagonalize_singular(spec: ModelSpec, m: int, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
     The restriction of each H_i to the exact kernel basis is read off in
-    rational arithmetic (the subspace is invariant, which is checked exactly),
+    integer arithmetic (the subspace is invariant, which is checked exactly),
     converted to floats and jointly diagonalized.  Eigenvectors are returned
     in V_m coordinates with unit norm and verified residuals.
     """
+    return _diagonalize_level(spec, m, None, tol, seed)
+
+
+def _diagonalize_level(spec: ModelSpec, m: int, family, tol, seed):
+    """diagonalize_singular with the level family of _level_family(spec, m), or None to build it."""
     raise_e = build_total_generator("E", spec, m)
     kernel = _kernel_vectors(raise_e)
     count = len(kernel)
     if count == 0:
         return []
-    hams = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
-    restricted = _restrict(hams, kernel, raise_e)
+    scale, hams, ham_arrays = family or _level_family(spec, m)
+    restricted = _restrict(hams, scale, kernel, raise_e)
 
     restricted_f = [np.array(mat, dtype=float) for mat in restricted]
-    ham_arrays = [op.to_array(float) for op in hams]
     basis_f = np.array([[kernel[k][r] for k in range(count)] for r in range(raise_e.domain.dim)], dtype=float)
 
     rng = np.random.default_rng(seed)
@@ -290,9 +308,8 @@ def build_eigenbasis(
 
     for m in range(1, m_max + 1):
         lower_f = build_total_generator("F", spec, m - 1).to_array(float)
-        ham_arrays = [
-            build_hamiltonian(spec, i, m).to_array(float) for i in range(spec.n_sites)
-        ]
+        family = _level_family(spec, m)
+        ham_arrays = family[2]
         level = []
         worst = 0.0
         for idx, parent in enumerate(levels[m - 1]):
@@ -325,7 +342,7 @@ def build_eigenbasis(
                 f"lowered-vector residual {worst:.3e} exceeds tol {tol:.1e}", worst
             )
 
-        level.extend(diagonalize_singular(spec, m, tol, seed))
+        level.extend(_diagonalize_level(spec, m, family, tol, seed))
 
         dim = enumerate_weight_space(spec, m).dim
         if len(level) != dim:

@@ -3,13 +3,18 @@
     H_i = sum_{j != i} 1/(z_i - z_j) [ H^(i) H^(j) / 2 + E^(i) F^(j) + F^(i) E^(j) ]
 
 Every H_i preserves each V_m.  Matrices are assembled state by state (each
-basis state contributes O(N) terms per Hamiltonian), with exact rational
-entries, so the algebraic identities [H_i, H_j] = 0 and sum_i H_i = 0 can be
-checked with zero tolerance.
+basis state contributes O(N) terms per Hamiltonian), on integers: with
+D = 2 lcm over i != j of numerator(z_i - z_j), every D / (z_i - z_j) is an
+even integer, so one builder gives the integer matrices D H_i.
+build_hamiltonian divides by D only at the end (exact Fraction entries).
+The identities [H_i, H_j] = 0, sum_i H_i = 0 and the intertwinings with the
+total generators are homogeneous in the H_i, so verify_family checks every
+one of them on the integer matrices D H_i, with zero tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,35 +31,71 @@ from .sl2 import (
 
 
 def _pair_terms(weights, states, index, i):
-    """Yield (row, col, j, q): the H_i entry contribution q / (z_i - z_j)."""
+    """Yield (row, col, j, k): the H_i entry contribution k / (2 (z_i - z_j)), k an int."""
     n_sites = len(weights)
     for col, s in enumerate(states):
         for j in range(n_sites):
             if j == i:
                 continue
             # diagonal part: H^(i) H^(j) / 2
-            yield col, col, j, Fraction((weights[i] - 2 * s[i]) * (weights[j] - 2 * s[j]), 2)
+            yield col, col, j, (weights[i] - 2 * s[i]) * (weights[j] - 2 * s[j])
             # E^(i) F^(j): lowers n_i, raises n_j
             if s[i] > 0 and s[j] < weights[j]:
                 t = list(s)
                 t[i] -= 1
                 t[j] += 1
-                yield index[tuple(t)], col, j, Fraction(s[i] * (weights[i] - s[i] + 1))
+                yield index[tuple(t)], col, j, 2 * s[i] * (weights[i] - s[i] + 1)
             # F^(i) E^(j): raises n_i, lowers n_j
             if s[j] > 0 and s[i] < weights[i]:
                 t = list(s)
                 t[i] += 1
                 t[j] -= 1
-                yield index[tuple(t)], col, j, Fraction(s[j] * (weights[j] - s[j] + 1))
+                yield index[tuple(t)], col, j, 2 * s[j] * (weights[j] - s[j] + 1)
+
+
+def _scale(z) -> int:
+    """D = 2 lcm over i != j of numerator(z_i - z_j): each D / (z_i - z_j) is an even integer."""
+    return 2 * math.lcm(*((zi - zj).numerator for a, zi in enumerate(z) for zj in z[a + 1 :]))
+
+
+def _integer_hamiltonian(spec: ModelSpec, i: int, m: int, scale: int) -> SparseOperator:
+    """scale * H_i on V_m with int entries; scale must be a multiple of _scale(spec.z)."""
+    half = {}  # (scale / 2) / (z_i - z_j), an integer
+    for j, zj in enumerate(spec.z):
+        if j != i:
+            diff = spec.z[i] - zj
+            half[j], rem = divmod(scale * diff.denominator, 2 * diff.numerator)
+            if rem:
+                raise ValueError(f"scale {scale} leaves H_{i} with a fractional entry")
+    space = enumerate_weight_space(spec, m)
+    op = SparseOperator.zero(space, space)
+    for row, col, j, k in _pair_terms(spec.weights, space.states, space.index, i):
+        op.add_term(row, col, k * half[j])
+    return op
+
+
+def _integer_family(spec: ModelSpec, m: int, scale: int) -> list:
+    """The integer matrices scale * H_i on V_m, i = 0..N-1."""
+    return [_integer_hamiltonian(spec, i, m, scale) for i in range(spec.n_sites)]
+
+
+def _float_array(op: SparseOperator, scale: int) -> np.ndarray:
+    """Dense float matrix of op / scale.
+
+    Integer true division rounds correctly, so each entry equals float of the
+    Fraction entry of op.scaled(Fraction(1, scale)).
+    """
+    arr = np.zeros((op.codomain.dim, op.domain.dim))
+    for col, colmap in enumerate(op.cols):
+        for row, v in colmap.items():
+            arr[row, col] = v / scale
+    return arr
 
 
 def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
-    """Exact matrix of H_i on V_m (site index i is 0-based)."""
-    space = enumerate_weight_space(spec, m)
-    op = SparseOperator.zero(space, space)
-    for row, col, j, q in _pair_terms(spec.weights, space.states, space.index, i):
-        op.add_term(row, col, q / (spec.z[i] - spec.z[j]))
-    return op
+    """Exact matrix of H_i on V_m (site index i is 0-based), Fraction entries."""
+    scale = _scale(spec.z)
+    return _integer_hamiltonian(spec, i, m, scale).scaled(Fraction(1, scale))
 
 
 def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
@@ -63,8 +104,8 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     space = enumerate_weight_space(weights, m)
     arr = np.zeros((space.dim, space.dim), dtype=complex)
-    for row, col, j, q in _pair_terms(weights, space.states, space.index, i):
-        arr[row, col] += float(q) / (z[i] - z[j])
+    for row, col, j, k in _pair_terms(weights, space.states, space.index, i):
+        arr[row, col] += (k / 2) / (z[i] - z[j])
     return arr
 
 
@@ -110,6 +151,16 @@ class VerifyReport:
         return self.commuting and self.sum_zero and self.symmetry_commute
 
 
+def _integer_operator(op: SparseOperator, scale: int) -> SparseOperator:
+    """scale * op with int entries; scale must clear every entry's denominator."""
+    out = SparseOperator(op.domain, op.codomain)
+    out.cols = [
+        {r: v.numerator * (scale // v.denominator) for r, v in colmap.items()}
+        for colmap in op.cols
+    ]
+    return out
+
+
 def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
     """Exact checks of the Hamiltonian family on V_m.  Never raises on failure.
 
@@ -118,9 +169,19 @@ def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
     symmetry_commute: H_i intertwines with E (V_m -> V_{m-1}), F
                       (V_m -> V_{m+1}) and commutes with the diagonal total H,
                       using the Hamiltonians built on each relevant degree.
+
+    Every identity is checked on the integer matrices D H_i, with
+    D = _scale(spec.z) or, when matrices are given, the lcm of it and of
+    their entries' denominators.
     """
+    scale = _scale(spec.z)
     if matrices is None:
-        matrices = hamiltonian_family(spec, m).matrices
+        matrices = _integer_family(spec, m, scale)
+    else:
+        scale = math.lcm(
+            scale, *(v.denominator for op in matrices for colmap in op.cols for v in colmap.values())
+        )
+        matrices = [_integer_operator(op, scale) for op in matrices]
     n = spec.n_sites
 
     commuting = all(
@@ -141,13 +202,13 @@ def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
             symmetry = False
     if m >= 1:
         e_op = build_total_generator("E", spec, m)
-        below = [build_hamiltonian(spec, i, m - 1) for i in range(n)]
+        below = _integer_family(spec, m - 1, scale)
         for i in range(n):
             if not (below[i] @ e_op - e_op @ matrices[i]).is_zero():
                 symmetry = False
     if m < spec.total_weight:
         f_op = build_total_generator("F", spec, m)
-        above = [build_hamiltonian(spec, i, m + 1) for i in range(n)]
+        above = _integer_family(spec, m + 1, scale)
         for i in range(n):
             if not (above[i] @ f_op - f_op @ matrices[i]).is_zero():
                 symmetry = False
@@ -156,7 +217,10 @@ def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
 
 
 def independent_count(spec: ModelSpec, m: int) -> int:
-    """Rational rank of the vectorized Hamiltonians on V_m (N-1 for generic specs)."""
-    mats = hamiltonian_family(spec, m).matrices
+    """Rational rank of the vectorized Hamiltonians on V_m (N-1 for generic specs).
+
+    The rank of the integer matrices D H_i is the same.
+    """
+    mats = _integer_family(spec, m, _scale(spec.z))
     vectorized = [[x for row in op.rows() for x in row] for op in mats]
     return rank(vectorized)

@@ -1,17 +1,42 @@
-"""Exact Gaussian elimination over Fraction matrices.
+"""Exact Gaussian elimination over rational matrices, done on integers.
 
-Matrices are plain lists of row lists.  Desk-scale only: no pivot-size
+Matrices are plain lists of row lists of ints or Fractions.  Each row is
+cleared of denominators (multiplied by the lcm of its entries' denominators)
+and Gauss-Jordan runs fraction-free on Python ints: a row is eliminated by
+integer cross-multiplication with the pivot row, and every row is kept
+primitive (divided by the gcd of its entries), which keeps the integers
+small (Bareiss, Math. Comp. 22, 1968, divides by the previous pivot
+instead).  Only the final division of each pivot row by its pivot makes
+Fractions.  The reduced row echelon form is unique, so this returns exactly
+what elimination in Fractions returns.  Desk-scale only: no pivot-size
 heuristics, no sparsity tricks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _cleared(row):
+    """(L, L * row as ints), L the lcm of the entries' denominators."""
+    lcm = math.lcm(*(x.denominator for x in row))
+    return lcm, [x.numerator * (lcm // x.denominator) for x in row]
+
+
+def _primitive(row: list) -> list:
+    """The int row divided by the gcd of its entries (a zero row stays zero)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_rref(rows):
+    """Fraction-free Gauss-Jordan.  Returns (int_rows, pivot_columns).
+
+    Every row of int_rows is primitive (the gcd of its entries is 1, or the
+    row is zero); pivot row k is the reduced row k times its pivot entry.
+    """
+    mat = [_primitive(_cleared(row)[1]) for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if mat else 0
     pivots = []
@@ -23,15 +48,26 @@ def rref(rows):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        prow = mat[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = _primitive([p * a - f * b for a, b in zip(mat[i], prow)])
         pivots.append(c)
         r += 1
     return mat, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    The rows come back as lists of Fractions.
+    """
+    mat, pivots = _integer_rref(rows)
+    reduced = [[Fraction(x, mat[k][c]) for x in mat[k]] for k, c in enumerate(pivots)]
+    reduced.extend([Fraction(0)] * len(row) for row in mat[len(pivots) :])
+    return reduced, pivots
 
 
 def rank(rows) -> int:
@@ -60,4 +96,3 @@ def nullspace(rows, n_cols=None):
             vec[p] = -reduced[r][c]
         basis.append(vec)
     return basis
-

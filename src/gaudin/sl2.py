@@ -8,7 +8,7 @@ v_n = F^n v_lam, n = 0..lam, with
     F v_n = v_{n+1},        F^{lam+1} v_lam = 0.
 
 The tensor product of N sites is graded by the spin deviation m = sum(n_i);
-this module enumerates the weight subspaces V_m and builds exact rational
+this module enumerates the weight subspaces V_m and builds exact integer
 sparse matrices of the site-local and total generator actions.
 """
 
@@ -141,31 +141,34 @@ def weight_space_dimension_formula(n_sites: int, m: int) -> int:
 def apply_site_generator(gen: str, site: int, state: tuple[int, ...], weights):
     """Act with E, F or H on one tensor factor of a basis state.
 
-    Returns (coefficient, new_state), or None when the image vanishes
-    (E on n=0, or F past the top of the finite-dimensional module).
+    Returns (coefficient, new_state) with an int coefficient, or None when
+    the image vanishes (E on n=0, or F past the top of the
+    finite-dimensional module).
     """
     weights = _weights_of(weights)
     n = state[site]
     lam = weights[site]
     if gen == "H":
-        return Fraction(lam - 2 * n), state
+        return lam - 2 * n, state
     if gen == "E":
         if n == 0:
             return None
-        return Fraction(n * (lam - n + 1)), state[:site] + (n - 1,) + state[site + 1 :]
+        return n * (lam - n + 1), state[:site] + (n - 1,) + state[site + 1 :]
     if gen == "F":
         if n == lam:
             return None
-        return Fraction(1), state[:site] + (n + 1,) + state[site + 1 :]
+        return 1, state[:site] + (n + 1,) + state[site + 1 :]
     raise ValueError(f"unknown generator {gen!r}")
 
 
 class SparseOperator:
     """Exact sparse linear map between weight spaces, stored column-wise.
 
-    Entries are Fractions; zero entries are never stored.  Supports the small
-    algebra needed here: +, -, scalar multiple, composition (@), application
-    to coordinate vectors, and dense conversions.
+    Entries are ints or Fractions (the generators are integer matrices;
+    rational coefficients such as 1/(z_i - z_j) make Fractions); zero entries
+    are never stored.  Supports the small algebra needed here: +, -, scalar
+    multiple, composition (@), application to coordinate vectors, and dense
+    conversions.
     """
 
     __slots__ = ("domain", "codomain", "cols")
@@ -195,13 +198,13 @@ class SparseOperator:
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._check_same_shape(other)
-        out = SparseOperator(self.domain, self.codomain)
-        for col in range(self.domain.dim):
-            for row, val in self.cols[col].items():
-                out.add_term(row, col, val)
-            for row, val in other.cols[col].items():
-                out.add_term(row, col, val)
-        return out
+        cols = []
+        for mine, theirs in zip(self.cols, other.cols):
+            acc = dict(mine)
+            for row, val in theirs.items():
+                acc[row] = acc.get(row, 0) + val
+            cols.append(_nonzero(acc))
+        return SparseOperator(self.domain, self.codomain, cols)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + other.scaled(-1)
@@ -210,7 +213,8 @@ class SparseOperator:
         return self.scaled(-1)
 
     def scaled(self, factor) -> "SparseOperator":
-        factor = Fraction(factor)
+        if not isinstance(factor, int):
+            factor = Fraction(factor)
         out = SparseOperator(self.domain, self.codomain)
         if factor == 0:
             return out
@@ -220,12 +224,14 @@ class SparseOperator:
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         if self.domain != other.codomain:
             raise ValueError("operator composition shapes do not match")
-        out = SparseOperator(other.domain, self.codomain)
-        for col in range(other.domain.dim):
-            for mid, v1 in other.cols[col].items():
+        cols = []
+        for colmap in other.cols:
+            acc = {}
+            for mid, v1 in colmap.items():
                 for row, v2 in self.cols[mid].items():
-                    out.add_term(row, col, v2 * v1)
-        return out
+                    acc[row] = acc.get(row, 0) + v2 * v1
+            cols.append(_nonzero(acc))
+        return SparseOperator(other.domain, self.codomain, cols)
 
     def is_zero(self) -> bool:
         return all(not colmap for colmap in self.cols)
@@ -235,10 +241,13 @@ class SparseOperator:
         return sum(len(colmap) for colmap in self.cols)
 
     def apply(self, vec):
-        """Apply to a coordinate vector (exact Fractions or floats/complex)."""
+        """Apply to a coordinate vector (ints, Fractions, floats or complex).
+
+        Rows the vector does not reach are int 0.
+        """
         if len(vec) != self.domain.dim:
             raise ValueError("vector length does not match operator domain")
-        out = [Fraction(0)] * self.codomain.dim
+        out = [0] * self.codomain.dim
         for col, x in enumerate(vec):
             if x == 0:
                 continue
@@ -256,8 +265,8 @@ class SparseOperator:
         return items
 
     def rows(self):
-        """Dense rational matrix as a list of row lists."""
-        mat = [[Fraction(0)] * self.domain.dim for _ in range(self.codomain.dim)]
+        """Dense matrix as a list of row lists, int 0 where no entry is stored."""
+        mat = [[0] * self.domain.dim for _ in range(self.codomain.dim)]
         for col, colmap in enumerate(self.cols):
             for row, val in colmap.items():
                 mat[row][col] = val
@@ -269,6 +278,11 @@ class SparseOperator:
             for row, val in colmap.items():
                 arr[row, col] = float(val)
         return arr
+
+
+def _nonzero(colmap: dict) -> dict:
+    """colmap without its zero entries."""
+    return {row: val for row, val in colmap.items() if val != 0}
 
 
 def _generator_on_sites(gen: str, sites, weights, m: int) -> SparseOperator:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -238,3 +239,27 @@ class TestDeterminism:
         assert code == 0
         assert "wrote json report" in capsys.readouterr().out
         assert json.loads(out.read_text())["dims"][0]["dim"] == 1
+
+
+# weights (2, 3, 3, 4) with the ladder z_k = (k^2 + 1)/(k + 2)
+SPEC_LADDER = '{"weights": [2, 3, 3, 4], "z": ["1/2", "2/3", "5/4", "2"]}'
+
+# sha256 of the JSON on stdout; these outputs are exact (no floating point),
+# so they are the same on every machine and must not change under a refactor
+GOLDEN_SHA256 = {
+    ("decompose",): "c26c960380075d4c95c0247b739b195797f2cf4ec57d7764c370bc56dbc2cafe",
+    ("verify", "--emit-matrices"): "0967545e715b34e222f3ba79742dc6d3f9e729b2e51573f36ceb0ee4ebfb199b",
+    ("singular", "--m", "2"): "c851dd31801cabfc7351ad11cc82a3596f029fa2687d1d3e89fde8762dc22c3a",
+    ("singular", "--m", "3"): "4dc74c0d9a66adbb554ae3533debae456a967c21d73d64ffc894a8652eb3896f",
+}
+
+
+class TestGoldenExactOutput:
+    @pytest.mark.parametrize("args", sorted(GOLDEN_SHA256), ids=" ".join)
+    def test_json_bytes_are_pinned(self, args, spec_file, capsys):
+        code = main([args[0], "--spec", spec_file(SPEC_LADDER), *args[1:]])
+        out = capsys.readouterr().out
+        assert code == 0
+        if args[0] == "singular":
+            assert json.loads(out)["method"] == ("gordan" if args[-1] == "2" else "kernel")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[args]

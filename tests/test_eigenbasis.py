@@ -18,7 +18,9 @@ from gaudin import (
     singular_dimension_formula,
     verify_nonsingularity,
 )
+from gaudin import eigenbasis
 from gaudin.eigenbasis import _restrict
+from gaudin.hamiltonians import _integer_family, _scale
 
 from conftest import random_spec
 
@@ -117,8 +119,11 @@ class TestRestriction:
         # a generic level (N, lam, m) = (5, 4, 3) and a truncated one, m > min(weights)
         for spec, m in ((ladder_spec((4,) * 5), 3), (ladder_spec((1, 2, 3, 4)), 3)):
             vectors = singular_basis_kernel(spec, m).vectors
+            scale = _scale(spec.z)
+            restricted = _restrict(
+                _integer_family(spec, m, scale), scale, vectors, build_total_generator("E", spec, m)
+            )
             hams = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
-            restricted = _restrict(hams, vectors, build_total_generator("E", spec, m))
             count = len(vectors)
             assert count > 0
             for op, mat in zip(hams, restricted):
@@ -135,10 +140,29 @@ class TestRestriction:
         vectors = singular_basis_kernel(spec, 2).vectors
         site_h = build_site_operator("H", 0, spec, 2)
         with pytest.raises(ValueError, match="does not preserve"):
-            _restrict([site_h], vectors, build_total_generator("E", spec, 2))
+            _restrict([site_h], 1, vectors, build_total_generator("E", spec, 2))
 
 
 class TestBuildEigenbasis:
+    def test_one_hamiltonian_family_per_level(self, monkeypatch):
+        built = []
+        original = eigenbasis._integer_family
+
+        def counting(spec, m, scale):
+            built.append(m)
+            return original(spec, m, scale)
+
+        monkeypatch.setattr(eigenbasis, "_integer_family", counting)
+        spec = ladder_spec((3, 3, 3, 3))
+        basis = build_eigenbasis(spec, 3)
+        assert built == [1, 2, 3]
+        for m in (1, 2, 3):
+            alone = diagonalize_singular(spec, m)
+            assert len(alone) == len(basis.singular_at(m))
+            for a, b in zip(alone, basis.singular_at(m)):
+                assert np.array_equal(a.coords, b.coords)
+                assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
     def test_two_site_level_one(self):
         basis = build_eigenbasis(SPEC2, 1)
         level = basis.levels[1]

@@ -4,14 +4,18 @@ import numpy as np
 
 from gaudin import (
     ModelSpec,
+    SparseOperator,
     build_hamiltonian,
+    build_site_operator,
     build_total_generator,
+    enumerate_weight_space,
     hamiltonian_array,
     hamiltonian_family,
     independent_count,
     vacuum_eigenvalue,
     verify_family,
 )
+from gaudin.hamiltonians import _float_array, _integer_family, _pair_terms, _scale
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_basis_kernel
 
@@ -90,6 +94,122 @@ class TestVerifyFamily:
         assert not report.commuting
         assert not report.sum_zero
         assert not report.all_ok
+
+    def test_entry_with_prime_denominator_detected(self):
+        # D = 42 for this ladder; 7919 is a prime coprime to it
+        spec = ladder_spec((2, 2, 2))
+        assert _scale(spec.z) == 42
+        for m in (1, 2):
+            mats = hamiltonian_family(spec, m).matrices
+            mats[0].add_term(0, 1, Fraction(1, 7919))
+            report = verify_family(spec, m, matrices=mats)
+            assert not report.commuting
+            assert not report.sum_zero
+
+    def test_shift_by_identity_breaks_only_the_intertwining(self):
+        # H_i + c_i I with sum c_i = 0 still commutes and sums to zero, but
+        # no longer intertwines with E; at the top level there is no F check
+        spec = ladder_spec((1, 2, 2))
+        shifts = (Fraction(1, 5), Fraction(-3), Fraction(14, 5))
+        for m in (1, spec.total_weight):
+            mats = hamiltonian_family(spec, m).matrices
+            for mat, c in zip(mats, shifts):
+                for k in range(mat.domain.dim):
+                    mat.add_term(k, k, c)
+            report = verify_family(spec, m, matrices=mats)
+            assert report.commuting and report.sum_zero
+            assert not report.symmetry_commute
+
+    def test_every_commutator_pair_is_checked(self):
+        # only the pair (a, b) fails to commute: M_a = e_01, M_b = e_10, others zero
+        spec = ladder_spec((1, 1, 1, 1))
+        space = enumerate_weight_space(spec, 1)
+        n = spec.n_sites
+        for a in range(n):
+            for b in range(a + 1, n):
+                mats = [SparseOperator.zero(space, space) for _ in range(n)]
+                mats[a].add_term(0, 1, 1)
+                mats[b].add_term(1, 0, 1)
+                assert not verify_family(spec, 1, matrices=mats).commuting
+
+
+def ladder_spec(weights, den=None):
+    z = [Fraction(k * k + 1, k + 2) for k in range(len(weights))]
+    if den is not None:
+        z = [x + Fraction(k + 1, den) for k, x in enumerate(z)]
+    return ModelSpec(tuple(weights), tuple(z))
+
+
+def reference_hamiltonian(spec, i, m):
+    """H_i from site operators, composed and scaled in Fractions."""
+    n = spec.n_sites
+    w = spec.weights
+    space = enumerate_weight_space(spec, m)
+    out = SparseOperator.zero(space, space)
+    for j in range(n):
+        if j == i:
+            continue
+        term = (build_site_operator("H", i, w, m) @ build_site_operator("H", j, w, m)).scaled(
+            Fraction(1, 2)
+        )
+        if m < spec.total_weight:
+            term = term + build_site_operator("E", i, w, m + 1) @ build_site_operator("F", j, w, m)
+        if m >= 1:
+            term = term + build_site_operator("F", i, w, m - 1) @ build_site_operator("E", j, w, m)
+        out = out + term.scaled(1 / (spec.z[i] - spec.z[j]))
+    return out
+
+
+def reference_array(weights, z, i, m):
+    """The complex matrix summed in _pair_terms order from float(Fraction) terms."""
+    space = enumerate_weight_space(weights, m)
+    arr = np.zeros((space.dim, space.dim), dtype=complex)
+    for row, col, j, k in _pair_terms(weights, space.states, space.index, i):
+        arr[row, col] += float(Fraction(k, 2)) / (z[i] - z[j])
+    return arr
+
+
+class TestIntegerScaling:
+    def random_spec_97(self, rng):
+        """Random weights and z with a denominator of 97."""
+        n = int(rng.integers(2, 5))
+        weights = tuple(int(rng.integers(1, 4)) for _ in range(n))
+        picks = rng.choice(np.arange(-300, 300), size=n, replace=False)
+        return ModelSpec(weights, tuple(Fraction(int(p), 97) for p in picks))
+
+    def test_build_matches_fraction_formula(self, rng):
+        for _ in range(6):
+            spec = self.random_spec_97(rng)
+            assert any(x.denominator == 97 for x in spec.z)
+            for m in range(spec.total_weight + 1):
+                for i in range(spec.n_sites):
+                    op = build_hamiltonian(spec, i, m)
+                    assert op.entries() == reference_hamiltonian(spec, i, m).entries()
+                    assert all(type(v) is Fraction for _, _, v in op.entries())
+
+    def test_integer_family_is_scale_times_family(self, rng):
+        for _ in range(4):
+            spec = self.random_spec_97(rng)
+            scale = _scale(spec.z)
+            assert scale % 2 == 0
+            for m in range(spec.total_weight + 1):
+                ints = _integer_family(spec, m, scale)
+                for i, op in enumerate(ints):
+                    assert all(type(v) is int for _, _, v in op.entries())
+                    exact = build_hamiltonian(spec, i, m)
+                    assert [(r, c, Fraction(v, scale)) for r, c, v in op.entries()] == exact.entries()
+                    assert np.array_equal(_float_array(op, scale), exact.to_array(float))
+
+    def test_array_matches_float_formula(self, rng):
+        for _ in range(4):
+            spec = self.random_spec_97(rng)
+            real_z = np.array([complex(x) for x in spec.z])
+            complex_z = real_z + 1j * np.arange(spec.n_sites) / 7
+            for z in (real_z, complex_z):
+                for m in range(spec.total_weight + 1):
+                    for i in range(spec.n_sites):
+                        arr = hamiltonian_array(spec.weights, z, i, m)
+                        assert np.array_equal(arr, reference_array(spec.weights, z, i, m))
 
 
 class TestStructure:

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gaudin.rational_linalg import nullspace, rank, rref
+from gaudin import ModelSpec, rational_linalg, singular_basis_gordan, singular_basis_kernel
+from gaudin.rational_linalg import _integer_rref, nullspace, rank, rref
 
 
 def F(x):
@@ -69,3 +71,117 @@ class TestNullspace:
         with pytest.raises(ValueError):
             nullspace([])
 
+
+
+def reference_rref(rows):
+    """Gauss-Jordan in Fractions, the elimination rref replaced."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(n_rows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def random_rational_matrix(rng, n_rows, n_cols, dens=(1, 2, 3, 5), density=0.6):
+    mat = []
+    for _ in range(n_rows):
+        row = []
+        for _ in range(n_cols):
+            if rng.random() < density:
+                row.append(Fraction(int(rng.integers(-9, 10)), int(rng.choice(dens))))
+            else:
+                row.append(Fraction(0))
+        mat.append(row)
+    return mat
+
+
+def mixed_types(mat):
+    """Integral entries as int, the others as Fraction."""
+    return [[int(x) if x.denominator == 1 else x for x in row] for row in mat]
+
+
+def assert_matches_reference(rows):
+    reduced, pivots = rref(rows)
+    expected, expected_pivots = reference_rref(rows)
+    assert pivots == expected_pivots
+    assert reduced == expected
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+class TestReferenceRref:
+    def test_random_shapes(self, rng):
+        for _ in range(60):
+            n_rows = int(rng.integers(1, 9))
+            n_cols = int(rng.integers(1, 9))
+            density = float(rng.choice((0.2, 0.6, 1.0)))
+            assert_matches_reference(random_rational_matrix(rng, n_rows, n_cols, density=density))
+
+    def test_large_prime_denominators(self, rng):
+        primes = (7919, 104729, 1299709, 2147483647)
+        for _ in range(15):
+            n_rows = int(rng.integers(2, 7))
+            n_cols = int(rng.integers(2, 7))
+            assert_matches_reference(random_rational_matrix(rng, n_rows, n_cols, dens=primes))
+
+    def test_zero_rows_and_zero_matrix(self, rng):
+        for n_rows, n_cols in ((1, 1), (3, 4), (5, 2)):
+            assert_matches_reference([[0] * n_cols for _ in range(n_rows)])
+        for _ in range(10):
+            mat = random_rational_matrix(rng, 5, 4)
+            for i in rng.choice(5, size=2, replace=False):
+                mat[int(i)] = [Fraction(0)] * 4
+            assert_matches_reference(mat)
+
+    def test_row_and_column_vectors_and_tall_matrices(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(1, 8))
+            assert_matches_reference(random_rational_matrix(rng, 1, n))
+            assert_matches_reference(random_rational_matrix(rng, n, 1))
+            assert_matches_reference(random_rational_matrix(rng, n + 3, max(1, n - 1)))
+
+    def test_duplicate_rows(self, rng):
+        for _ in range(10):
+            mat = random_rational_matrix(rng, 4, 5)
+            mat = mat + [list(mat[1]), [2 * x for x in mat[0]], list(mat[1])]
+            assert_matches_reference(mat)
+
+    def test_int_and_fraction_entries_mixed(self, rng):
+        for _ in range(20):
+            mat = mixed_types(random_rational_matrix(rng, 5, 6, dens=(1, 1, 1, 4)))
+            assert any(type(x) is int for row in mat for x in row)
+            assert_matches_reference(mat)
+
+    def test_integer_rows_stay_primitive(self, rng):
+        for _ in range(20):
+            mat = random_rational_matrix(rng, 6, 6, dens=(1, 2, 3))
+            int_rows, pivots = _integer_rref(mat)
+            assert pivots == reference_rref(mat)[1]
+            for row in int_rows:
+                assert all(type(x) is int for x in row)
+                assert math.gcd(*row) in (0, 1)
+
+    def test_gordan_and_kernel_nullspace(self, monkeypatch):
+        weights = (4,) * 5
+        spec = ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(5)))
+        stacked = [list(v) for v in singular_basis_gordan(spec, 4).vectors]
+        stacked += [list(v) for v in singular_basis_kernel(spec, 4).vectors]
+        basis = nullspace(stacked)
+        assert rref(stacked) == reference_rref(stacked)
+        monkeypatch.setattr(rational_linalg, "rref", reference_rref)
+        assert basis == nullspace(stacked)
