@@ -17,10 +17,15 @@ y(x) = prod_k (x - w_k) solves
 where V has degree N - 2 and V(z_i) = P(z_i) Lambda_i.  So y is the null
 vector of a linear map on polynomials of degree m, and each of the
 singular_dimension eigenvectors gives one root set: no random starts and no
-duplicates.  Every root set is polished by Newton on f_k with its analytic
-Jacobian and reported only when its residual reaches tol_root.  Complex site
-points are accepted by the numeric layer; only the exact-algebra layer
-restricts z to rationals.
+duplicates.  The eigenvectors come from the joint-eigen routine the
+eigenbasis layer uses.  With S the diagonal Shapovalov norms, the scaled
+Hamiltonians S^1/2 H_i S^-1/2 are real symmetric for real z (diagonalized by
+eigh) and complex symmetric otherwise (by eig), and the scaled total
+S_{m-1}^1/2 E S_m^-1/2 has the scaled singular subspace as its kernel.
+Every root set is polished by Newton on f_k with its analytic Jacobian and
+reported only when its residual reaches tol_root.  Complex site points are
+accepted by the numeric layer; only the exact-algebra layer restricts z to
+rationals.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import _family_values, _residual
+from .eigenbasis import _joint_eigen, _residual, _shapovalov_root, _symmetric_restriction
 from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
 from .singular import singular_dimension
 from .sl2 import (
@@ -281,16 +286,16 @@ def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
 def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root) -> np.ndarray:
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
-    The last `count` right singular vectors of the total E span the singular
-    subspace.  The eigenvectors of one seeded random combination of the
-    restricted Hamiltonians give the eigenvalue tuples as Rayleigh quotients;
-    they only start the polish, so no residual gate applies to them.
+    The last `count` right singular vectors of the Shapovalov-scaled total E
+    are an orthonormal basis of the scaled singular subspace.  The symmetric
+    restrictions of the Hamiltonians to it are jointly diagonalized
+    (eigenbasis._joint_eigen, seeded by seed), and the Rayleigh quotients
+    give the eigenvalue tuples.  They only start the polish, so no residual
+    gate applies to them.
     """
-    kernel = np.linalg.svd(raise_e)[2][-count:].conj().T
-    restricted = [kernel.conj().T @ ham @ kernel for ham in hams]
-    t = np.random.default_rng(seed).standard_normal(len(hams))
-    _, vecs = np.linalg.eig(sum(ti * mat for ti, mat in zip(t, restricted)))
-    energies, _ = _family_values(restricted, vecs)
+    root = _shapovalov_root(weights, m)
+    kernel = np.linalg.svd(_shapovalov_root(weights, m - 1)[:, None] * raise_e / root)[2][-count:].T
+    _, energies = _joint_eigen(_symmetric_restriction(hams, root, kernel), seed)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     site_sums = -(energies - vacuum[:, None]) / lam[:, None]  # Lambda_i per eigenvector
     p_coeffs, r_coeffs = polys

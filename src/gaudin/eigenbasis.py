@@ -1,10 +1,18 @@
 """Complete common eigenbasis of the Gaudin family, level by level.
 
-On each V_m the basis splits into singular eigenvectors (obtained by exact
-restriction of the Hamiltonians to the kernel of the total raising operator,
-then numerical joint diagonalization) and nonsingular ones (images under the
-total lowering operator of the previous level's eigenvectors, which inherit
-their eigenvalue tuples unchanged).
+On each V_m the basis splits into singular eigenvectors and nonsingular ones
+(images under the total lowering operator of the previous level's
+eigenvectors, which inherit their eigenvalue tuples unchanged).
+
+The singular eigenvectors come from the Shapovalov form S, diagonal on the
+basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
+symmetric for S (Mukhin, Tarasov and Varchenko, Ann. of Math. 170, 2009), so
+for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  The exact kernel
+of the total raising operator is checked exactly to be invariant, scaled by
+S^1/2 and orthonormalized by QR; the restricted Hamiltonians are then jointly
+diagonalized by eigh of one seeded random combination (_joint_eigen, which
+the Bethe layer shares), and every eigenvector is verified by its residual
+in V_m coordinates.
 """
 
 from __future__ import annotations
@@ -17,10 +25,19 @@ import numpy as np
 from .hamiltonians import _float_array, _integer_family, _scale, vacuum_eigenvalue
 from .rational_linalg import _cleared
 from .singular import _kernel_vectors
-from .sl2 import DEFAULT_SEED, ModelSpec, build_total_generator, enumerate_weight_space
+from .sl2 import (
+    DEFAULT_SEED,
+    ModelSpec,
+    _shapovalov_norms,
+    build_total_generator,
+    enumerate_weight_space,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TOL_RANK = 1e-8
+# eigenvalues of the combination closer than this fraction of its spread form
+# a cluster that a fresh combination diagonalizes once more
+_CLUSTER_GAP = 1e-6
 
 
 class DiagonalizationError(RuntimeError):
@@ -67,94 +84,55 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def _family_values(mats, vecs):
-    """Rayleigh eigenvalues and worst residual of candidate joint eigenvectors."""
-    n_vec = vecs.shape[1]
-    eigs = np.zeros((len(mats), n_vec), dtype=complex)
-    worst = 0.0
-    for j in range(n_vec):
-        v = vecs[:, j]
-        v = v / np.linalg.norm(v)
-        vecs[:, j] = v
-        eigs[:, j] = [np.vdot(v, mat @ v) for mat in mats]
-        worst = max(worst, _residual(mats, v, eigs[:, j]))
-    return eigs, worst
+def _shapovalov_root(weights, m: int) -> np.ndarray:
+    """The diagonal of S^1/2 on V_m, as floats."""
+    return np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
 
 
-def _cluster(values, tol):
-    """Group indices of nearly equal complex values (greedy, order-stable)."""
-    groups = []
-    taken = [False] * len(values)
-    for i in range(len(values)):
-        if taken[i]:
-            continue
-        group = [i]
-        taken[i] = True
-        for j in range(i + 1, len(values)):
-            if not taken[j] and abs(values[j] - values[i]) <= tol:
-                group.append(j)
-                taken[j] = True
-        groups.append(group)
-    return groups
+def _symmetric_restriction(ham_arrays, root: np.ndarray, basis: np.ndarray) -> list:
+    """basis^T S^1/2 H_i S^-1/2 basis for each H_i; basis has orthonormal real columns."""
+    return [basis.T @ (root[:, None] * ham / root) @ basis for ham in ham_arrays]
 
 
-def _orthonormal(block: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(block)
-    return q
+def _eig(mat: np.ndarray, real: bool):
+    """Eigenvalues in ascending (for complex, lexicographic) order and their unit eigenvectors."""
+    if real:
+        return np.linalg.eigh(mat)
+    vals, vecs = np.linalg.eig(mat)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
-def _refine_subspaces(mats, basis, level, ctol):
-    """Recursive invariant-subspace splitting by each operator in turn."""
-    if level == len(mats) or basis.shape[1] == 1:
-        return basis
-    compressed = basis.conj().T @ (mats[level] @ basis)
-    vals, vecs = np.linalg.eig(compressed)
-    blocks = []
-    for group in _cluster(list(vals), ctol):
-        sub = _orthonormal(basis @ vecs[:, group])
-        blocks.append(_refine_subspaces(mats, sub, level + 1, ctol))
-    return np.concatenate(blocks, axis=1)
+def _combination(mats, rng) -> np.ndarray:
+    return sum(t * mat for t, mat in zip(rng.standard_normal(len(mats)), mats))
 
 
-def simultaneous_eigenvectors(mats, tol=DEFAULT_TOL, rng=None):
-    """Joint eigenvectors of a family of commuting matrices.
+def _joint_eigen(mats, seed):
+    """Joint eigenvectors of commuting symmetric matrices, and their eigenvalues.
 
-    Diagonalizes a random linear combination, validates every candidate by
-    its residual against each family member, and falls back to recursive
-    invariant-subspace refinement when the combination fails to separate.
-    Degenerate joint eigenspaces are returned in an arbitrary basis; only the
-    residual criterion is enforced.
-
-    Returns (vecs, eigs): unit eigenvector columns and the per-operator
-    eigenvalue array of shape (len(mats), dim).
+    mats are real symmetric (eigh) or, for complex site points, complex
+    symmetric (eig, as they are not Hermitian).  The first combination's
+    weights are default_rng(seed).standard_normal(len(mats)).  Each run of
+    its eigenvalues with consecutive gaps below _CLUSTER_GAP times the spread
+    is diagonalized once more, with a fresh combination restricted to an
+    orthonormal basis of the run's span; a cluster that combination does not
+    separate either (a degenerate joint eigenspace) is returned in the basis
+    it gives.  Returns (vecs, eigs): unit eigenvector columns and eigs[i, j],
+    the Rayleigh quotient of mats[i] at column j.
     """
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    dim = mats[0].shape[0] if mats else 0
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((len(mats), 0), dtype=complex)
-    mats = [np.asarray(mat, dtype=complex) for mat in mats]
-
-    worst_seen = np.inf
-    for _ in range(4):
-        t = rng.standard_normal(len(mats))
-        combo = sum(ti * mat for ti, mat in zip(t, mats))
-        _, vecs = np.linalg.eig(combo)
-        eigs, worst = _family_values(mats, vecs)
-        if worst <= tol:
-            return vecs, eigs
-        worst_seen = min(worst_seen, worst)
-
-    scale = max(np.max(np.abs(mat)) for mat in mats) or 1.0
-    ctol = max(1e-12, 1e-8 * scale)
-    vecs = _refine_subspaces(mats, np.eye(dim, dtype=complex), 0, ctol)
-    eigs, worst = _family_values(mats, vecs)
-    if worst <= tol:
-        return vecs, eigs
-    raise DiagonalizationError(
-        f"joint diagonalization residual {min(worst, worst_seen):.3e} exceeds tol {tol:.1e}",
-        min(worst, worst_seen),
-    )
+    rng = np.random.default_rng(seed)
+    real = not any(np.any(np.imag(mat)) for mat in mats)
+    if real:
+        mats = [np.real(mat) for mat in mats]
+    vals, vecs = _eig(_combination(mats, rng), real)
+    spread = abs(vals[-1] - vals[0]) if len(vals) else 0.0
+    bounds = np.flatnonzero(np.abs(np.diff(vals)) >= _CLUSTER_GAP * spread) + 1
+    for cluster in np.split(np.arange(len(vals)), bounds):
+        if len(cluster) > 1:
+            block = np.linalg.qr(vecs[:, cluster])[0]
+            vecs[:, cluster] = block @ _eig(block.conj().T @ _combination(mats, rng) @ block, real)[1]
+    eigs = np.array([np.sum(vecs.conj() * (mat @ vecs), axis=0) for mat in mats])
+    return vecs, eigs
 
 
 def _residual(ham_arrays, v, eigenvalues):
@@ -167,31 +145,23 @@ def _residual(ham_arrays, v, eigenvalues):
 
 
 def _restrict(ops, scale, vectors, raise_e):
-    """Exact matrices R with H K = K R, H = op / scale, K the canonical kernel basis of raise_e.
+    """Check exactly that H = op / scale preserves ker raise_e; H's eigenvalues when that kernel is a line.
 
-    ops are integer matrices (scale * H) and vectors the columns of K, each
-    cleared to integers L_k v_k.  Row k of R is read off the integer image
-    op(L_l v_l) / (scale L_l) at the first coordinate where K's row is the
-    unit row e_k (the free column of vector k always is one).  That is exact
-    only when H preserves ker raise_e, which is checked exactly on the
-    integer images: raise_e must annihilate every one.  Raises ValueError
-    otherwise.
+    ops are integer matrices (scale * H) and vectors the canonical kernel
+    basis of raise_e, each cleared to integers: raise_e must annihilate the
+    image of every one, else ValueError.  For a single vector v the tuple of
+    exact eigenvalues H v = E v is returned (read off at v's first nonzero
+    coordinate), and None for more vectors.
     """
-    unit_at = {}
-    for c in range(len(vectors[0])):
-        nonzero = [k for k, vec in enumerate(vectors) if vec[c] != 0]
-        if len(nonzero) == 1 and vectors[nonzero[0]][c] == 1:
-            unit_at.setdefault(nonzero[0], c)
-    cleared = [_cleared(vec) for vec in vectors]
-    restricted = []
+    cleared = [_cleared(vec)[1] for vec in vectors]
+    lead = next(c for c, x in enumerate(cleared[0]) if x != 0)
+    values = []
     for op in ops:
-        images = [(scale * lcm, op.apply(ints)) for lcm, ints in cleared]
-        if any(x != 0 for _, col in images for x in raise_e.apply(col)):
+        images = [op.apply(ints) for ints in cleared]
+        if any(x != 0 for col in images for x in raise_e.apply(col)):
             raise ValueError("operator does not preserve the kernel of the raising operator")
-        restricted.append(
-            [[Fraction(col[unit_at[k]], den) for den, col in images] for k in range(len(vectors))]
-        )
-    return restricted
+        values.append(Fraction(images[0][lead], scale * cleared[0][lead]))
+    return tuple(values) if len(vectors) == 1 else None
 
 
 def _level_family(spec: ModelSpec, m: int):
@@ -204,10 +174,11 @@ def _level_family(spec: ModelSpec, m: int):
 def diagonalize_singular(spec: ModelSpec, m: int, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
-    The restriction of each H_i to the exact kernel basis is read off in
-    integer arithmetic (the subspace is invariant, which is checked exactly),
-    converted to floats and jointly diagonalized.  Eigenvectors are returned
-    in V_m coordinates with unit norm and verified residuals.
+    The exact kernel basis of the total raising operator is checked exactly
+    to be invariant under every H_i, scaled by S^1/2 and orthonormalized; the
+    symmetric restrictions are jointly diagonalized (seed draws the
+    combination).  Eigenvectors are returned in V_m coordinates with unit
+    norm and verified residuals.
     """
     return _diagonalize_level(spec, m, None, tol, seed)
 
@@ -216,30 +187,23 @@ def _diagonalize_level(spec: ModelSpec, m: int, family, tol, seed):
     """diagonalize_singular with the level family of _level_family(spec, m), or None to build it."""
     raise_e = build_total_generator("E", spec, m)
     kernel = _kernel_vectors(raise_e)
-    count = len(kernel)
-    if count == 0:
+    if not kernel:
         return []
     scale, hams, ham_arrays = family or _level_family(spec, m)
-    restricted = _restrict(hams, scale, kernel, raise_e)
+    exact = _restrict(hams, scale, kernel, raise_e)
 
-    restricted_f = [np.array(mat, dtype=float) for mat in restricted]
-    basis_f = np.array([[kernel[k][r] for k in range(count)] for r in range(raise_e.domain.dim)], dtype=float)
-
-    rng = np.random.default_rng(seed)
-    vecs, _ = simultaneous_eigenvectors(restricted_f, tol, rng)
-
-    exact = None
-    if count == 1:
-        exact = tuple(mat[0][0] for mat in restricted)
+    root = _shapovalov_root(spec.weights, m)
+    basis = np.linalg.qr(root[:, None] * np.array(kernel, dtype=float).T)[0]
+    vecs, eigs = _joint_eigen(_symmetric_restriction(ham_arrays, root, basis), seed)
+    coords = (basis @ vecs) / root[:, None]
+    if exact is not None:
+        eigs = np.array([[float(x)] for x in exact])
 
     out = []
     worst = 0.0
-    for j in range(count):
-        v = basis_f @ vecs[:, j]
-        v = _canonical_phase(v / np.linalg.norm(v))
-        eigenvalues = np.array([np.vdot(v, mat @ v) for mat in ham_arrays])
-        if exact is not None:
-            eigenvalues = np.array([complex(float(x), 0.0) for x in exact])
+    for j in range(len(kernel)):
+        v = _canonical_phase(coords[:, j] / np.linalg.norm(coords[:, j])).astype(complex)
+        eigenvalues = eigs[:, j].astype(complex)
         res = _residual(ham_arrays, v, eigenvalues)
         worst = max(worst, res)
         out.append(

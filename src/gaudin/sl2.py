@@ -133,6 +133,18 @@ def enumerate_weight_space(spec_or_weights, m: int) -> WeightSpace:
     return _space(weights, m)
 
 
+def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:
+    """S(F^n v, F^n v) = prod_j n_j! lam_j! / (lam_j - n_j)! for each state n of V_m.
+
+    The tensor Shapovalov form is diagonal on this basis, and for it the
+    total E is the adjoint of the total F: S_{m-1}[r] E[r, c] = S_m[c] F[c, r].
+    """
+    return [
+        math.prod(math.factorial(n) * math.perm(lam, n) for n, lam in zip(state, weights))
+        for state in enumerate_weight_space(weights, m).states
+    ]
+
+
 def weight_space_dimension_formula(n_sites: int, m: int) -> int:
     """Untruncated dimension C(N+m-1, m) of the degree-m subspace."""
     return math.comb(n_sites + m - 1, m)

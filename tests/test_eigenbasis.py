@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -13,14 +14,16 @@ from gaudin import (
     build_total_generator,
     diagonalize_singular,
     enumerate_weight_space,
-    simultaneous_eigenvectors,
     singular_basis_kernel,
     singular_dimension_formula,
+    solve_bethe,
+    solve_bethe_numeric,
     verify_nonsingularity,
 )
 from gaudin import eigenbasis
-from gaudin.eigenbasis import _restrict
+from gaudin.eigenbasis import _joint_eigen, _restrict
 from gaudin.hamiltonians import _integer_family, _scale
+from gaudin.sl2 import DEFAULT_SEED
 
 from conftest import random_spec
 
@@ -35,46 +38,59 @@ def angle_between(a, b):
     return np.arccos(overlap)
 
 
+def joint_residual(mats, vecs, eigs):
+    return max(np.max(np.abs(mat @ vecs - vecs * e)) for mat, e in zip(mats, eigs))
+
+
+def near_degenerate_family(seed, gap):
+    """Three commuting symmetric 6x6 matrices whose first seeded combination splits one pair by gap.
+
+    Joint eigenvectors 0 and 1 differ by d in the three eigenvalues, with d of
+    size 3 but t . d = gap for the weights t of that first combination.
+    """
+    t = np.random.default_rng(seed).standard_normal(3)
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    values = rng.integers(-9, 10, size=(3, 6)).astype(float)
+    d = rng.standard_normal(3)
+    d -= (t @ d) / (t @ t) * t
+    d *= 3 / np.max(np.abs(d))
+    values[:, 1] = values[:, 0] + d + gap * t / (t @ t)
+    return [q @ np.diag(v) @ q.T for v in values], t
+
+
 class TestSimultaneousEigenvectors:
-    def test_diagonal_family(self, rng):
+    """The joint-eigen routine shared by the eigenbasis and Bethe layers."""
+
+    def test_diagonal_family(self):
         mats = [np.diag([1.0, 2.0, 3.0]), np.diag([5.0, 6.0, 7.0])]
-        vecs, eigs = simultaneous_eigenvectors(mats, 1e-9, rng)
+        vecs, eigs = _joint_eigen(mats, DEFAULT_SEED)
         assert vecs.shape == (3, 3)
         assert sorted(np.round(eigs[0].real, 9)) == [1.0, 2.0, 3.0]
 
-    def test_degenerate_joint_eigenvalues(self, rng):
-        # joint eigenspace of dimension 2: any basis passing the residual
-        # criterion is acceptable
+    def test_degenerate_joint_eigenvalues(self):
+        # joint eigenspace of dimension 2: the cluster is re-split once, the
+        # fresh combination cannot separate it either, and any orthonormal
+        # basis passing the residual criterion is acceptable
         mats = [np.diag([1.0, 1.0, 2.0]), np.diag([4.0, 4.0, 9.0])]
-        vecs, eigs = simultaneous_eigenvectors(mats, 1e-9, rng)
-        for j in range(3):
-            v = vecs[:, j]
-            for a, mat in enumerate(mats):
-                assert np.max(np.abs(mat @ v - eigs[a, j] * v)) <= 1e-9
+        vecs, eigs = _joint_eigen(mats, DEFAULT_SEED)
+        assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+        assert joint_residual(mats, vecs, eigs) <= 1e-9
 
-    def test_conjugated_commuting_pair(self, rng):
-        base = rng.standard_normal((4, 4))
-        t = base @ np.linalg.inv(base + 5 * np.eye(4))  # well-conditioned similarity
-        s = np.eye(4) + 0.3 * t
-        d1 = s @ np.diag([1.0, 2.0, 3.0, 4.0]) @ np.linalg.inv(s)
-        d2 = s @ np.diag([7.0, 5.0, 2.0, 1.0]) @ np.linalg.inv(s)
-        vecs, eigs = simultaneous_eigenvectors([d1, d2], 1e-8, rng)
-        for j in range(4):
-            v = vecs[:, j]
-            assert np.max(np.abs(d1 @ v - eigs[0, j] * v)) <= 1e-8
-            assert np.max(np.abs(d2 @ v - eigs[1, j] * v)) <= 1e-8
+    def test_near_degenerate_cluster_is_resplit(self):
+        # the first combination leaves a gap of 1e-10 (far below 1e-6 of its
+        # spread) between two joint eigenvectors that the family separates by
+        # about 3; eigh mixes them, and only the re-split with a fresh
+        # combination brings the residual under the gate
+        mats, t = near_degenerate_family(DEFAULT_SEED, 1e-10)
+        combo = np.linalg.eigvalsh(sum(ti * mat for ti, mat in zip(t, mats)))
+        assert np.min(np.diff(combo)) < 1e-6 * (combo[-1] - combo[0])
+        vecs, eigs = _joint_eigen(mats, DEFAULT_SEED)
+        assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-12)
+        assert joint_residual(mats, vecs, eigs) <= 1e-9
 
-    def test_noncommuting_family_fails(self, rng):
-        mats = [
-            np.array([[0.0, 1.0], [0.0, 0.0]]),
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-        ]
-        with pytest.raises(DiagonalizationError) as err:
-            simultaneous_eigenvectors(mats, 1e-12, rng)
-        assert err.value.worst_residual > 1e-12
-
-    def test_empty_family_dimension(self, rng):
-        vecs, eigs = simultaneous_eigenvectors([np.zeros((0, 0))], 1e-9, rng)
+    def test_empty_family_dimension(self):
+        vecs, eigs = _joint_eigen([np.zeros((0, 0))], DEFAULT_SEED)
         assert vecs.shape == (0, 0) and eigs.shape == (1, 0)
 
 
@@ -108,6 +124,27 @@ class TestDiagonalizeSingular:
                 for v in vecs:
                     assert v.residual <= 1e-9
                     assert abs(np.linalg.norm(v.coords) - 1.0) < 1e-12
+                    assert (v.exact_eigenvalues is None) == (len(vecs) > 1)
+
+    def test_bad_joint_vectors_fail_the_gate(self, monkeypatch):
+        # the residual gate in V_m coordinates catches vectors that are not
+        # joint eigenvectors, whatever the joint-eigen routine returns
+        def rotated(mats, seed):
+            vecs = np.linalg.qr(np.random.default_rng(seed).standard_normal(mats[0].shape))[0]
+            return vecs, np.array([np.sum(vecs * (mat @ vecs), axis=0) for mat in mats])
+
+        monkeypatch.setattr(eigenbasis, "_joint_eigen", rotated)
+        spec = ladder_spec((2, 2, 2))
+        with pytest.raises(DiagonalizationError) as err:
+            diagonalize_singular(spec, 2)
+        assert err.value.worst_residual > 1e-9
+
+    def test_large_level_passes_the_gate(self):
+        # (3,)*8 at m = 4: dim V_m = 322 and 202 singular vectors, each under
+        # the absolute 1e-9 gate
+        vecs = diagonalize_singular(ladder_spec((3,) * 8), 4)
+        assert len(vecs) == 202
+        assert max(v.residual for v in vecs) <= 1e-9
 
 
 def ladder_spec(weights):
@@ -115,25 +152,24 @@ def ladder_spec(weights):
 
 
 class TestRestriction:
-    def test_kernel_times_restriction_is_image(self):
-        # a generic level (N, lam, m) = (5, 4, 3) and a truncated one, m > min(weights)
-        for spec, m in ((ladder_spec((4,) * 5), 3), (ladder_spec((1, 2, 3, 4)), 3)):
-            vectors = singular_basis_kernel(spec, m).vectors
-            scale = _scale(spec.z)
-            restricted = _restrict(
-                _integer_family(spec, m, scale), scale, vectors, build_total_generator("E", spec, m)
+    def test_line_kernel_gives_exact_eigenvalues(self):
+        # two sites: each level m <= min(weights) has a one-vector kernel
+        spec = ladder_spec((3, 5))
+        scale = _scale(spec.z)
+        for m in range(4):
+            (vector,) = singular_basis_kernel(spec, m).vectors
+            exact = _restrict(
+                _integer_family(spec, m, scale), scale, [vector], build_total_generator("E", spec, m)
             )
-            hams = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
-            count = len(vectors)
-            assert count > 0
-            for op, mat in zip(hams, restricted):
-                for col in range(count):
-                    image = op.apply(list(vectors[col]))
-                    combo = [
-                        sum(vectors[k][r] * mat[k][col] for k in range(count))
-                        for r in range(len(image))
-                    ]
-                    assert combo == image
+            for i, value in enumerate(exact):
+                image = build_hamiltonian(spec, i, m).apply(list(vector))
+                assert image == [value * x for x in vector]
+        spec = ladder_spec((1, 2, 3))
+        scale = _scale(spec.z)
+        vectors = singular_basis_kernel(spec, 2).vectors
+        assert len(vectors) > 1
+        raise_e = build_total_generator("E", spec, 2)
+        assert _restrict(_integer_family(spec, 2, scale), scale, vectors, raise_e) is None
 
     def test_non_invariant_operator_raises(self):
         spec = ladder_spec((1, 2, 3))
@@ -246,3 +282,25 @@ class TestVerifyNonsingularity:
             raise_e = build_total_generator("E", spec, m).to_array(float)
             for v in basis.nonsingular_at(m):
                 assert np.max(np.abs(raise_e @ v.coords)) > 1e-6
+
+
+def test_no_reference_cycles():
+    # the solvers leave no garbage that only the cycle collector frees: large
+    # matrices held by a cycle would stay alive until a gc pass
+    spec = ladder_spec((2, 2, 2))
+    z = np.array([0.0, 1.0 + 0.5j, -1.0 + 2.0j])
+
+    def run():
+        solve_bethe(spec, 2)
+        solve_bethe_numeric(spec.weights, z, 2)
+        diagonalize_singular(spec, 2)
+        build_eigenbasis(spec, 2)
+
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

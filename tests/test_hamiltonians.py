@@ -18,6 +18,7 @@ from gaudin import (
 from gaudin.hamiltonians import _float_array, _integer_family, _pair_terms, _scale
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_basis_kernel
+from gaudin.sl2 import _shapovalov_norms
 
 from conftest import random_spec
 
@@ -239,6 +240,22 @@ class TestStructure:
                     op = build_hamiltonian(spec, i, m)
                     images = [op.apply(list(v)) for v in kernel.vectors]
                     assert rank(base + images) == rank(base)
+
+    def test_symmetric_for_the_shapovalov_form(self, rng):
+        # S[r] (D H_i)[r, c] = S[c] (D H_i)[c, r] on integers, truncated levels included
+        truncated = 0
+        for _ in range(5):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            scale = _scale(spec.z)
+            for m in range(spec.total_weight + 1):
+                truncated += m > spec.min_weight
+                norms = _shapovalov_norms(spec.weights, m)
+                for op in _integer_family(spec, m, scale):
+                    rows = op.rows()
+                    for r, row in enumerate(rows):
+                        for c, value in enumerate(row):
+                            assert norms[r] * value == norms[c] * rows[c][r]
+        assert truncated > 0
 
     def test_intertwines_with_lowering(self, rng):
         spec = random_spec(rng, n_max=4, lam_max=3)

@@ -14,6 +14,7 @@ from gaudin import (
     weight_space_dimension_formula,
 )
 from gaudin.rational_linalg import rank
+from gaudin.sl2 import _shapovalov_norms
 
 from conftest import random_spec
 
@@ -174,6 +175,27 @@ class TestTotalGenerators:
             for m in range(1, spec.min_weight + 1):
                 op = build_total_generator("F", spec, m - 1)
                 assert rank(op.rows()) == op.domain.dim
+
+
+class TestShapovalovForm:
+    def test_norms_by_hand(self):
+        # one site of weight 3: n! 3!/(3-n)! = 1, 3, 12, 36
+        assert [_shapovalov_norms((3,), n)[0] for n in range(4)] == [1, 3, 12, 36]
+        # states (0,2), (1,1), (2,0) of weights (3, 2): 2*2, 3*2, 12*1
+        assert _shapovalov_norms((3, 2), 2) == [4, 6, 12]
+
+    def test_raising_is_adjoint_of_lowering(self, rng):
+        # S_{m-1}[r] E[r, c] = S_m[c] F[c, r] on integers, truncated levels included
+        for _ in range(5):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            for m in range(1, spec.total_weight + 1):
+                raise_e = build_total_generator("E", spec, m).rows()
+                lower_f = build_total_generator("F", spec, m - 1).rows()
+                below = _shapovalov_norms(spec.weights, m - 1)
+                norms = _shapovalov_norms(spec.weights, m)
+                for r, row in enumerate(raise_e):
+                    for c, value in enumerate(row):
+                        assert value * below[r] == lower_f[c][r] * norms[c]
 
 
 class TestSparseOperator:
