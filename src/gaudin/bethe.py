@@ -17,15 +17,18 @@ y(x) = prod_k (x - w_k) solves
 where V has degree N - 2 and V(z_i) = P(z_i) Lambda_i.  So y is the null
 vector of a linear map on polynomials of degree m, and each of the
 singular_dimension eigenvectors gives one root set: no random starts and no
-duplicates.  The eigenvectors come from the joint-eigen routine the
+duplicates.  The maps of all eigenvectors share R y'' - P y' and go through
+one batched SVD.  The eigenvectors come from the joint-eigen routine the
 eigenbasis layer uses.  With S the diagonal Shapovalov norms, the scaled
 Hamiltonians S^1/2 H_i S^-1/2 are real symmetric for real z (diagonalized by
 eigh) and complex symmetric otherwise (by eig), and the scaled total
 S_{m-1}^1/2 E S_m^-1/2 has the scaled singular subspace as its kernel.
 Every root set is polished by Newton on f_k with its analytic Jacobian and
-reported only when its residual reaches tol_root.  Complex site points are
-accepted by the numeric layer; only the exact-algebra layer restricts z to
-rationals.
+reported only when its residual reaches tol_root.  F^(k) moves each basis
+vector F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of
+all solutions are built together by index-map gathers, with elementwise
+arithmetic only.  Complex site points are accepted by the numeric layer;
+only the exact-algebra layer restricts z to rationals.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import _joint_eigen, _residual, _shapovalov_root, _symmetric_restriction
+from .eigenbasis import _joint_eigen, _shapovalov_root, _symmetric_restriction
 from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
 from .singular import singular_dimension
 from .sl2 import (
@@ -45,6 +48,8 @@ from .sl2 import (
     SparseOperator,
     build_site_operator,
     build_total_generator,
+    enumerate_weight_space,
+    _space,
     _weights_of,
 )
 
@@ -77,32 +82,52 @@ def _z_scale(z: np.ndarray) -> float:
     return max(spread, 1.0)
 
 
+def _check_off_poles(z: np.ndarray, w: np.ndarray) -> None:
+    near = np.min(np.abs(w[..., None] - z), axis=-1) < 1e-12 * _z_scale(z)
+    if near.any():
+        raise ValueError(f"lowering field evaluated at a pole: w={w[near][0]}")
+
+
 @functools.lru_cache(maxsize=None)
-def _site_lowering_arrays(weights: tuple[int, ...], m: int) -> tuple[np.ndarray, ...]:
-    """Read-only complex arrays of the site lowering operators F^(k) on V_m, cached."""
-    arrays = []
-    for k in range(len(weights)):
-        site = build_site_operator("F", k, weights, m).to_array(complex)
-        site.flags.writeable = False
-        arrays.append(site)
-    return tuple(arrays)
+def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
+    """Read-only index map of the site lowering operators from V_m to V_{m+1}, cached.
+
+    F^(k) sends the basis vector F^n v to F^(n + e_k) v with coefficient 1,
+    so row t of F(w) holds 1 / (w - z_k) in column src[t, k], the V_m index
+    of t - e_k, for every site k with n_k(t) > 0.  Where n_k(t) = 0,
+    src[t, k] = dim V_m, a sentinel that points at an appended zero.
+    """
+    domain = enumerate_weight_space(weights, m)
+    codomain = _space(weights, m + 1)
+    src = np.full((codomain.dim, len(weights)), domain.dim, dtype=np.intp)
+    for t, state in enumerate(codomain.states):
+        for k, n in enumerate(state):
+            if n:
+                src[t, k] = domain.index[state[:k] + (n - 1,) + state[k + 1 :]]
+    src.flags.writeable = False
+    return src
 
 
-def _lowering_array(weights, z: np.ndarray, w: complex, m: int) -> np.ndarray:
-    scale = _z_scale(z)
-    if np.min(np.abs(w - z)) < 1e-12 * scale:
-        raise ValueError(f"lowering field evaluated at a pole: w={w}")
-    arr = None
-    for site, zk in zip(_site_lowering_arrays(tuple(weights), m), z):
-        term = site / (w - zk)
-        arr = term if arr is None else arr + term
-    return arr
+def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """F(w_s) psi_s for each row psi_s on V_m, given src = _lowering_map(weights, m).
+
+    coeffs[s, k] = 1 / (w_s - z_k).
+    """
+    padded = np.concatenate([psi, np.zeros((len(psi), 1), dtype=complex)], axis=1)
+    out = padded[:, src[:, 0]] * coeffs[:, :1]
+    for k in range(1, src.shape[1]):
+        out += padded[:, src[:, k]] * coeffs[:, k : k + 1]
+    return out
 
 
 def lowering_field(spec: ModelSpec, w: complex, m: int) -> np.ndarray:
     """Dense complex matrix of F(w) = sum_k F^(k)/(w - z_k) from V_m to V_{m+1}."""
     z = np.array([complex(x) for x in spec.z])
-    return _lowering_array(spec.weights, z, complex(w), m)
+    w = complex(w)
+    _check_off_poles(z, np.array(w))
+    dim = enumerate_weight_space(spec, m).dim
+    coeffs = np.broadcast_to(1.0 / (w - z), (dim, len(z)))
+    return _lower(np.eye(dim, dtype=complex), _lowering_map(spec.weights, m), coeffs).T
 
 
 def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
@@ -117,10 +142,17 @@ def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
     return op
 
 
-def _bethe_vector_numeric(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    psi = np.array([1.0 + 0.0j])
-    for degree, w in enumerate(roots):
-        psi = _lowering_array(weights, z, w, degree) @ psi
+def _bethe_vectors(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Bethe vectors F(w_1)...F(w_m) v_0, one row per root set: roots (S, m) -> (S, dim V_m).
+
+    Each F(w) acts by gathers through _lowering_map, in O(N dim S) work per
+    root.  Only elementwise arithmetic is used, so a row comes out the same
+    whether it is built alone or in a batch.
+    """
+    _check_off_poles(z, roots)
+    psi = np.ones((len(roots), 1), dtype=complex)
+    for degree in range(roots.shape[1]):
+        psi = _lower(psi, _lowering_map(tuple(weights), degree), 1.0 / (roots[:, degree, None] - z))
     return psi
 
 
@@ -137,7 +169,7 @@ def bethe_vector(spec: ModelSpec, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
-    return _bethe_vector_numeric(spec.weights, z, roots)
+    return _bethe_vectors(spec.weights, z, roots[None, :])[0]
 
 
 def _residuals(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -234,20 +266,28 @@ def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
-    """Singular residual, eigenvalue tuple and vector residual of the Bethe vector.
+    """Singular residual, eigenvalue tuple and vector residual of the Bethe vector of each row of roots.
 
-    The eigenvalues are E_i = E_i^vac + sum_k lam_i / (w_k - z_i); raise_e and
-    hams are the total E and the Hamiltonians on V_m as arrays.
+    The eigenvalues are E_i = E_i^vac + sum_k lam_i / (w_k - z_i), one row
+    per root set; raise_e and hams are the total E and the Hamiltonians on
+    V_m as arrays.  Their products with a Bethe vector stay one matrix-vector
+    product per root set, so a root set gets the same residuals alone as in a
+    batch.
     """
-    psi = _bethe_vector_numeric(weights, z, roots)
-    sup = float(np.max(np.abs(psi)))
-    singular_residual = float(np.max(np.abs(raise_e @ psi))) / sup if raise_e.size else 0.0
-    n_sites = len(weights)
-    vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(n_sites)], dtype=complex)
-    eigenvalues = vacuum + np.array(
-        [np.sum(float(weights[i]) / (roots - z[i])) for i in range(n_sites)]
-    )
-    return singular_residual, eigenvalues, float(_residual(hams, psi, eigenvalues))
+    psi = _bethe_vectors(weights, z, roots)
+    sup = np.max(np.abs(psi), axis=1)
+    lam = np.array([float(x) for x in weights])
+    vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
+    eigenvalues = vacuum + np.sum(lam[:, None] / (roots[:, None, :] - z[:, None]), axis=-1)
+    singular_residual = np.zeros(len(roots))
+    if raise_e.size:
+        raise_e = raise_e.astype(complex)
+        singular_residual = np.array([np.max(np.abs(raise_e @ v)) for v in psi]) / sup
+    vector_residual = np.zeros(len(roots))
+    for ham, values in zip(hams, eigenvalues.T):
+        gaps = np.array([np.max(np.abs(ham @ v - e * v)) for v, e in zip(psi, values)])
+        vector_residual = np.maximum(vector_residual, gaps / sup)
+    return singular_residual, eigenvalues, vector_residual
 
 
 def _degree_one_roots(lam, z, p_coeffs, tol_root) -> np.ndarray:
@@ -269,18 +309,34 @@ def _degree_one_roots(lam, z, p_coeffs, tol_root) -> np.ndarray:
     return np.array(polished, dtype=complex).reshape(-1, 1)
 
 
-def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
-    """Roots of the null vector y of y -> R y'' - P y' + V y on polynomials of degree <= m."""
+def _heine_stieltjes_matrices(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
+    """Matrices of y -> R y'' - P y' + V y on polynomials of degree <= m, one per column of v_coeffs.
+
+    Column d of each matrix is the image of x^d, highest coefficient first.
+    The V-independent part R y'' - P y' is built once and each V y is added
+    to it as shifted copies of V; that is np.polyadd's order, so each matrix
+    is bit for bit the one built by polymul for its V alone.
+    """
     images = []
     for d in range(m + 1):
         mono = np.zeros(d + 1)
         mono[0] = 1.0  # x^d
-        image = np.polysub(np.polymul(r_coeffs, np.polyder(mono, 2)), np.polymul(p_coeffs, np.polyder(mono)))
-        images.append(np.polyadd(image, np.polymul(v_coeffs, mono)))
+        r_part = np.polymul(r_coeffs, np.polyder(mono, 2))
+        images.append(np.polysub(r_part, np.polymul(p_coeffs, np.polyder(mono))))
+    n_v = len(v_coeffs)
     size = max(len(image) for image in images)
-    matrix = np.array([np.pad(image, (size - len(image), 0)) for image in images]).T
-    y = np.linalg.svd(matrix)[2][-1].conj()  # coefficient of x^d at index d
-    return np.roots(y[::-1])
+    base = np.array([np.pad(image, (size - len(image), 0)) for image in images]).T
+    mats = np.repeat(base[None], v_coeffs.shape[1], axis=0)
+    for d in range(m + 1):
+        mats[:, size - n_v - d : size - d, d] += v_coeffs.T
+    return mats
+
+
+def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
+    """Roots of the null vector y of each map of _heine_stieltjes_matrices, from one batched SVD."""
+    mats = _heine_stieltjes_matrices(p_coeffs, r_coeffs, v_coeffs, m)
+    # coefficient of x^d at index d of each null vector
+    return [np.roots(y[::-1]) for y in np.linalg.svd(mats)[2][:, -1].conj()]
 
 
 def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root) -> np.ndarray:
@@ -302,7 +358,7 @@ def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol
     v_coeffs = np.linalg.lstsq(
         np.vander(z, len(z) - 1), np.polyval(p_coeffs, z)[:, None] * site_sums, rcond=None
     )[0]
-    rows = [_heine_stieltjes_roots(p_coeffs, r_coeffs, v, m) for v in v_coeffs.T]
+    rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
     w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
     w, res = _polish(lam, z, w.reshape(-1, m))
     return w[res <= tol_root]
@@ -319,13 +375,14 @@ def _collapse(lam, z, rows: np.ndarray, tol_root) -> list:
     canonical order.
     """
     tol = 1e-7 * _z_scale(z)
+    heads = np.empty(rows.shape, dtype=complex)
     groups = []
     for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: [_root_key(c) for c in r]):
-        for group in groups:
-            if _multiset_gaps(row, group[0][None])[0] <= tol:
-                group.append(row)
-                break
+        near = np.flatnonzero(_multiset_gaps(row, heads[: len(groups)]) <= tol)
+        if near.size:
+            groups[near[0]].append(row)
         else:
+            heads[len(groups)] = row
             groups.append([row])
     out = []
     for group in groups:
@@ -365,20 +422,22 @@ def solve_bethe_numeric(weights, z, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=D
     else:
         rows = _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root)
 
-    solutions = []
-    for roots, res, mult in _collapse(lam, z, rows, tol_root):
-        singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, raise_e, hams)
-        solutions.append(
-            BetheSolution(
-                roots=roots,
-                residual_eq=float(res),
-                eigenvalues=eigenvalues,
-                vector_residual=vector_residual,
-                singular_residual=singular_residual,
-                multiplicity=mult,
-            )
+    collapsed = _collapse(lam, z, rows, tol_root)
+    if not collapsed:
+        return []
+    roots = np.array([mean for mean, _, _ in collapsed])
+    singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, raise_e, hams)
+    return [
+        BetheSolution(
+            roots=mean,
+            residual_eq=float(res),
+            eigenvalues=eigenvalues[s],
+            vector_residual=float(vector_residual[s]),
+            singular_residual=float(singular_residual[s]),
+            multiplicity=mult,
         )
-    return solutions
+        for s, (mean, res, mult) in enumerate(collapsed)
+    ]
 
 
 def solve_bethe(spec: ModelSpec, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=DEFAULT_SEED):
@@ -401,7 +460,8 @@ def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution, tol=1e-9) -> So
     _check_distinct(roots, z)
     raise_e = build_total_generator("E", spec, m).to_array(float)
     hams = [hamiltonian_array(spec.weights, z, i, m) for i in range(spec.n_sites)]
-    singular_residual, _, vector_residual = _diagnostics(spec.weights, z, roots, raise_e, hams)
+    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], raise_e, hams)
+    singular_residual, vector_residual = float(singular[0]), float(vector[0])
     return SolutionReport(
         singular_residual=singular_residual,
         vector_residual=vector_residual,

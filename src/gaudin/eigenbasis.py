@@ -135,12 +135,16 @@ def _joint_eigen(mats, seed):
     return vecs, eigs
 
 
-def _residual(ham_arrays, v, eigenvalues):
-    """max_i |H_i v - E_i v| / max |v|: the joint-eigenvector residual."""
-    sup = np.max(np.abs(v))
-    worst = 0.0
-    for mat, s in zip(ham_arrays, eigenvalues):
-        worst = max(worst, np.max(np.abs(mat @ v - s * v)) / sup)
+def _residual(ham_arrays, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """max_i |H_i v - E_i v| / max |v| for each column v of vecs, shape (dim, S).
+
+    eigenvalues has shape (N, S), column j the tuple of vecs[:, j]; one
+    product per H_i covers all S columns.
+    """
+    sup = np.max(np.abs(vecs), axis=0)
+    worst = np.zeros(vecs.shape[1])
+    for mat, values in zip(ham_arrays, eigenvalues):
+        worst = np.maximum(worst, np.max(np.abs(mat @ vecs - values * vecs), axis=0) / sup)
     return worst
 
 
@@ -199,27 +203,25 @@ def _diagonalize_level(spec: ModelSpec, m: int, family, tol, seed):
     if exact is not None:
         eigs = np.array([[float(x)] for x in exact])
 
-    out = []
-    worst = 0.0
-    for j in range(len(kernel)):
-        v = _canonical_phase(coords[:, j] / np.linalg.norm(coords[:, j])).astype(complex)
-        eigenvalues = eigs[:, j].astype(complex)
-        res = _residual(ham_arrays, v, eigenvalues)
-        worst = max(worst, res)
-        out.append(
-            EigenVector(
-                m=m,
-                coords=v,
-                eigenvalues=eigenvalues,
-                origin="singular",
-                residual=res,
-                exact_eigenvalues=exact,
-            )
-        )
+    units = [_canonical_phase(col / np.linalg.norm(col)).astype(complex) for col in coords.T]
+    eigenvalues = eigs.astype(complex)
+    residuals = _residual(ham_arrays, np.array(units).T, eigenvalues)
+    worst = float(np.max(residuals))
     if worst > tol:
         raise DiagonalizationError(
             f"singular-subspace eigenvector residual {worst:.3e} exceeds tol {tol:.1e}", worst
         )
+    out = [
+        EigenVector(
+            m=m,
+            coords=v,
+            eigenvalues=values,
+            origin="singular",
+            residual=res,
+            exact_eigenvalues=exact,
+        )
+        for v, values, res in zip(units, eigenvalues.T.copy(), residuals)
+    ]
     out.sort(key=lambda ev: tuple((s.real, s.imag) for s in ev.eigenvalues))
     return out
 
@@ -274,37 +276,37 @@ def build_eigenbasis(
         lower_f = build_total_generator("F", spec, m - 1).to_array(float)
         family = _level_family(spec, m)
         ham_arrays = family[2]
-        level = []
-        worst = 0.0
-        for idx, parent in enumerate(levels[m - 1]):
-            image = lower_f @ parent.coords
-            norm = float(np.linalg.norm(image))
-            if norm == 0.0:
-                raise CompletenessError(
-                    f"lowering annihilated an eigenvector at level {m}"
-                )
-            # keep the parent's phase: the colinearity E(Fu) = c u of the
-            # lowering chain must survive normalization
-            v = image / norm
-            eigenvalues = parent.eigenvalues.copy()
-            res = _residual(ham_arrays, v, eigenvalues)
-            worst = max(worst, res)
-            level.append(
-                EigenVector(
-                    m=m,
-                    coords=v,
-                    eigenvalues=eigenvalues,
-                    origin=f"lowered:{parent.times_lowered + 1}",
-                    residual=res,
-                    exact_eigenvalues=parent.exact_eigenvalues,
-                    preimage=idx,
-                    lowering_norm=norm,
-                )
-            )
+        parents = levels[m - 1]
+        # one image per parent keeps each vector's coordinates independent of the batch
+        images = [lower_f @ parent.coords for parent in parents]
+        norms = [float(np.linalg.norm(image)) for image in images]
+        if 0.0 in norms:
+            raise CompletenessError(f"lowering annihilated an eigenvector at level {m}")
+        # keep the parent's phase: the colinearity E(Fu) = c u of the
+        # lowering chain must survive normalization
+        units = [image / norm for image, norm in zip(images, norms)]
+        eigenvalues = np.array([parent.eigenvalues for parent in parents])
+        residuals = _residual(ham_arrays, np.array(units).T, eigenvalues.T)
+        worst = float(np.max(residuals))
         if worst > tol:
             raise DiagonalizationError(
                 f"lowered-vector residual {worst:.3e} exceeds tol {tol:.1e}", worst
             )
+        level = [
+            EigenVector(
+                m=m,
+                coords=v,
+                eigenvalues=values,
+                origin=f"lowered:{parent.times_lowered + 1}",
+                residual=res,
+                exact_eigenvalues=parent.exact_eigenvalues,
+                preimage=idx,
+                lowering_norm=norm,
+            )
+            for idx, (parent, v, values, res, norm) in enumerate(
+                zip(parents, units, eigenvalues, residuals, norms)
+            )
+        ]
 
         level.extend(_diagonalize_level(spec, m, family, tol, seed))
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,13 +24,23 @@ from gaudin import (
 )
 import gaudin
 from gaudin.bethe import (
+    _bethe_vectors,
+    _collapse,
+    _degree_one_roots,
+    _diagnostics,
+    _heine_stieltjes_matrices,
+    _heine_stieltjes_roots,
     _jacobian,
+    _lowering_map,
     _multiset_gaps,
     _polish,
     _residuals,
-    _site_lowering_arrays,
+    _root_key,
+    _site_polynomials,
     _sorted_roots,
+    _z_scale,
 )
+from gaudin.hamiltonians import hamiltonian_array
 
 from conftest import random_spec
 
@@ -65,6 +76,57 @@ def multiset_gap_reference(a, b):
     return worst
 
 
+def heine_stieltjes_matrix_reference(p_coeffs, r_coeffs, v, m):
+    """The map y -> R y'' - P y' + V y on degree <= m, built by polymul for one V."""
+    images = []
+    for d in range(m + 1):
+        mono = np.zeros(d + 1)
+        mono[0] = 1.0
+        image = np.polysub(np.polymul(r_coeffs, np.polyder(mono, 2)), np.polymul(p_coeffs, np.polyder(mono)))
+        images.append(np.polyadd(image, np.polymul(v, mono)))
+    size = max(len(image) for image in images)
+    return np.array([np.pad(image, (size - len(image), 0)) for image in images]).T
+
+
+def collapse_reference(lam, z, rows, tol_root):
+    """The collapse comparing each row with one group head at a time."""
+    tol = 1e-7 * _z_scale(z)
+    groups = []
+    for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: [_root_key(c) for c in r]):
+        for group in groups:
+            if _multiset_gaps(row, group[0][None])[0] <= tol:
+                group.append(row)
+                break
+        else:
+            groups.append([row])
+    out = []
+    for group in groups:
+        roots = np.mean(group, axis=0)
+        residual = max(abs(f) for f in _residuals(lam, z, roots))
+        if len(group) == 1 and not residual <= tol_root:
+            continue
+        out.append((roots, residual, len(group)))
+    return out
+
+
+def ladder_spec(weights):
+    return ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
+
+
+def memoize_bethe_builders(monkeypatch):
+    """Let verify_solution calls share the operators they build; the builders are pure."""
+    for name in ("build_total_generator", "hamiltonian_array"):
+        memo = {}
+
+        def cached(*args, _memo=memo, _original=getattr(gaudin.bethe, name)):
+            key = tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
+            if key not in _memo:
+                _memo[key] = _original(*args)
+            return _memo[key]
+
+        monkeypatch.setattr(gaudin.bethe, name, cached)
+
+
 class TestLoweringField:
     def test_two_site_coefficients(self):
         # F(1/2) v_0 = 2 F^(1) v_0 - 2 F^(2) v_0 in states (0,1), (1,0)
@@ -93,10 +155,11 @@ class TestLoweringField:
             assert (a - b).is_zero()
 
     def test_cached_site_arrays_are_read_only(self):
-        for site in _site_lowering_arrays((1, 2), 1):
-            assert not site.flags.writeable
-            with pytest.raises(ValueError):
-                site[0, 0] = 7.0
+        src = _lowering_map((1, 2), 1)
+        assert src is _lowering_map((1, 2), 1)
+        assert not src.flags.writeable
+        with pytest.raises(ValueError):
+            src[0, 0] = 7
 
     def test_result_is_fresh_and_writable(self):
         spec = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
@@ -107,9 +170,9 @@ class TestLoweringField:
 
     def test_cache_keys_on_weight_order(self):
         z = (Fraction(0), Fraction(1))
-        a = _site_lowering_arrays((1, 2), 1)
-        b = _site_lowering_arrays((2, 1), 1)
-        assert any(x.shape != y.shape or not np.array_equal(x, y) for x, y in zip(a, b))
+        a = _lowering_map((1, 2), 1)
+        b = _lowering_map((2, 1), 1)
+        assert a.shape != b.shape or not np.array_equal(a, b)
         for weights in ((1, 2), (2, 1)):
             spec = ModelSpec(weights, z)
             fresh = None
@@ -486,6 +549,156 @@ class TestSpans:
         a = np.array([0.0, 1.5], dtype=complex)
         kept = np.array([[1.0, -1.0], [-1.0, 1.0], [1.5, 1e-12j]])
         assert np.array_equal(_multiset_gaps(a, kept), [2.5, 1.0, 1e-12])
+
+
+class TestBatchedLayer:
+    """The batched float routines against the one-at-a-time routines they replaced."""
+
+    def test_stacked_heine_stieltjes_matrices_match_polymul(self):
+        rng = np.random.default_rng(808)
+        for n in range(2, 9):
+            lam = rng.integers(1, 4, n).astype(float)
+            real_z = np.arange(n) + rng.uniform(0, 0.5, n) + 0j
+            site_polys = _site_polynomials(lam, real_z)  # R comes out real for real z
+            for m in range(1, 6):
+                random_polys = (
+                    rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                    rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1),
+                )
+                v = rng.standard_normal((n - 1, 4)) + 1j * rng.standard_normal((n - 1, 4))
+                for p, r in (random_polys, site_polys):
+                    stacked = _heine_stieltjes_matrices(p, r, v, m)
+                    rows = _heine_stieltjes_roots(p, r, v, m)
+                    assert stacked.shape[0] == len(rows) == 4
+                    for s in range(4):
+                        reference = heine_stieltjes_matrix_reference(p, r, v[:, s], m)
+                        assert np.array_equal(stacked[s], reference)
+                        y = np.linalg.svd(reference)[2][-1].conj()
+                        assert np.array_equal(rows[s], np.roots(y[::-1]))
+
+    def test_linear_collapse_matches_nested_loop(self):
+        rng = np.random.default_rng(99)
+        lam = np.array([2.0, 1.0, 3.0, 2.0])
+        z = np.array([0.0, 1.0, 2.5, -1.5], dtype=complex)
+        tol = 1e-7 * _z_scale(z)
+        cases = []
+        for m in (1, 2, 3):
+            for trial in range(8):
+                rows = []
+                for _ in range(6):
+                    base = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                    rows.append(rng.permutation(base))
+                    phase = np.exp(2j * np.pi * rng.uniform(size=m))
+                    rows.append(rng.permutation(base + 0.5 * tol * phase))
+                    if trial % 2:
+                        rows.append(base + 2 * tol)
+                cases.append(rng.permutation(np.array(rows)))
+        # two heads 1.5 tol apart, then a row within tol of both: it joins the first
+        x, y = -1.0 + 0.3j, 2.0 - 0.1j
+        cases.append(np.array([[y + 1.5 * tol, x], [x, y], [x + 2e-9, y + 0.75 * tol]]))
+        double_z = np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)])
+        double_lam = np.ones(3)
+        double = _degree_one_roots(double_lam, double_z, _site_polynomials(double_lam, double_z)[0], 1e-11)
+        for lam_, z_, rows in [(lam, z, rows) for rows in cases] + [(double_lam, double_z, double)]:
+            for tol_root in (np.inf, 1e-11):
+                got = _collapse(lam_, z_, rows, tol_root)
+                want = collapse_reference(lam_, z_, rows, tol_root)
+                assert len(got) == len(want)
+                for (a, res_a, mult_a), (b, res_b, mult_b) in zip(got, want):
+                    assert np.array_equal(a, b) and res_a == res_b and mult_a == mult_b
+        assert [mult for _, _, mult in _collapse(lam, z, cases[-1], np.inf)] == [2, 1]
+        assert [mult for _, _, mult in _collapse(double_lam, double_z, double, 1e-11)] == [2]
+
+    def test_gather_bethe_vectors_match_exact_lowering(self, rng):
+        specs = [random_spec(rng, n_max=4, lam_max=3) for _ in range(6)]
+        specs.append(ModelSpec((1, 1, 2), (Fraction(0), Fraction(1), Fraction(-2))))
+        for spec in specs:
+            # every level through the top, the truncated ones above min(weights) included
+            for m in range(1, spec.total_weight + 1):
+                roots = []
+                while len(roots) < m:
+                    w = rational_off_poles(rng, spec)
+                    if w not in roots:
+                        roots.append(w)
+                exact = [Fraction(1)]
+                for degree, w in enumerate(roots):
+                    exact = lowering_field_exact(spec, w, degree).apply(exact)
+                exact = np.array([complex(x) for x in exact])
+                psi = bethe_vector(spec, [float(w) for w in roots])
+                assert psi.shape == exact.shape
+                assert np.max(np.abs(psi - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_batch_rows_equal_single_root_sets(self):
+        rng = np.random.default_rng(5)
+        weights = (3, 2, 3, 1, 2)
+        z = np.array([0.0, 1.0 + 0.25j, 2.5, -1.0 - 0.5j, 4.0])
+        m = 3
+        roots = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+        raise_e = build_total_generator("E", weights, m).to_array(float)
+        hams = [hamiltonian_array(weights, z, i, m) for i in range(len(weights))]
+        batch = _bethe_vectors(weights, z, roots)
+        singular, eigenvalues, vector = _diagnostics(weights, z, roots, raise_e, hams)
+        for s in range(len(roots)):
+            one = roots[s : s + 1]
+            assert np.array_equal(batch[s], _bethe_vectors(weights, z, one)[0])
+            single = _diagnostics(weights, z, one, raise_e, hams)
+            assert single[0][0] == singular[s]
+            assert np.array_equal(single[1][0], eigenvalues[s])
+            assert single[2][0] == vector[s]
+
+
+class TestEdgeInputs:
+    def test_two_sites_of_weight_one(self):
+        sols = solve_bethe(SPEC2, 1)
+        assert len(sols) == 1 == singular_dimension(SPEC2, 1)
+        assert verify_solution(SPEC2, 1, sols[0]).ok
+
+    def test_no_diagnostics_without_solutions(self, monkeypatch):
+        def refuse(weights, z, roots, raise_e, hams):
+            raise AssertionError(f"diagnostics called on {len(roots)} root sets")
+
+        monkeypatch.setattr(gaudin.bethe, "_diagnostics", refuse)
+        for weights in ((1, 1), (1, 2), (3, 1), (2, 2, 2)):
+            spec = ModelSpec(weights, tuple(Fraction(k) for k in range(len(weights))))
+            # the top level m = sum(weights) is among them
+            for m in range(spec.total_weight // 2 + 1, spec.total_weight + 1):
+                assert solve_bethe(spec, m) == []
+        # candidates exist, but none passes the polish gate
+        assert solve_bethe(ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3))), 2, tol_root=-1.0) == []
+
+    def test_one_vector_kernel_takes_the_single_column_residual(self, monkeypatch):
+        calls = []
+        original = gaudin.eigenbasis._residual
+
+        def spy(hams, vecs, eigenvalues):
+            out = original(hams, vecs, eigenvalues)
+            calls.append((hams, vecs, eigenvalues, out))
+            return out
+
+        monkeypatch.setattr(gaudin.eigenbasis, "_residual", spy)
+        spec = ModelSpec((2, 3), (Fraction(0), Fraction(1)))
+        (ev,) = diagonalize_singular(spec, 2)
+        ((hams, vecs, eigenvalues, out),) = calls
+        assert vecs.shape == (3, 1) and out.shape == (1,)
+        v = vecs[:, 0]
+        alone = max(np.max(np.abs(h @ v - e * v)) for h, e in zip(hams, eigenvalues[:, 0])) / np.max(np.abs(v))
+        assert ev.residual == out[0] == alone <= 1e-12
+
+    def test_root_on_a_site_point_is_rejected(self):
+        with pytest.raises(ValueError):
+            bethe_vector(SPEC3, [0.5, 1.0])
+        with pytest.raises(ValueError):
+            verify_solution(SPEC3, 2, SimpleNamespace(roots=np.array([0.5, 1.0])))
+
+
+class TestScale:
+    def test_ladder_eight_sites_weight_three_level_four(self, monkeypatch):
+        spec = ladder_spec((3,) * 8)
+        sols = solve_bethe(spec, 4)
+        assert len(sols) == 202 == singular_dimension(spec, 4)
+        memoize_bethe_builders(monkeypatch)
+        for sol in sols:
+            assert verify_solution(spec, 4, sol).ok
 
 
 class TestBenchmarkInterface:
