@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .bethe import DEFAULT_TOL_ROOT, solve_bethe
 from .eigenbasis import (
@@ -22,7 +23,7 @@ from .eigenbasis import (
     DiagonalizationError,
     build_eigenbasis,
 )
-from .hamiltonians import build_hamiltonian, verify_family
+from .hamiltonians import _integer_family, _level_report, _scale
 from .singular import (
     singular_basis_gordan,
     singular_basis_kernel,
@@ -91,11 +92,15 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
+    scale = _scale(spec.z)
     per_m = []
     matrices = []
     all_ok = True
+    # a sliding window of the integer families at m-1, m and m+1: each is built once
+    below, here = None, _integer_family(spec, 0, scale)
     for m in range(spec.total_weight + 1):
-        report = verify_family(spec, m)
+        above = _integer_family(spec, m + 1, scale) if m < spec.total_weight else None
+        report = _level_report(spec, m, below, here, above)
         per_m.append(
             {
                 "m": m,
@@ -106,17 +111,17 @@ def cmd_verify(args) -> int:
         )
         all_ok = all_ok and report.all_ok
         if args.emit_matrices:
-            for i in range(spec.n_sites):
-                op = build_hamiltonian(spec, i, m)
+            for i, op in enumerate(here):
                 matrices.append(
                     {
                         "m": m,
                         "i": i + 1,  # 1-based site label on the wire
                         "triplets": [
-                            [row, col, str(val)] for row, col, val in op.entries()
+                            [row, col, str(Fraction(val, scale))] for row, col, val in op.entries()
                         ],
                     }
                 )
+        below, here = here, above
     payload = {"per_m": per_m, "all_ok": all_ok}
     if args.emit_matrices:
         payload["matrices"] = matrices

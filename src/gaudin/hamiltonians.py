@@ -161,6 +161,47 @@ def _integer_operator(op: SparseOperator, scale: int) -> SparseOperator:
     return out
 
 
+def _products_equal(a: SparseOperator, b: SparseOperator, c: SparseOperator, d: SparseOperator) -> bool:
+    """a @ b == c @ d exactly, without building either product.
+
+    Column k of a @ b - c @ d is summed in one dict of ints; the first
+    column with a nonzero entry decides False.
+    """
+    if (a.domain, c.domain, a.codomain, b.domain) != (b.codomain, d.codomain, c.codomain, d.domain):
+        raise ValueError("operator composition shapes do not match")
+    for bcol, dcol in zip(b.cols, d.cols):
+        acc = {}
+        get = acc.get
+        for mid, v in bcol.items():
+            for row, w in a.cols[mid].items():
+                acc[row] = get(row, 0) + w * v
+        for mid, v in dcol.items():
+            for row, w in c.cols[mid].items():
+                acc[row] = get(row, 0) - w * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _level_report(spec: ModelSpec, m: int, below, here, above) -> VerifyReport:
+    """verify_family's checks on V_m, given the integer families at m-1, m and m+1.
+
+    The three families share one scale.  below is None at m = 0 and above is
+    None at the top level, where E (resp. F) maps to the zero space.
+    """
+    commuting = all(
+        _products_equal(a, b, b, a) for k, a in enumerate(here) for b in here[k + 1 :]
+    )
+    sum_zero = sum(here[1:], here[0]).is_zero()
+    # X_i g == g H_i for the total generator g, with X_i = H_i (H), below_i (E), above_i (F)
+    symmetry = True
+    for family, gen in ((here, "H"), (below, "E"), (above, "F")):
+        if family is not None:
+            g = build_total_generator(gen, spec, m)
+            symmetry = symmetry and all(_products_equal(x, g, g, h) for x, h in zip(family, here))
+    return VerifyReport(commuting, sum_zero, symmetry)
+
+
 def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
     """Exact checks of the Hamiltonian family on V_m.  Never raises on failure.
 
@@ -182,38 +223,9 @@ def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
             scale, *(v.denominator for op in matrices for colmap in op.cols for v in colmap.values())
         )
         matrices = [_integer_operator(op, scale) for op in matrices]
-    n = spec.n_sites
-
-    commuting = all(
-        commutator(matrices[i], matrices[j]).is_zero()
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-
-    total = matrices[0]
-    for mat in matrices[1:]:
-        total = total + mat
-    sum_zero = total.is_zero()
-
-    symmetry = True
-    h_tot = build_total_generator("H", spec, m)
-    for i in range(n):
-        if not commutator(matrices[i], h_tot).is_zero():
-            symmetry = False
-    if m >= 1:
-        e_op = build_total_generator("E", spec, m)
-        below = _integer_family(spec, m - 1, scale)
-        for i in range(n):
-            if not (below[i] @ e_op - e_op @ matrices[i]).is_zero():
-                symmetry = False
-    if m < spec.total_weight:
-        f_op = build_total_generator("F", spec, m)
-        above = _integer_family(spec, m + 1, scale)
-        for i in range(n):
-            if not (above[i] @ f_op - f_op @ matrices[i]).is_zero():
-                symmetry = False
-
-    return VerifyReport(commuting, sum_zero, symmetry)
+    below = _integer_family(spec, m - 1, scale) if m >= 1 else None
+    above = _integer_family(spec, m + 1, scale) if m < spec.total_weight else None
+    return _level_report(spec, m, below, matrices, above)
 
 
 def independent_count(spec: ModelSpec, m: int) -> int:

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gaudin.cli
+from gaudin import ModelSpec, verify_family
 from gaudin.bethe import BetheSolution
 from gaudin.cli import main
 
@@ -86,6 +88,46 @@ class TestVerify:
             [1, 1, "1/2"],
         ]
 
+    @pytest.mark.parametrize("shifted", [None, "bottom", "top"])
+    @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3, 3, 4)])
+    def test_levels_match_verify_family(self, weights, shifted, spec_file, monkeypatch, capsys):
+        # the CLI's sliding window gives verify_family's report at every level,
+        # m = 0 (no E check) and the top (no F check) included; shifting H_1 by
+        # a multiple of the identity on one end level breaks sum_zero there and
+        # the intertwinings on both sides of it
+        from gaudin import hamiltonians
+
+        spec = ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
+        level = {None: None, "bottom": 0, "top": spec.total_weight}[shifted]
+        original = hamiltonians._integer_hamiltonian
+
+        def shifted_builder(spec, i, m, scale):
+            op = original(spec, i, m, scale)
+            if (i, m) == (0, level):
+                for k in range(op.domain.dim):
+                    op.add_term(k, k, scale)
+            return op
+
+        monkeypatch.setattr(hamiltonians, "_integer_hamiltonian", shifted_builder)
+        code, payload = run_json(["verify", "--spec", spec_file(spec.to_json())], capsys)
+        expected = []
+        for m in range(spec.total_weight + 1):
+            report = verify_family(spec, m)
+            expected.append(
+                {
+                    "m": m,
+                    "commuting": report.commuting,
+                    "sum_zero": report.sum_zero,
+                    "symmetry_commute": report.symmetry_commute,
+                }
+            )
+        assert payload["per_m"] == expected
+        assert code == (0 if level is None else 1)
+        if level is not None:
+            broken = {level, level + (1 if level == 0 else -1)}
+            assert {e["m"] for e in expected if not e["symmetry_commute"]} == broken
+            assert [e["m"] for e in expected if not e["sum_zero"]] == [level]
+
 
 class TestNumericFailureExit:
     def test_diagonalization_error_maps_to_3(self, spec_file, monkeypatch, capsys):
@@ -105,7 +147,7 @@ class TestNumericFailureExit:
         from gaudin.hamiltonians import VerifyReport
 
         monkeypatch.setattr(
-            cli, "verify_family", lambda spec, m: VerifyReport(False, True, True)
+            cli, "_level_report", lambda spec, m, below, here, above: VerifyReport(False, True, True)
         )
         code = main(["verify", "--spec", spec_file(SPEC_11)])
         assert code == 1

@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gaudin import (
     ModelSpec,
@@ -15,7 +17,14 @@ from gaudin import (
     vacuum_eigenvalue,
     verify_family,
 )
-from gaudin.hamiltonians import _float_array, _integer_family, _pair_terms, _scale
+import gaudin.hamiltonians as hamiltonians
+from gaudin.hamiltonians import (
+    _float_array,
+    _integer_family,
+    _pair_terms,
+    _products_equal,
+    _scale,
+)
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_basis_kernel
 from gaudin.sl2 import _shapovalov_norms
@@ -133,6 +142,133 @@ class TestVerifyFamily:
                 mats[b].add_term(1, 0, 1)
                 assert not verify_family(spec, 1, matrices=mats).commuting
 
+
+
+def random_operator(rng, domain, codomain, density=0.5):
+    """A SparseOperator with random small int entries at a given density."""
+    op = SparseOperator.zero(domain, codomain)
+    for col in range(domain.dim):
+        for row in range(codomain.dim):
+            if rng.random() < density:
+                op.add_term(row, col, int(rng.integers(-3, 4)))
+    return op
+
+
+def spaces(weights, m):
+    return [enumerate_weight_space(weights, k) for k in (m - 1, m, m + 1)]
+
+
+class TestProductsEqual:
+    """_products_equal(a, b, c, d) decides a @ b == c @ d as the built difference does."""
+
+    # (a, b, c, d) as (codomain, domain) level offsets from m: square, E-shaped
+    # (below @ E == E @ H) and F-shaped (above @ F == F @ H)
+    SHAPES = {
+        "square": ((0, 0), (0, 0), (0, 0), (0, 0)),
+        "E": ((-1, -1), (-1, 0), (-1, 0), (0, 0)),
+        "F": ((1, 1), (1, 0), (1, 0), (0, 0)),
+    }
+
+    def operators(self, rng, weights, m, shape, density=0.5):
+        levels = spaces(weights, m)
+        return [
+            random_operator(rng, levels[dom + 1], levels[cod + 1], density)
+            for cod, dom in self.SHAPES[shape]
+        ]
+
+    @staticmethod
+    def reference(a, b, c, d):
+        return (a @ b - c @ d).is_zero()
+
+    def test_agrees_with_the_built_difference(self, rng):
+        seen = set()
+        for weights, m in (((1, 2), 1), ((2, 2, 1), 2), ((1, 1, 1, 2), 2), ((3, 2), 3)):
+            for shape in self.SHAPES:
+                for density in (0.1, 0.4, 0.9):
+                    a, b, c, d = self.operators(rng, weights, m, shape, density)
+                    want = self.reference(a, b, c, d)
+                    seen.add(want)
+                    assert _products_equal(a, b, c, d) is want
+                    # equal by construction: a @ (k b) == (k a) @ b
+                    assert _products_equal(a, b.scaled(3), a.scaled(3), b)
+        assert seen == {True, False}
+
+    def test_entries_cancel_within_a_column(self, rng):
+        # a and a @ a + 2a commute; every column of the difference cancels exactly
+        space = enumerate_weight_space((2, 2, 1), 2)
+        a = random_operator(rng, space, space)
+        b = a @ a + a.scaled(2)
+        assert any(len(col) > 1 for col in (a @ b).cols)
+        assert self.reference(a, b, b, a)
+        assert _products_equal(a, b, b, a)
+
+    def test_difference_only_in_the_last_column(self, rng):
+        for shape in self.SHAPES:
+            a, b, _, _ = self.operators(rng, (2, 2, 1), 2, shape)
+            c, d = a.scaled(2), b.scaled(1)
+            assert _products_equal(a, b.scaled(2), c, d)
+            # one more term in d's last column changes only the last column of c @ d
+            mid = next(k for k, col in enumerate(c.cols) if col)
+            d.add_term(mid, d.domain.dim - 1, 1)
+            diff = a @ b.scaled(2) - c @ d
+            assert [bool(col) for col in diff.cols] == [False] * (d.domain.dim - 1) + [True]
+            assert not _products_equal(a, b.scaled(2), c, d)
+
+    def test_one_differing_entry_among_cancelling_ones(self, rng):
+        for shape in self.SHAPES:
+            a, b, _, _ = self.operators(rng, (1, 1, 1, 2), 2, shape, density=0.9)
+            c = a.scaled(1)
+            # perturbing one entry of c shifts exactly one row of each column
+            # of c @ b that reads it; the other rows of those columns cancel
+            mid = next(k for k, col in enumerate(c.cols) if col and any(k in bc for bc in b.cols))
+            row = next(iter(c.cols[mid]))
+            c.add_term(row, mid, 1)
+            product, diff = a @ b, a @ b - c @ b
+            assert all(set(col) <= {row} for col in diff.cols)
+            assert any(len(product.cols[k]) > 1 for k, col in enumerate(diff.cols) if col)
+            assert self.reference(a, b, c, b) is False
+            assert _products_equal(a, b, c, b) is False
+
+    def test_shape_mismatch_raises(self, rng):
+        square = spaces((2, 2), 2)[1]
+        below = spaces((2, 2), 2)[0]
+        a = random_operator(rng, square, square)
+        e = random_operator(rng, square, below)
+        with pytest.raises(ValueError):
+            _products_equal(a, e, a, a)
+
+
+class TestBuildCounts:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = hamiltonians._integer_hamiltonian
+
+        def counted(spec, i, m, scale):
+            calls.append((i, m))
+            return original(spec, i, m, scale)
+
+        monkeypatch.setattr(hamiltonians, "_integer_hamiltonian", counted)
+        return calls
+
+    def test_verify_family_builds_at_most_three_families(self, builds):
+        spec = ladder_spec((2, 3, 3, 4))
+        for m in range(spec.total_weight + 1):
+            builds.clear()
+            verify_family(spec, m)
+            assert len(builds) <= 3 * spec.n_sites
+            assert {k for _, k in builds} == {k for k in (m - 1, m, m + 1) if 0 <= k <= spec.total_weight}
+
+    def test_cli_verify_builds_each_matrix_once(self, builds, tmp_path, capsys):
+        from gaudin.cli import main
+
+        spec = ladder_spec((2, 3, 3, 4))
+        path = tmp_path / "model.json"
+        path.write_text(spec.to_json())
+        assert main(["verify", "--spec", str(path), "--emit-matrices"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["matrices"]) == 52
+        assert len(builds) == 52  # 13 levels x 4 sites
+        assert sorted(builds) == sorted((i, m) for i in range(4) for m in range(13))
 
 def ladder_spec(weights, den=None):
     z = [Fraction(k * k + 1, k + 2) for k in range(len(weights))]
