@@ -24,7 +24,7 @@ Hamiltonians S^1/2 H_i S^-1/2 are real symmetric for real z (diagonalized by
 eigh) and complex symmetric otherwise (by eig), and the scaled total
 S_{m-1}^1/2 E S_m^-1/2 has the scaled singular subspace as its kernel.
 Every root set is polished by Newton on f_k with its analytic Jacobian and
-reported only when its residual reaches tol_root.  F^(k) moves each basis
+reported only when its residual reaches DEFAULT_TOL_ROOT.  F^(k) moves each basis
 vector F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of
 all solutions are built together by index-map gathers, with elementwise
 arithmetic only.  Complex site points are accepted by the numeric layer;
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import _joint_eigen, _shapovalov_root, _symmetric_restriction
+from .eigenbasis import DEFAULT_TOL, _joint_eigen, _shapovalov_root, _symmetric_restriction
 from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
 from .singular import singular_dimension
 from .sl2 import (
@@ -53,6 +53,7 @@ from .sl2 import (
     _weights_of,
 )
 
+# a polished root set whose residual max_k |f_k| exceeds this is not reported
 DEFAULT_TOL_ROOT = 1e-11
 
 
@@ -290,13 +291,13 @@ def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
     return singular_residual, eigenvalues, vector_residual
 
 
-def _degree_one_roots(lam, z, p_coeffs, tol_root) -> np.ndarray:
+def _degree_one_roots(lam, z, p_coeffs) -> np.ndarray:
     """Roots of P via the companion matrix, each polished by Newton on f_1; shape (N - 1, 1)."""
     polished = []
     for w in np.roots(p_coeffs):
         for _ in range(50):
             fw = np.sum(lam / (w - z))
-            if abs(fw) <= 0.1 * tol_root:
+            if abs(fw) <= 0.1 * DEFAULT_TOL_ROOT:
                 break
             dfw = -np.sum(lam / (w - z) ** 2)
             if dfw == 0:
@@ -339,7 +340,7 @@ def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
     return [np.roots(y[::-1]) for y in np.linalg.svd(mats)[2][:, -1].conj()]
 
 
-def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root) -> np.ndarray:
+def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed) -> np.ndarray:
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
     The last `count` right singular vectors of the Shapovalov-scaled total E
@@ -361,17 +362,17 @@ def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol
     rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
     w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
     w, res = _polish(lam, z, w.reshape(-1, m))
-    return w[res <= tol_root]
+    return w[res <= DEFAULT_TOL_ROOT]
 
 
-def _collapse(lam, z, rows: np.ndarray, tol_root) -> list:
+def _collapse(lam, z, rows: np.ndarray) -> list:
     """Report root sets closer than 1e-7 times the site-point scale once, with their count.
 
     A double root of P splits numerically by about sqrt(machine epsilon), so
     the collapse width is 1e-7 times the site-point scale; genuinely distinct
     desk-scale roots sit far above it.  Each group is reported as its
     mean, with multiplicity the group size; a lone root set whose residual
-    exceeds tol_root is dropped.  Returns (roots, residual, multiplicity) in
+    exceeds DEFAULT_TOL_ROOT is dropped.  Returns (roots, residual, multiplicity) in
     canonical order.
     """
     tol = 1e-7 * _z_scale(z)
@@ -388,20 +389,20 @@ def _collapse(lam, z, rows: np.ndarray, tol_root) -> list:
     for group in groups:
         roots = np.mean(group, axis=0)
         residual = max(abs(f) for f in _residuals(lam, z, roots))
-        if len(group) == 1 and not residual <= tol_root:
+        if len(group) == 1 and not residual <= DEFAULT_TOL_ROOT:
             continue
         out.append((roots, residual, len(group)))
     return out
 
 
-def solve_bethe_numeric(weights, z, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=DEFAULT_SEED):
+def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     """Solve the Bethe system for arbitrary complex site points z.
 
     Returns the solutions found, canonically sorted, each annotated with its
     eigenvalue tuple and the eigen/singularity residuals of the reconstructed
     Bethe vector.  For m >= 2 each of the singular_dimension(weights, m)
     singular joint eigenvectors gives one candidate; a candidate whose polish
-    misses tol_root is left out, so callers compare len(result) with
+    misses DEFAULT_TOL_ROOT is left out, so callers compare len(result) with
     singular_dimension.  Root sets that agree to the collapse width are
     reported once with their multiplicity.  seed draws the random combination
     of Hamiltonians whose eigenvectors separate the singular subspace.
@@ -418,11 +419,11 @@ def solve_bethe_numeric(weights, z, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=D
     hams = [hamiltonian_array(weights, z, i, m) for i in range(len(weights))]
     polys = _site_polynomials(lam, z)
     if m == 1:
-        rows = _degree_one_roots(lam, z, polys[0], tol_root)
+        rows = _degree_one_roots(lam, z, polys[0])
     else:
-        rows = _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed, tol_root)
+        rows = _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed)
 
-    collapsed = _collapse(lam, z, rows, tol_root)
+    collapsed = _collapse(lam, z, rows)
     if not collapsed:
         return []
     roots = np.array([mean for mean, _, _ in collapsed])
@@ -440,10 +441,10 @@ def solve_bethe_numeric(weights, z, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=D
     ]
 
 
-def solve_bethe(spec: ModelSpec, m: int, *, tol_root=DEFAULT_TOL_ROOT, seed=DEFAULT_SEED):
+def solve_bethe(spec: ModelSpec, m: int, *, seed=DEFAULT_SEED):
     """Solve the Bethe system of a model instance (see solve_bethe_numeric)."""
     z = np.array([complex(x) for x in spec.z])
-    return solve_bethe_numeric(spec.weights, z, m, tol_root=tol_root, seed=seed)
+    return solve_bethe_numeric(spec.weights, z, m, seed=seed)
 
 
 @dataclass
@@ -453,8 +454,11 @@ class SolutionReport:
     ok: bool
 
 
-def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution, tol=1e-9) -> SolutionReport:
-    """Recompute the Bethe vector and its residuals from the spec, reading only sol.roots."""
+def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution) -> SolutionReport:
+    """Recompute the Bethe vector and its residuals from the spec, reading only sol.roots.
+
+    ok means both residuals are at most DEFAULT_TOL.
+    """
     roots = np.asarray(sol.roots, dtype=complex)
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
@@ -465,5 +469,5 @@ def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution, tol=1e-9) -> So
     return SolutionReport(
         singular_residual=singular_residual,
         vector_residual=vector_residual,
-        ok=(singular_residual <= tol and vector_residual <= tol),
+        ok=(singular_residual <= DEFAULT_TOL and vector_residual <= DEFAULT_TOL),
     )

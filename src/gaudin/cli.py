@@ -15,14 +15,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .bethe import DEFAULT_TOL_ROOT, solve_bethe
-from .eigenbasis import (
-    DEFAULT_TOL,
-    DEFAULT_TOL_RANK,
-    CompletenessError,
-    DiagonalizationError,
-    build_eigenbasis,
-)
+from .bethe import solve_bethe
+from .eigenbasis import DEFAULT_TOL, CompletenessError, DiagonalizationError, build_eigenbasis
 from .hamiltonians import _integer_family, _level_report, _scale
 from .singular import (
     singular_basis_gordan,
@@ -184,7 +178,7 @@ def cmd_singular(args) -> int:
 def cmd_eigenbasis(args) -> int:
     spec = _load_spec(args.spec)
     m_max = args.m_max if args.m_max is not None else spec.min_weight
-    basis = build_eigenbasis(spec, m_max, tol=args.tol, tol_rank=args.tol_rank, seed=args.seed)
+    basis = build_eigenbasis(spec, m_max, seed=args.seed)
     levels = []
     rows = []
     for m, level in enumerate(basis.levels):
@@ -217,7 +211,7 @@ def cmd_bethe(args) -> int:
     if m is None:
         print("error: --m is required for the bethe command", file=sys.stderr)
         return EXIT_INPUT
-    solutions = solve_bethe(spec, m, tol_root=args.tol_root, seed=args.seed)
+    solutions = solve_bethe(spec, m, seed=args.seed)
     entries = []
     rows = []
     for j, sol in enumerate(solutions):
@@ -273,9 +267,6 @@ def cmd_bethe(args) -> int:
 _FLAGS = {
     "--m": dict(type=int, default=None, help="spin deviation level"),
     "--m-max": dict(dest="m_max", type=int, default=None),
-    "--tol": dict(type=float, default=DEFAULT_TOL),
-    "--tol-root": dict(dest="tol_root", type=float, default=DEFAULT_TOL_ROOT),
-    "--tol-rank": dict(dest="tol_rank", type=float, default=DEFAULT_TOL_RANK),
     "--seed": dict(type=int, default=DEFAULT_SEED),
     "--emit-matrices": dict(
         dest="emit_matrices",
@@ -288,8 +279,8 @@ _COMMANDS = {
     "decompose": (cmd_decompose, ()),
     "verify": (cmd_verify, ("--emit-matrices",)),
     "singular": (cmd_singular, ("--m",)),
-    "eigenbasis": (cmd_eigenbasis, ("--m-max", "--tol", "--tol-rank", "--seed")),
-    "bethe": (cmd_bethe, ("--m", "--tol-root", "--seed")),
+    "eigenbasis": (cmd_eigenbasis, ("--m-max", "--seed")),
+    "bethe": (cmd_bethe, ("--m", "--seed")),
 }
 
 

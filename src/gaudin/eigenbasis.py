@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import _float_array, _integer_family, _scale, vacuum_eigenvalue
+from .hamiltonians import _float_array, _integer_family, _scale
 from .rational_linalg import _cleared
 from .singular import _kernel_vectors
 from .sl2 import (
@@ -33,6 +33,8 @@ from .sl2 import (
     enumerate_weight_space,
 )
 
+# fixed gates: an eigenvector residual above DEFAULT_TOL, or a level whose
+# stacked coordinates have a singular value at or below DEFAULT_TOL_RANK, fails
 DEFAULT_TOL = 1e-9
 DEFAULT_TOL_RANK = 1e-8
 # eigenvalues of the combination closer than this fraction of its spread form
@@ -175,19 +177,19 @@ def _level_family(spec: ModelSpec, m: int):
     return scale, ints, [_float_array(op, scale) for op in ints]
 
 
-def diagonalize_singular(spec: ModelSpec, m: int, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
     The exact kernel basis of the total raising operator is checked exactly
     to be invariant under every H_i, scaled by S^1/2 and orthonormalized; the
     symmetric restrictions are jointly diagonalized (seed draws the
     combination).  Eigenvectors are returned in V_m coordinates with unit
-    norm and verified residuals.
+    norm and residuals verified against DEFAULT_TOL.
     """
-    return _diagonalize_level(spec, m, None, tol, seed)
+    return _diagonalize_level(spec, m, None, seed)
 
 
-def _diagonalize_level(spec: ModelSpec, m: int, family, tol, seed):
+def _diagonalize_level(spec: ModelSpec, m: int, family, seed):
     """diagonalize_singular with the level family of _level_family(spec, m), or None to build it."""
     raise_e = build_total_generator("E", spec, m)
     kernel = _kernel_vectors(raise_e)
@@ -207,9 +209,9 @@ def _diagonalize_level(spec: ModelSpec, m: int, family, tol, seed):
     eigenvalues = eigs.astype(complex)
     residuals = _residual(ham_arrays, np.array(units).T, eigenvalues)
     worst = float(np.max(residuals))
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise DiagonalizationError(
-            f"singular-subspace eigenvector residual {worst:.3e} exceeds tol {tol:.1e}", worst
+            f"singular-subspace eigenvector residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst
         )
     out = [
         EigenVector(
@@ -231,8 +233,6 @@ class EigenBasis:
     """Common eigenbasis per level, levels[m] holding dim V_m eigenvectors."""
 
     spec: ModelSpec
-    tol: float
-    tol_rank: float
     levels: list
 
     def singular_at(self, m: int):
@@ -242,35 +242,21 @@ class EigenBasis:
         return [v for v in self.levels[m] if v.origin != "singular"]
 
 
-def build_eigenbasis(
-    spec: ModelSpec,
-    m_max: int,
-    tol=DEFAULT_TOL,
-    tol_rank=DEFAULT_TOL_RANK,
-    seed=DEFAULT_SEED,
-) -> EigenBasis:
+def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBasis:
     """Recursive construction of the common eigenbasis through level m_max.
 
-    Level 0 is the vacuum with exact eigenvalues.  Each later level is the
-    union of the normalized images of the previous level under the total
-    lowering operator (eigenvalue tuples copied unchanged) and the singular
-    eigenvectors of the level.  Completeness is verified by counting and by
-    the smallest singular value of the stacked coordinate matrix.
+    Level 0 is the singular subspace of V_0, the vacuum, with exact
+    eigenvalues.  Each later level is the union of the normalized images of
+    the previous level under the total lowering operator (eigenvalue tuples
+    copied unchanged) and the singular eigenvectors of the level.  Every
+    vector's residual is gated by DEFAULT_TOL; completeness is verified by
+    counting and by the smallest singular value of the stacked coordinate
+    matrix against DEFAULT_TOL_RANK.
     """
     if not 0 <= m_max <= spec.min_weight:
         raise ValueError(f"m_max must lie in 0..min(weights) = {spec.min_weight}")
 
-    vacuum = EigenVector(
-        m=0,
-        coords=np.array([1.0 + 0.0j]),
-        eigenvalues=np.array(
-            [complex(float(vacuum_eigenvalue(spec, i)), 0.0) for i in range(spec.n_sites)]
-        ),
-        origin="singular",
-        residual=0.0,
-        exact_eigenvalues=tuple(vacuum_eigenvalue(spec, i) for i in range(spec.n_sites)),
-    )
-    levels = [[vacuum]]
+    levels = [_diagonalize_level(spec, 0, None, seed)]
 
     for m in range(1, m_max + 1):
         lower_f = build_total_generator("F", spec, m - 1).to_array(float)
@@ -288,9 +274,9 @@ def build_eigenbasis(
         eigenvalues = np.array([parent.eigenvalues for parent in parents])
         residuals = _residual(ham_arrays, np.array(units).T, eigenvalues.T)
         worst = float(np.max(residuals))
-        if worst > tol:
+        if worst > DEFAULT_TOL:
             raise DiagonalizationError(
-                f"lowered-vector residual {worst:.3e} exceeds tol {tol:.1e}", worst
+                f"lowered-vector residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst
             )
         level = [
             EigenVector(
@@ -308,7 +294,7 @@ def build_eigenbasis(
             )
         ]
 
-        level.extend(_diagonalize_level(spec, m, family, tol, seed))
+        level.extend(_diagonalize_level(spec, m, family, seed))
 
         dim = enumerate_weight_space(spec, m).dim
         if len(level) != dim:
@@ -317,13 +303,13 @@ def build_eigenbasis(
             )
         stacked = np.array([v.coords for v in level])
         min_sv = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-        if min_sv <= tol_rank:
+        if min_sv <= DEFAULT_TOL_RANK:
             raise CompletenessError(
-                f"level {m} stacked matrix min singular value {min_sv:.3e} <= {tol_rank:.1e}"
+                f"level {m} stacked matrix min singular value {min_sv:.3e} <= {DEFAULT_TOL_RANK:.1e}"
             )
         levels.append(level)
 
-    return EigenBasis(spec, tol, tol_rank, levels)
+    return EigenBasis(spec, levels)
 
 
 @dataclass
@@ -341,12 +327,13 @@ class NonSingularityReport:
     checks: list
 
 
-def verify_nonsingularity(basis: EigenBasis, m: int, tol=DEFAULT_TOL) -> NonSingularityReport:
+def verify_nonsingularity(basis: EigenBasis, m: int) -> NonSingularityReport:
     """Check that lowered vectors at level m are nonsingular, with the exact scalar.
 
     For v = F u with u lowered k times from a singular ancestor,
     E v = (k+1) (sum(weights) - 2(m-1) + k) u holds up to the stored
-    normalization, and the integer scalar is strictly positive.
+    normalization (relative error at most DEFAULT_TOL), and the integer
+    scalar is strictly positive.
     """
     spec = basis.spec
     raise_e = build_total_generator("E", spec, m).to_array(float)
@@ -364,7 +351,7 @@ def verify_nonsingularity(basis: EigenBasis, m: int, tol=DEFAULT_TOL) -> NonSing
         scale = max(np.max(np.abs(image)), 1e-300)
         rel = float(np.max(np.abs(image - predicted)) / scale)
         worst = max(worst, rel)
-        if rel > tol or scalar <= 0:
+        if rel > DEFAULT_TOL or scalar <= 0:
             ok = False
         checks.append(NonSingularityCheck(j, k + 1, scalar, rel))
     return NonSingularityReport(ok, worst, checks)

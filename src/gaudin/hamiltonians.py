@@ -151,16 +151,6 @@ class VerifyReport:
         return self.commuting and self.sum_zero and self.symmetry_commute
 
 
-def _integer_operator(op: SparseOperator, scale: int) -> SparseOperator:
-    """scale * op with int entries; scale must clear every entry's denominator."""
-    out = SparseOperator(op.domain, op.codomain)
-    out.cols = [
-        {r: v.numerator * (scale // v.denominator) for r, v in colmap.items()}
-        for colmap in op.cols
-    ]
-    return out
-
-
 def _products_equal(a: SparseOperator, b: SparseOperator, c: SparseOperator, d: SparseOperator) -> bool:
     """a @ b == c @ d exactly, without building either product.
 
@@ -202,7 +192,7 @@ def _level_report(spec: ModelSpec, m: int, below, here, above) -> VerifyReport:
     return VerifyReport(commuting, sum_zero, symmetry)
 
 
-def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
+def verify_family(spec: ModelSpec, m: int) -> VerifyReport:
     """Exact checks of the Hamiltonian family on V_m.  Never raises on failure.
 
     commuting:        [H_i, H_j] = 0 for all pairs.
@@ -212,20 +202,12 @@ def verify_family(spec: ModelSpec, m: int, matrices=None) -> VerifyReport:
                       using the Hamiltonians built on each relevant degree.
 
     Every identity is checked on the integer matrices D H_i, with
-    D = _scale(spec.z) or, when matrices are given, the lcm of it and of
-    their entries' denominators.
+    D = _scale(spec.z).
     """
     scale = _scale(spec.z)
-    if matrices is None:
-        matrices = _integer_family(spec, m, scale)
-    else:
-        scale = math.lcm(
-            scale, *(v.denominator for op in matrices for colmap in op.cols for v in colmap.values())
-        )
-        matrices = [_integer_operator(op, scale) for op in matrices]
     below = _integer_family(spec, m - 1, scale) if m >= 1 else None
     above = _integer_family(spec, m + 1, scale) if m < spec.total_weight else None
-    return _level_report(spec, m, below, matrices, above)
+    return _level_report(spec, m, below, _integer_family(spec, m, scale), above)
 
 
 def independent_count(spec: ModelSpec, m: int) -> int:

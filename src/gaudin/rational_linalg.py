@@ -71,7 +71,7 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_integer_rref(rows)[1])
 
 
 def nullspace(rows, n_cols=None):

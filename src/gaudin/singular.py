@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .rational_linalg import nullspace
 from .sl2 import (
+    _bounded_compositions,
     build_total_generator,
     enumerate_weight_space,
     _weights_of,
@@ -142,12 +143,7 @@ def apply_P(spec_or_weights, k: int, u, m: int):
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return _bounded_compositions((total,) * parts, total)
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,11 @@ def apply_site_generator(gen: str, site: int, state: tuple[int, ...], weights):
     the image vanishes (E on n=0, or F past the top of the
     finite-dimensional module).
     """
-    weights = _weights_of(weights)
+    return _site_action(gen, site, state, _weights_of(weights))
+
+
+def _site_action(gen: str, site: int, state: tuple[int, ...], weights: tuple[int, ...]):
+    """apply_site_generator on a weight tuple that is already normalized."""
     n = state[site]
     lam = weights[site]
     if gen == "H":
@@ -304,7 +308,7 @@ def _generator_on_sites(gen: str, sites, weights, m: int) -> SparseOperator:
     op = SparseOperator.zero(dom, cod)
     for col, state in enumerate(dom.states):
         for site in sites:
-            hit = apply_site_generator(gen, site, state, weights)
+            hit = _site_action(gen, site, state, weights)
             if hit is None:
                 continue
             coeff, new_state = hit

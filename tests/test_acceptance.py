@@ -97,7 +97,7 @@ def test_criterion_3_gordan_basis():
 def test_criterion_4_eigenbasis_completeness():
     def check():
         for spec in SPECS:
-            basis = build_eigenbasis(spec, spec.min_weight, tol=1e-9, tol_rank=1e-8)
+            basis = build_eigenbasis(spec, spec.min_weight)
             for m in range(spec.min_weight + 1):
                 level = basis.levels[m]
                 assert len(level) == enumerate_weight_space(spec, m).dim

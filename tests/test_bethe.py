@@ -443,7 +443,7 @@ class TestSolveBethe:
 class TestVerification:
     def test_true_solution_verifies(self):
         (sol,) = solve_bethe(SPEC2, 1)
-        report = verify_solution(SPEC2, 1, sol, tol=1e-9)
+        report = verify_solution(SPEC2, 1, sol)
         assert report.ok
         assert report.singular_residual < 1e-12
         assert report.vector_residual < 1e-12
@@ -458,7 +458,7 @@ class TestVerification:
             vector_residual=1.0,
             singular_residual=1.0,
         )
-        report = verify_solution(SPEC2, 1, fake, tol=1e-9)
+        report = verify_solution(SPEC2, 1, fake)
         assert not report.ok
         assert report.singular_residual > 1e-3
 
@@ -576,7 +576,7 @@ class TestBatchedLayer:
                         y = np.linalg.svd(reference)[2][-1].conj()
                         assert np.array_equal(rows[s], np.roots(y[::-1]))
 
-    def test_linear_collapse_matches_nested_loop(self):
+    def test_linear_collapse_matches_nested_loop(self, monkeypatch):
         rng = np.random.default_rng(99)
         lam = np.array([2.0, 1.0, 3.0, 2.0])
         z = np.array([0.0, 1.0, 2.5, -1.5], dtype=complex)
@@ -598,16 +598,19 @@ class TestBatchedLayer:
         cases.append(np.array([[y + 1.5 * tol, x], [x, y], [x + 2e-9, y + 0.75 * tol]]))
         double_z = np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)])
         double_lam = np.ones(3)
-        double = _degree_one_roots(double_lam, double_z, _site_polynomials(double_lam, double_z)[0], 1e-11)
+        double = _degree_one_roots(double_lam, double_z, _site_polynomials(double_lam, double_z)[0])
         for lam_, z_, rows in [(lam, z, rows) for rows in cases] + [(double_lam, double_z, double)]:
             for tol_root in (np.inf, 1e-11):
-                got = _collapse(lam_, z_, rows, tol_root)
+                monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", tol_root)
+                got = _collapse(lam_, z_, rows)
                 want = collapse_reference(lam_, z_, rows, tol_root)
                 assert len(got) == len(want)
                 for (a, res_a, mult_a), (b, res_b, mult_b) in zip(got, want):
                     assert np.array_equal(a, b) and res_a == res_b and mult_a == mult_b
-        assert [mult for _, _, mult in _collapse(lam, z, cases[-1], np.inf)] == [2, 1]
-        assert [mult for _, _, mult in _collapse(double_lam, double_z, double, 1e-11)] == [2]
+        monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", np.inf)
+        assert [mult for _, _, mult in _collapse(lam, z, cases[-1])] == [2, 1]
+        monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", 1e-11)
+        assert [mult for _, _, mult in _collapse(double_lam, double_z, double)] == [2]
 
     def test_gather_bethe_vectors_match_exact_lowering(self, rng):
         specs = [random_spec(rng, n_max=4, lam_max=3) for _ in range(6)]
@@ -664,7 +667,8 @@ class TestEdgeInputs:
             for m in range(spec.total_weight // 2 + 1, spec.total_weight + 1):
                 assert solve_bethe(spec, m) == []
         # candidates exist, but none passes the polish gate
-        assert solve_bethe(ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3))), 2, tol_root=-1.0) == []
+        monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", -1.0)
+        assert solve_bethe(ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3))), 2) == []
 
     def test_one_vector_kernel_takes_the_single_column_residual(self, monkeypatch):
         calls = []

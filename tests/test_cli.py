@@ -60,11 +60,17 @@ class TestDecompose:
         assert lines[0] == "m,dim,binomial,truncated"
         assert len(lines) == 4
 
-    def test_flag_of_another_command_is_rejected(self, spec_file, capsys):
+    # the verification gates are constants: eigenbasis and bethe take no flag to set them
+    @pytest.mark.parametrize(
+        "command",
+        ["decompose --n-starts", "eigenbasis --tol", "eigenbasis --tol-rank", "bethe --tol-root"],
+    )
+    def test_flag_of_another_command_is_rejected(self, spec_file, capsys, command):
+        name, flag = command.split()
         with pytest.raises(SystemExit) as exc:
-            main(["decompose", "--spec", spec_file(SPEC_11), "--n-starts", "5"])
+            main([name, "--spec", spec_file(SPEC_11), flag, "5"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --n-starts 5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 class TestVerify:

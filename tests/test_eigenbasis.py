@@ -191,7 +191,7 @@ class TestBuildEigenbasis:
         monkeypatch.setattr(eigenbasis, "_integer_family", counting)
         spec = ladder_spec((3, 3, 3, 3))
         basis = build_eigenbasis(spec, 3)
-        assert built == [1, 2, 3]
+        assert built == [0, 1, 2, 3]
         for m in (1, 2, 3):
             alone = diagonalize_singular(spec, m)
             assert len(alone) == len(basis.singular_at(m))
@@ -213,7 +213,19 @@ class TestBuildEigenbasis:
     def test_level_zero_unique(self):
         basis = build_eigenbasis(SPEC2, 0)
         assert len(basis.levels[0]) == 1
-        assert basis.levels[0][0].origin == "singular"
+        vacuum = basis.levels[0][0]
+        assert vacuum.origin == "singular"
+        # the singular subspace of V_0 is the vacuum, with its exact eigenvalues
+        assert np.array_equal(vacuum.coords, [1.0 + 0.0j]) and vacuum.residual == 0.0
+        assert vacuum.exact_eigenvalues == (Fraction(-1, 2), Fraction(1, 2))
+
+    def test_level_zero_passes_the_residual_gate(self, monkeypatch):
+        def too_large(ham_arrays, vecs, eigenvalues):
+            return np.full(vecs.shape[1], 10 * eigenbasis.DEFAULT_TOL)
+
+        monkeypatch.setattr(eigenbasis, "_residual", too_large)
+        with pytest.raises(DiagonalizationError):
+            build_eigenbasis(ladder_spec((2, 3, 3, 4)), 0)
 
     def test_eigenvalue_inheritance_is_copy(self, rng):
         spec = random_spec(rng, n_max=4, lam_max=3)

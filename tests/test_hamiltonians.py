@@ -21,6 +21,7 @@ import gaudin.hamiltonians as hamiltonians
 from gaudin.hamiltonians import (
     _float_array,
     _integer_family,
+    _level_report,
     _pair_terms,
     _products_equal,
     _scale,
@@ -33,6 +34,17 @@ from conftest import random_spec
 
 
 SPEC2 = ModelSpec((1, 1), (Fraction(0), Fraction(1)))
+
+
+def integer_family(spec, m):
+    return _integer_family(spec, m, _scale(spec.z))
+
+
+def level_report(spec, m, here):
+    """verify_family's checks on V_m with the integer family D H_i replaced by here."""
+    below = integer_family(spec, m - 1) if m >= 1 else None
+    above = integer_family(spec, m + 1) if m < spec.total_weight else None
+    return _level_report(spec, m, below, here, above)
 
 
 class TestVacuum:
@@ -98,35 +110,25 @@ class TestVerifyFamily:
 
     def test_tampered_matrix_detected(self):
         spec = ModelSpec((1, 1, 1), (Fraction(0), Fraction(1), Fraction(2)))
-        mats = hamiltonian_family(spec, 1).matrices
-        mats[0].add_term(0, 1, Fraction(1, 3))
-        report = verify_family(spec, 1, matrices=mats)
+        mats = integer_family(spec, 1)
+        assert level_report(spec, 1, mats).all_ok
+        mats[0].add_term(0, 1, 1)
+        report = level_report(spec, 1, mats)
         assert not report.commuting
         assert not report.sum_zero
         assert not report.all_ok
-
-    def test_entry_with_prime_denominator_detected(self):
-        # D = 42 for this ladder; 7919 is a prime coprime to it
-        spec = ladder_spec((2, 2, 2))
-        assert _scale(spec.z) == 42
-        for m in (1, 2):
-            mats = hamiltonian_family(spec, m).matrices
-            mats[0].add_term(0, 1, Fraction(1, 7919))
-            report = verify_family(spec, m, matrices=mats)
-            assert not report.commuting
-            assert not report.sum_zero
 
     def test_shift_by_identity_breaks_only_the_intertwining(self):
         # H_i + c_i I with sum c_i = 0 still commutes and sums to zero, but
         # no longer intertwines with E; at the top level there is no F check
         spec = ladder_spec((1, 2, 2))
-        shifts = (Fraction(1, 5), Fraction(-3), Fraction(14, 5))
+        shifts = (1, -3, 2)
         for m in (1, spec.total_weight):
-            mats = hamiltonian_family(spec, m).matrices
+            mats = integer_family(spec, m)
             for mat, c in zip(mats, shifts):
                 for k in range(mat.domain.dim):
                     mat.add_term(k, k, c)
-            report = verify_family(spec, m, matrices=mats)
+            report = level_report(spec, m, mats)
             assert report.commuting and report.sum_zero
             assert not report.symmetry_commute
 
@@ -140,7 +142,7 @@ class TestVerifyFamily:
                 mats = [SparseOperator.zero(space, space) for _ in range(n)]
                 mats[a].add_term(0, 1, 1)
                 mats[b].add_term(1, 0, 1)
-                assert not verify_family(spec, 1, matrices=mats).commuting
+                assert not level_report(spec, 1, mats).commuting
 
 
 
