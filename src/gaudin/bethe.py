@@ -33,7 +33,6 @@ only the exact-algebra layer restricts z to rationals.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,7 +48,7 @@ from .sl2 import (
     build_site_operator,
     build_total_generator,
     enumerate_weight_space,
-    _space,
+    _lowering_map,
     _weights_of,
 )
 
@@ -87,26 +86,6 @@ def _check_off_poles(z: np.ndarray, w: np.ndarray) -> None:
     near = np.min(np.abs(w[..., None] - z), axis=-1) < 1e-12 * _z_scale(z)
     if near.any():
         raise ValueError(f"lowering field evaluated at a pole: w={w[near][0]}")
-
-
-@functools.lru_cache(maxsize=None)
-def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
-    """Read-only index map of the site lowering operators from V_m to V_{m+1}, cached.
-
-    F^(k) sends the basis vector F^n v to F^(n + e_k) v with coefficient 1,
-    so row t of F(w) holds 1 / (w - z_k) in column src[t, k], the V_m index
-    of t - e_k, for every site k with n_k(t) > 0.  Where n_k(t) = 0,
-    src[t, k] = dim V_m, a sentinel that points at an appended zero.
-    """
-    domain = enumerate_weight_space(weights, m)
-    codomain = _space(weights, m + 1)
-    src = np.full((codomain.dim, len(weights)), domain.dim, dtype=np.intp)
-    for t, state in enumerate(codomain.states):
-        for k, n in enumerate(state):
-            if n:
-                src[t, k] = domain.index[state[:k] + (n - 1,) + state[k + 1 :]]
-    src.flags.writeable = False
-    return src
 
 
 def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

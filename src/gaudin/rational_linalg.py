@@ -2,14 +2,15 @@
 
 Matrices are plain lists of row lists of ints or Fractions.  Each row is
 cleared of denominators (multiplied by the lcm of its entries' denominators)
-and Gauss-Jordan runs fraction-free on Python ints: a row is eliminated by
+and elimination runs fraction-free on Python ints: a row is eliminated by
 integer cross-multiplication with the pivot row, and every row is kept
 primitive (divided by the gcd of its entries), which keeps the integers
 small (Bareiss, Math. Comp. 22, 1968, divides by the previous pivot
-instead).  Only the final division of each pivot row by its pivot makes
-Fractions.  The reduced row echelon form is unique, so this returns exactly
-what elimination in Fractions returns.  Desk-scale only: no pivot-size
-heuristics, no sparsity tricks.
+instead).  `rank` counts the pivots of a forward pass to echelon form;
+`rref` and `nullspace` back-substitute too, and only the final division of
+each pivot row by its pivot makes Fractions.  The reduced row echelon form
+is unique, so this returns exactly what elimination in Fractions returns.
+Desk-scale only: no pivot-size heuristics, no sparsity tricks.
 """
 
 from __future__ import annotations
@@ -30,12 +31,17 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_rref(rows):
-    """Fraction-free Gauss-Jordan.  Returns (int_rows, pivot_columns).
+def _eliminate(mat, r: int, c: int, rows) -> None:
+    """Clear column c of the rows `rows` against pivot row r, keeping them primitive."""
+    p = mat[r][c]
+    for i in rows:
+        f = mat[i][c]
+        if f != 0:
+            mat[i] = _primitive([p * a - f * b for a, b in zip(mat[i], mat[r])])
 
-    Every row of int_rows is primitive (the gcd of its entries is 1, or the
-    row is zero); pivot row k is the reduced row k times its pivot entry.
-    """
+
+def _echelon(rows):
+    """Fraction-free forward pass to echelon form.  Returns (int_rows, pivot_columns)."""
     mat = [_primitive(_cleared(row)[1]) for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if mat else 0
@@ -48,14 +54,18 @@ def _integer_rref(rows):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        prow = mat[r]
-        p = prow[c]
-        for i in range(n_rows):
-            f = mat[i][c]
-            if i != r and f != 0:
-                mat[i] = _primitive([p * a - f * b for a, b in zip(mat[i], prow)])
+        _eliminate(mat, r, c, range(r + 1, n_rows))
         pivots.append(c)
         r += 1
+    return mat, pivots
+
+
+def _integer_rref(rows):
+    """(int_rows, pivot_columns) after the forward pass and back-substitution: every
+    row is primitive or zero, and pivot row k is the reduced row k times its pivot."""
+    mat, pivots = _echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        _eliminate(mat, r, pivots[r], range(r))
     return mat, pivots
 
 
@@ -71,7 +81,7 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(_integer_rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, n_cols=None):

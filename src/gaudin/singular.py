@@ -7,20 +7,27 @@ adjoining one site with the bilinear covariant-style operator
     P_k(u (x) v_lam) = sum_j (-1)^j C(k,j) (k-j-lam)_j / (-mu)_j  F_tot^j u (x) F^{k-j} v_lam,
 
 where mu is the SL(2) weight of the left factor u and (x)_j is the rising
-factorial.  The kernel route computes the exact rational nullspace of the
-total raising operator and is valid for every m, including the truncated
-regime m > min(weights) where the Gordan route is not offered.
+factorial.  Compositions sharing a prefix share its vector: a depth-first walk
+over the prefix tree, in Python ints, holds each node's u as a primitive int
+vector times one Fraction, gathers its lowering chain F_tot^t u once through
+the cached index map of sl2, and combines it with each child's coefficients
+cleared by their lcm.  The kernel route computes the exact rational nullspace
+of the total raising operator and is valid for every m, including the
+truncated regime m > min(weights) where the Gordan route is not offered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational_linalg import nullspace
+from .rational_linalg import _cleared, nullspace
 from .sl2 import (
     _bounded_compositions,
+    _lowering_map,
+    _space,
     build_total_generator,
     enumerate_weight_space,
     _weights_of,
@@ -70,6 +77,7 @@ class GordanCoefficients:
     coeffs: tuple
 
 
+@functools.lru_cache(maxsize=None)
 def gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
     """Coefficients c_k = (-1)^k C(m,k) (m-k-lambda2)_k / (-lambda1)_k, k = 0..m.
 
@@ -94,6 +102,32 @@ def gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
     return GordanCoefficients(m, l1, l2, tuple(coeffs))
 
 
+def _adjoin(prefix: tuple, lam_last: int, degree: int, u: list, ks) -> list:
+    """P_k u for each k in ks (ascending), u a nonzero int vector over V_degree(prefix).
+
+    The lowering chain F_tot^t u grows to t = k as each k needs it, so every
+    k shares it.  Returns one (k, w, factor) per k with P_k u = factor * w and
+    w a primitive int vector over V_{degree+k}(prefix + (lam_last,)).
+    """
+    chain = [u]
+    out = []
+    for k in ks:
+        lcm, coeffs = _cleared(gordan_coefficients(k, sum(prefix) - 2 * degree, lam_last).coeffs)
+        while len(chain) <= k:
+            padded = chain[-1] + [0]
+            src = _lowering_map(prefix, degree + len(chain) - 1).tolist()
+            chain.append([sum(map(padded.__getitem__, row)) for row in src])
+        index = _space(prefix + (lam_last,), degree + k).index
+        w = [0] * len(index)
+        for j in range(max(0, k - lam_last), k + 1):
+            for state, x in zip(_space(prefix, degree + j).states, chain[j]):
+                if x:
+                    w[index[state + (k - j,)]] += coeffs[j] * x
+        g = math.gcd(*w) or 1
+        out.append((k, [x // g for x in w], Fraction(g, lcm)))
+    return out
+
+
 def apply_P(spec_or_weights, k: int, u, m: int):
     """Adjoin the last site to a weight vector of the first N-1 sites.
 
@@ -106,39 +140,16 @@ def apply_P(spec_or_weights, k: int, u, m: int):
     where mu = sum(weights[:-1]) - 2(m-k) is the SL(2) weight of u.
     """
     weights = _weights_of(spec_or_weights)
-    prefix = weights[:-1]
-    lam_last = weights[-1]
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
-    degree = m - k
-    dom = enumerate_weight_space(prefix, degree)
     u = [Fraction(x) for x in u]
-    if len(u) != dom.dim:
+    if len(u) != enumerate_weight_space(weights[:-1], m - k).dim:
         raise ValueError("u does not match the prefix weight space dimension")
     if all(x == 0 for x in u):
         raise ValueError("u must be nonzero")
-    mu = sum(prefix) - 2 * degree
-    cg = gordan_coefficients(k, mu, lam_last)
-
-    target = enumerate_weight_space(weights, m)
-    out = [Fraction(0)] * target.dim
-    cur = u
-    cur_space = dom
-    for j in range(k + 1):
-        n_last = k - j
-        if n_last <= lam_last and cg.coeffs[j] != 0:
-            cj = cg.coeffs[j]
-            for idx, val in enumerate(cur):
-                if val == 0:
-                    continue
-                pos = target.index.get(cur_space.states[idx] + (n_last,))
-                if pos is not None:
-                    out[pos] += cj * val
-        if j < k:
-            f_op = build_total_generator("F", prefix, degree + j)
-            cur = f_op.apply(cur)
-            cur_space = f_op.codomain
-    return out
+    lcm, ints = _cleared(u)
+    ((_, w, factor),) = _adjoin(weights[:-1], weights[-1], m - k, ints, (k,))
+    return [x * factor / lcm for x in w]
 
 
 def compositions(total: int, parts: int):
@@ -165,11 +176,12 @@ class SingularBasis:
 
 
 def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
-    """One singular vector per composition of m into N-1 parts.
+    """One singular vector per composition of m into N-1 parts, in lex order.
 
-    Iterates apply_P over site prefixes: the composition entry k_1 is used
-    when adjoining site 2, k_2 when adjoining site 3, and so on.  Only valid
-    for m <= min(weights); the kernel route covers the truncated regime.
+    The composition entry k_1 is used when adjoining site 2, k_2 when
+    adjoining site 3, and so on.  A depth-first walk over the prefix tree,
+    children in ascending k, runs the adjoin step once per prefix.  Only
+    valid for m <= min(weights); the kernel route covers the truncated regime.
     """
     weights = _weights_of(spec_or_weights)
     if m > min(weights):
@@ -177,17 +189,18 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
             f"Gordan construction requires m <= min(weights) = {min(weights)}, got m={m}"
         )
     n = len(weights)
-    labels = []
-    vectors = []
-    for comp in compositions(m, n - 1):
-        u = [Fraction(1)]
-        degree = 0
-        for j in range(2, n + 1):
-            degree += comp[j - 2]
-            u = apply_P(weights[:j], comp[j - 2], u, degree)
-        labels.append(comp)
-        vectors.append(tuple(u))
-    return SingularBasis(m, tuple(labels), tuple(vectors))
+
+    def walk(label, degree, u, factor):
+        j = len(label) + 1
+        if j == n:
+            yield label, tuple(x * factor for x in u)
+            return
+        ks = (m - degree,) if j == n - 1 else range(m - degree + 1)
+        for k, w, step in _adjoin(weights[:j], weights[j], degree, u, ks):
+            yield from walk(label + (k,), degree + k, w, factor * step)
+
+    labels, vectors = zip(*walk((), 0, [1], Fraction(1)))
+    return SingularBasis(m, labels, vectors)
 
 
 def _kernel_vectors(raise_e) -> tuple:

@@ -133,6 +133,26 @@ def enumerate_weight_space(spec_or_weights, m: int) -> WeightSpace:
     return _space(weights, m)
 
 
+@functools.lru_cache(maxsize=None)
+def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
+    """Read-only index map of the site lowering operators from V_m to V_{m+1}, cached.
+
+    F^(k) sends the basis vector F^n v to F^(n + e_k) v with coefficient 1,
+    so row t of F^(k) holds 1 in column src[t, k], the V_m index of t - e_k,
+    for every site k with n_k(t) > 0.  Where n_k(t) = 0, src[t, k] = dim V_m,
+    a sentinel that points at an appended zero.
+    """
+    domain = enumerate_weight_space(weights, m)
+    codomain = _space(weights, m + 1)
+    src = np.full((codomain.dim, len(weights)), domain.dim, dtype=np.intp)
+    for t, state in enumerate(codomain.states):
+        for k, n in enumerate(state):
+            if n:
+                src[t, k] = domain.index[state[:k] + (n - 1,) + state[k + 1 :]]
+    src.flags.writeable = False
+    return src
+
+
 def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:
     """S(F^n v, F^n v) = prod_j n_j! lam_j! / (lam_j - n_j)! for each state n of V_m.
 

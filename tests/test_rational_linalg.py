@@ -185,3 +185,46 @@ class TestReferenceRref:
         assert rref(stacked) == reference_rref(stacked)
         monkeypatch.setattr(rational_linalg, "rref", reference_rref)
         assert basis == nullspace(stacked)
+
+
+def rank_deficient_rows(rng, n_cols):
+    """A tall matrix with zero rows, repeated rows and integer combinations of its rows."""
+    base = random_rational_matrix(rng, int(rng.integers(1, n_cols + 1)), n_cols)
+    rows = [list(r) for r in base]
+    rows.append([Fraction(0)] * n_cols)
+    rows.append(list(base[0]))
+    for _ in range(3):
+        a, b = (int(x) for x in rng.integers(-3, 4, size=2))
+        i, j = (int(x) for x in rng.integers(0, len(base), size=2))
+        rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
+    rows.append([Fraction(0)] * n_cols)
+    order = rng.permutation(len(rows))
+    return [rows[int(i)] for i in order]
+
+
+def assert_rank_consistent(rows):
+    n_cols = len(rows[0])
+    r = rank(rows)
+    assert r == len(reference_rref(rows)[1])
+    assert r == np.linalg.matrix_rank(np.array([[float(x) for x in row] for row in rows]))
+    assert r + len(nullspace(rows)) == n_cols
+
+
+class TestRankForwardPass:
+    def test_tall_rank_deficient_matrices(self, rng):
+        for _ in range(30):
+            rows = rank_deficient_rows(rng, int(rng.integers(1, 7)))
+            assert len(rows) > len(rows[0])
+            assert_rank_consistent(rows)
+
+    def test_all_zero_and_all_repeated(self):
+        assert_rank_consistent([[0, 0, 0]] * 5)
+        assert_rank_consistent([[Fraction(1, 2), F(-3), F(0), Fraction(7, 5)]] * 6)
+
+    def test_stacked_gordan_and_kernel_rows(self):
+        weights = (4,) * 5
+        spec = ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(5)))
+        stacked = [list(v) for v in singular_basis_gordan(spec, 4).vectors]
+        stacked += [list(v) for v in singular_basis_kernel(spec, 4).vectors]
+        assert len(stacked) > rank(stacked) == 35
+        assert_rank_consistent(stacked)

@@ -18,6 +18,7 @@ from gaudin import (
     singular_dimension,
     singular_dimension_formula,
 )
+from gaudin import singular
 from gaudin.rational_linalg import rank
 
 from conftest import random_spec
@@ -200,6 +201,107 @@ class TestGordanBasis:
     def test_unsupported_regime_raises(self):
         with pytest.raises(UnsupportedRegimeError):
             singular_basis_gordan((1, 3), 2)
+
+
+def fraction_apply_P(weights, k, u, m):
+    """Independent oracle: one adjoin step in Fractions through the sparse total F."""
+    prefix, lam_last = weights[:-1], weights[-1]
+    degree = m - k
+    coeffs = gordan_coefficients(k, sum(prefix) - 2 * degree, lam_last).coeffs
+    target = enumerate_weight_space(weights, m)
+    out = [Fraction(0)] * target.dim
+    cur = [Fraction(x) for x in u]
+    for j in range(k + 1):
+        if k - j <= lam_last:
+            states = enumerate_weight_space(prefix, degree + j).states
+            for state, val in zip(states, cur):
+                out[target.index[state + (k - j,)]] += coeffs[j] * val
+        if j < k:
+            cur = build_total_generator("F", prefix, degree + j).apply(cur)
+    return out
+
+
+def gordan_by_composition(weights, m):
+    """Labels and vectors folded composition by composition, one adjoin step per part."""
+    labels, vectors = [], []
+    for comp in compositions(m, len(weights) - 1):
+        u = [Fraction(1)]
+        degree = 0
+        for j in range(2, len(weights) + 1):
+            degree += comp[j - 2]
+            u = fraction_apply_P(weights[:j], comp[j - 2], u, degree)
+        labels.append(comp)
+        vectors.append(tuple(u))
+    return tuple(labels), tuple(vectors)
+
+
+# N = 2, lambda = 1, m = min(weights) and unequal weights
+TREE_SPECS = [
+    ((1, 1), 0),
+    ((1, 1), 1),
+    ((1, 2, 3, 4), 0),
+    ((1, 2, 3, 4), 1),
+    ((2, 3, 3, 4), 2),
+    ((3, 3, 3), 3),
+    ((4,) * 5, 4),
+    ((3,) * 7, 3),
+]
+
+
+class TestGordanPrefixTree:
+    @pytest.mark.parametrize("weights, m", TREE_SPECS)
+    def test_equals_composition_by_composition(self, weights, m):
+        basis = singular_basis_gordan(weights, m)
+        labels, vectors = gordan_by_composition(weights, m)
+        assert basis.labels == labels
+        assert basis.vectors == vectors
+        assert all(type(x) is Fraction for vec in basis.vectors for x in vec)
+
+    @pytest.mark.parametrize("weights, m", TREE_SPECS)
+    def test_adjoin_runs_once_per_prefix_node(self, weights, m, monkeypatch):
+        calls = []
+        adjoin = singular._adjoin
+
+        def counted(*args):
+            calls.append(args)
+            return adjoin(*args)
+
+        monkeypatch.setattr(singular, "_adjoin", counted)
+        singular_basis_gordan(weights, m)
+        n = len(weights)
+        assert len(calls) == math.comb(m + n - 1, m + 1)
+        if (weights, m) == ((3,) * 7, 3):
+            # against one step per part of each of the C(8, 3) compositions
+            assert len(calls) == 126 < 336 == (n - 1) * len(list(compositions(m, n - 1)))
+
+    def test_apply_P_matches_the_fraction_step(self, rng):
+        for _ in range(40):
+            spec = random_spec(rng, n_max=4, lam_max=4)
+            m = int(rng.integers(0, spec.min_weight + 1))
+            k = int(rng.integers(0, m + 1))
+            dim = enumerate_weight_space(spec.weights[:-1], m - k).dim
+            u = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 6))) for _ in range(dim)]
+            if not any(u):
+                u[0] = Fraction(1)
+            if sum(spec.weights[:-1]) - 2 * (m - k) < k:
+                for step in (apply_P, fraction_apply_P):
+                    with pytest.raises(GordanSingularityError):
+                        step(spec.weights, k, u, m)
+                continue
+            assert apply_P(spec, k, u, m) == fraction_apply_P(spec.weights, k, u, m)
+
+    def test_step_past_the_last_weight_vanishes(self):
+        # k > lam_N: every coefficient with k - j <= lam_N has a zero numerator
+        out = apply_P((3, 1), 2, [Fraction(1)], 2)
+        assert out == fraction_apply_P((3, 1), 2, [Fraction(1)], 2) == [0, 0]
+
+    def test_apply_P_rejects_k_outside_0_to_m(self):
+        for k in (-1, 2):
+            with pytest.raises(ValueError):
+                apply_P((2, 2), k, [Fraction(1)], 1)
+
+    def test_coefficients_are_cached(self):
+        assert gordan_coefficients(2, 3, 4) is gordan_coefficients(2, 3, 4)
 
 
 class TestKernelBasis:
