@@ -17,12 +17,9 @@ from .sl2 import (
     weight_space_dimension_formula,
 )
 from .hamiltonians import (
-    HamiltonianFamily,
     VerifyReport,
     build_hamiltonian,
-    commutator,
     hamiltonian_array,
-    hamiltonian_family,
     independent_count,
     vacuum_eigenvalue,
     verify_family,
@@ -74,12 +71,9 @@ __all__ = [
     "build_total_generator",
     "enumerate_weight_space",
     "weight_space_dimension_formula",
-    "HamiltonianFamily",
     "VerifyReport",
     "build_hamiltonian",
-    "commutator",
     "hamiltonian_array",
-    "hamiltonian_family",
     "independent_count",
     "vacuum_eigenvalue",
     "verify_family",

@@ -18,11 +18,11 @@ where V has degree N - 2 and V(z_i) = P(z_i) Lambda_i.  So y is the null
 vector of a linear map on polynomials of degree m, and each of the
 singular_dimension eigenvectors gives one root set: no random starts and no
 duplicates.  The maps of all eigenvectors share R y'' - P y' and go through
-one batched SVD.  The eigenvectors come from the joint-eigen routine the
-eigenbasis layer uses.  With S the diagonal Shapovalov norms, the scaled
-Hamiltonians S^1/2 H_i S^-1/2 are real symmetric for real z (diagonalized by
-eigh) and complex symmetric otherwise (by eig), and the scaled total
-S_{m-1}^1/2 E S_m^-1/2 has the scaled singular subspace as its kernel.
+one batched SVD.  The eigenvectors come from the singular frame and the
+joint-eigen routine of the eigenbasis layer.  With S the diagonal Shapovalov
+norms, the scaled Hamiltonians S^1/2 H_i S^-1/2 are real symmetric for real
+z (diagonalized by eigh) and complex symmetric otherwise (by eig), and the
+frame spans the kernel of the scaled total S_{m-1}^1/2 E S_m^-1/2.
 Every root set is polished by Newton on f_k with its analytic Jacobian and
 reported only when its residual reaches DEFAULT_TOL_ROOT.  F^(k) moves each basis
 vector F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import DEFAULT_TOL, _joint_eigen, _shapovalov_root, _symmetric_restriction
+from .eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame, _symmetric_restriction
 from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
 from .singular import singular_dimension
 from .sl2 import (
@@ -322,15 +322,13 @@ def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
 def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed) -> np.ndarray:
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
-    The last `count` right singular vectors of the Shapovalov-scaled total E
-    are an orthonormal basis of the scaled singular subspace.  The symmetric
-    restrictions of the Hamiltonians to it are jointly diagonalized
-    (eigenbasis._joint_eigen, seeded by seed), and the Rayleigh quotients
-    give the eigenvalue tuples.  They only start the polish, so no residual
-    gate applies to them.
+    eigenbasis._singular_frame gives an orthonormal basis of the scaled
+    singular subspace, `count` vectors.  The symmetric restrictions of the
+    Hamiltonians to it are jointly diagonalized (eigenbasis._joint_eigen,
+    seeded by seed), and the Rayleigh quotients give the eigenvalue tuples.
+    They only start the polish, so no residual gate applies to them.
     """
-    root = _shapovalov_root(weights, m)
-    kernel = np.linalg.svd(_shapovalov_root(weights, m - 1)[:, None] * raise_e / root)[2][-count:].T
+    root, kernel = _singular_frame(weights, m, raise_e, count)
     _, energies = _joint_eigen(_symmetric_restriction(hams, root, kernel), seed)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     site_sums = -(energies - vacuum[:, None]) / lam[:, None]  # Lambda_i per eigenvector

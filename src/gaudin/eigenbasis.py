@@ -7,12 +7,13 @@ eigenvectors, which inherit their eigenvalue tuples unchanged).
 The singular eigenvectors come from the Shapovalov form S, diagonal on the
 basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
 symmetric for S (Mukhin, Tarasov and Varchenko, Ann. of Math. 170, 2009), so
-for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  The exact kernel
-of the total raising operator is checked exactly to be invariant, scaled by
-S^1/2 and orthonormalized by QR; the restricted Hamiltonians are then jointly
-diagonalized by eigh of one seeded random combination (_joint_eigen, which
-the Bethe layer shares), and every eigenvector is verified by its residual
-in V_m coordinates.
+for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  An SVD of the
+scaled total raising operator gives an orthonormal frame of the scaled
+singular subspace (_singular_frame, shared with the Bethe layer), and the
+exact intertwining E H_i = H_i E makes it invariant; the restricted
+Hamiltonians are jointly diagonalized by eigh of one seeded random
+combination, and every eigenvector is verified by its singular and
+eigenvector residuals in V_m coordinates.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import _float_array, _integer_family, _scale
-from .rational_linalg import _cleared
-from .singular import _kernel_vectors
+from .hamiltonians import _float_array, _integer_family, _products_equal, _scale
+from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
@@ -91,6 +91,20 @@ def _shapovalov_root(weights, m: int) -> np.ndarray:
     return np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
 
 
+def _singular_frame(weights, m: int, raise_e: np.ndarray, count: int):
+    """(root, basis): the diagonal of S_m^1/2 and an orthonormal frame of S_m^1/2 ker E.
+
+    raise_e is the float total E from V_m to V_{m-1} and count the exact
+    singular_dimension.  basis holds the last count right singular vectors of
+    S_{m-1}^1/2 E S_m^-1/2 as columns.  The squares of that matrix's singular
+    values are k (sum(weights) - 2m + k + 1), k = 1..m, so the smallest
+    nonzero one, sqrt(sum(weights) - 2m + 2), is at least sqrt(2).
+    """
+    root = _shapovalov_root(weights, m)
+    scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
+    return root, np.linalg.svd(scaled)[2][-count:].T
+
+
 def _symmetric_restriction(ham_arrays, root: np.ndarray, basis: np.ndarray) -> list:
     """basis^T S^1/2 H_i S^-1/2 basis for each H_i; basis has orthonormal real columns."""
     return [basis.T @ (root[:, None] * ham / root) @ basis for ham in ham_arrays]
@@ -150,24 +164,14 @@ def _residual(ham_arrays, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarr
     return worst
 
 
-def _restrict(ops, scale, vectors, raise_e):
-    """Check exactly that H = op / scale preserves ker raise_e; H's eigenvalues when that kernel is a line.
+def _gate(residuals, what: str) -> None:
+    worst = float(np.max(residuals))
+    if worst > DEFAULT_TOL:
+        raise DiagonalizationError(f"{what} residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst)
 
-    ops are integer matrices (scale * H) and vectors the canonical kernel
-    basis of raise_e, each cleared to integers: raise_e must annihilate the
-    image of every one, else ValueError.  For a single vector v the tuple of
-    exact eigenvalues H v = E v is returned (read off at v's first nonzero
-    coordinate), and None for more vectors.
-    """
-    cleared = [_cleared(vec)[1] for vec in vectors]
-    lead = next(c for c, x in enumerate(cleared[0]) if x != 0)
-    values = []
-    for op in ops:
-        images = [op.apply(ints) for ints in cleared]
-        if any(x != 0 for col in images for x in raise_e.apply(col)):
-            raise ValueError("operator does not preserve the kernel of the raising operator")
-        values.append(Fraction(images[0][lead], scale * cleared[0][lead]))
-    return tuple(values) if len(vectors) == 1 else None
+
+def _trace(op) -> int:
+    return sum(colmap.get(col, 0) for col, colmap in enumerate(op.cols))
 
 
 def _level_family(spec: ModelSpec, m: int):
@@ -180,39 +184,51 @@ def _level_family(spec: ModelSpec, m: int):
 def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
-    The exact kernel basis of the total raising operator is checked exactly
-    to be invariant under every H_i, scaled by S^1/2 and orthonormalized; the
-    symmetric restrictions are jointly diagonalized (seed draws the
-    combination).  Eigenvectors are returned in V_m coordinates with unit
-    norm and residuals verified against DEFAULT_TOL.
+    The frame of _singular_frame is checked exactly to be invariant under
+    every H_i (E H_i = H_i E on the integer matrices); the symmetric
+    restrictions are jointly diagonalized (seed draws the combination).
+    Eigenvectors are returned in V_m coordinates with unit norm, their
+    singular residuals max|E v| / max|v| and eigenvector residuals gated by
+    DEFAULT_TOL.  A one-vector subspace gets the exact eigenvalues
+    tr H_i|V_m - tr H_i|V_{m-1}: the intertwining makes H_i on V_{m-1} the
+    action of H_i on V_m / ker E.
     """
-    return _diagonalize_level(spec, m, None, seed)
+    return _diagonalize_level(spec, m, None, None, seed)
 
 
-def _diagonalize_level(spec: ModelSpec, m: int, family, seed):
-    """diagonalize_singular with the level family of _level_family(spec, m), or None to build it."""
+def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
+    """diagonalize_singular given the integer matrices D H_i on V_{m-1} (below) and
+    _level_family(spec, m) (family); each None is built here when the level needs it."""
     raise_e = build_total_generator("E", spec, m)
-    kernel = _kernel_vectors(raise_e)
-    if not kernel:
+    count = singular_dimension(spec, m)
+    if count == 0:
         return []
     scale, hams, ham_arrays = family or _level_family(spec, m)
-    exact = _restrict(hams, scale, kernel, raise_e)
+    if below is None and m > 0:
+        below = _integer_family(spec, m - 1, scale)
+    # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
+    for op, ham in zip(below or (), hams):
+        if not _products_equal(op, raise_e, raise_e, ham):
+            raise ValueError("operator does not preserve the kernel of the raising operator")
+    exact = None
+    if count == 1:
+        lower = [_trace(op) for op in below] if below else [0] * len(hams)
+        exact = tuple(Fraction(_trace(ham) - t, scale) for ham, t in zip(hams, lower))
 
-    root = _shapovalov_root(spec.weights, m)
-    basis = np.linalg.qr(root[:, None] * np.array(kernel, dtype=float).T)[0]
+    raise_arr = raise_e.to_array(float)
+    root, basis = _singular_frame(spec.weights, m, raise_arr, count)
     vecs, eigs = _joint_eigen(_symmetric_restriction(ham_arrays, root, basis), seed)
     coords = (basis @ vecs) / root[:, None]
     if exact is not None:
         eigs = np.array([[float(x)] for x in exact])
 
     units = [_canonical_phase(col / np.linalg.norm(col)).astype(complex) for col in coords.T]
+    stacked = np.array(units).T
+    sup = np.max(np.abs(stacked), axis=0)
+    _gate(np.max(np.abs(raise_arr @ stacked), axis=0, initial=0.0) / sup, "singular")
     eigenvalues = eigs.astype(complex)
-    residuals = _residual(ham_arrays, np.array(units).T, eigenvalues)
-    worst = float(np.max(residuals))
-    if worst > DEFAULT_TOL:
-        raise DiagonalizationError(
-            f"singular-subspace eigenvector residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst
-        )
+    residuals = _residual(ham_arrays, stacked, eigenvalues)
+    _gate(residuals, "singular-subspace eigenvector")
     out = [
         EigenVector(
             m=m,
@@ -256,12 +272,12 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     if not 0 <= m_max <= spec.min_weight:
         raise ValueError(f"m_max must lie in 0..min(weights) = {spec.min_weight}")
 
-    levels = [_diagonalize_level(spec, 0, None, seed)]
+    family = _level_family(spec, 0)
+    levels = [_diagonalize_level(spec, 0, None, family, seed)]
 
     for m in range(1, m_max + 1):
         lower_f = build_total_generator("F", spec, m - 1).to_array(float)
-        family = _level_family(spec, m)
-        ham_arrays = family[2]
+        below, family = family[1], _level_family(spec, m)
         parents = levels[m - 1]
         # one image per parent keeps each vector's coordinates independent of the batch
         images = [lower_f @ parent.coords for parent in parents]
@@ -272,12 +288,8 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
         # lowering chain must survive normalization
         units = [image / norm for image, norm in zip(images, norms)]
         eigenvalues = np.array([parent.eigenvalues for parent in parents])
-        residuals = _residual(ham_arrays, np.array(units).T, eigenvalues.T)
-        worst = float(np.max(residuals))
-        if worst > DEFAULT_TOL:
-            raise DiagonalizationError(
-                f"lowered-vector residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst
-            )
+        residuals = _residual(family[2], np.array(units).T, eigenvalues.T)
+        _gate(residuals, "lowered-vector")
         level = [
             EigenVector(
                 m=m,
@@ -294,7 +306,7 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
             )
         ]
 
-        level.extend(_diagonalize_level(spec, m, family, seed))
+        level.extend(_diagonalize_level(spec, m, below, family, seed))
 
         dim = enumerate_weight_space(spec, m).dim
         if len(level) != dim:

@@ -122,25 +122,6 @@ def _vacuum_eigenvalue(weights, z, i: int):
 
 
 @dataclass
-class HamiltonianFamily:
-    """All N Hamiltonians on one weight subspace."""
-
-    spec: ModelSpec
-    m: int
-    matrices: list
-
-
-def hamiltonian_family(spec: ModelSpec, m: int) -> HamiltonianFamily:
-    return HamiltonianFamily(
-        spec, m, [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
-    )
-
-
-def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a @ b - b @ a
-
-
-@dataclass
 class VerifyReport:
     commuting: bool
     sum_zero: bool

@@ -203,11 +203,8 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
     return SingularBasis(m, labels, vectors)
 
 
-def _kernel_vectors(raise_e) -> tuple:
-    """Canonical exact nullspace basis of the total raising operator, one tuple per vector."""
-    return tuple(tuple(v) for v in nullspace(raise_e.rows(), n_cols=raise_e.domain.dim))
-
-
 def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
     """Exact nullspace of the total raising operator on V_m (canonical basis)."""
-    return SingularBasis(m, None, _kernel_vectors(build_total_generator("E", spec_or_weights, m)))
+    raise_e = build_total_generator("E", spec_or_weights, m)
+    kernel = nullspace(raise_e.rows(), n_cols=raise_e.domain.dim)
+    return SingularBasis(m, None, tuple(tuple(v) for v in kernel))

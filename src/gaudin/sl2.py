@@ -158,10 +158,11 @@ def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:
 
     The tensor Shapovalov form is diagonal on this basis, and for it the
     total E is the adjoint of the total F: S_{m-1}[r] E[r, c] = S_m[c] F[c, r].
+    Outside 0..sum(weights) the list is empty.
     """
     return [
         math.prod(math.factorial(n) * math.perm(lam, n) for n, lam in zip(state, weights))
-        for state in enumerate_weight_space(weights, m).states
+        for state in _space(weights, m).states
     ]
 
 

@@ -10,19 +10,18 @@ from gaudin import (
     ModelSpec,
     build_eigenbasis,
     build_hamiltonian,
-    build_site_operator,
     build_total_generator,
     diagonalize_singular,
     enumerate_weight_space,
     singular_basis_kernel,
+    singular_dimension,
     singular_dimension_formula,
     solve_bethe,
     solve_bethe_numeric,
     verify_nonsingularity,
 )
 from gaudin import eigenbasis
-from gaudin.eigenbasis import _joint_eigen, _restrict
-from gaudin.hamiltonians import _integer_family, _scale
+from gaudin.eigenbasis import _joint_eigen, _shapovalov_root
 from gaudin.sl2 import DEFAULT_SEED
 
 from conftest import random_spec
@@ -115,6 +114,11 @@ class TestDiagonalizeSingular:
     def test_truncated_level_is_empty(self):
         assert diagonalize_singular(SPEC2, 2) == []
 
+    @pytest.mark.parametrize("m", [-1, 3])
+    def test_spin_deviation_outside_the_module_raises(self, m):
+        with pytest.raises(ValueError, match=f"spin deviation m={m} outside 0..2"):
+            diagonalize_singular(SPEC2, m)
+
     def test_counts_and_residuals(self, rng):
         for _ in range(4):
             spec = random_spec(rng, n_max=4, lam_max=3)
@@ -153,30 +157,63 @@ def ladder_spec(weights):
 
 class TestRestriction:
     def test_line_kernel_gives_exact_eigenvalues(self):
-        # two sites: each level m <= min(weights) has a one-vector kernel
-        spec = ladder_spec((3, 5))
-        scale = _scale(spec.z)
-        for m in range(4):
+        # the trace difference tr H_i|V_m - tr H_i|V_{m-1} equals the eigenvalue
+        # read off the exact kernel vector, also on the truncated level (1, 1, 3), m = 2
+        cases = [((3, 5), m) for m in range(4)] + [((1, 2), 1), ((1, 1, 3), 2)]
+        for weights, m in cases:
+            spec = ladder_spec(weights)
             (vector,) = singular_basis_kernel(spec, m).vectors
-            exact = _restrict(
-                _integer_family(spec, m, scale), scale, [vector], build_total_generator("E", spec, m)
-            )
-            for i, value in enumerate(exact):
+            (found,) = diagonalize_singular(spec, m)
+            for i, value in enumerate(found.exact_eigenvalues):
                 image = build_hamiltonian(spec, i, m).apply(list(vector))
                 assert image == [value * x for x in vector]
-        spec = ladder_spec((1, 2, 3))
-        scale = _scale(spec.z)
-        vectors = singular_basis_kernel(spec, 2).vectors
-        assert len(vectors) > 1
-        raise_e = build_total_generator("E", spec, 2)
-        assert _restrict(_integer_family(spec, 2, scale), scale, vectors, raise_e) is None
+        (found,) = diagonalize_singular(ladder_spec((1, 1, 3)), 2)
+        assert found.exact_eigenvalues == (Fraction(1, 3), Fraction(51, 7), Fraction(-160, 21))
+        found = diagonalize_singular(ladder_spec((1, 2, 3)), 2)
+        assert len(found) > 1
+        assert all(v.exact_eigenvalues is None for v in found)
 
     def test_non_invariant_operator_raises(self):
+        # one changed entry of one D H_i breaks E H_i = H_i E, which the level checks exactly
         spec = ladder_spec((1, 2, 3))
-        vectors = singular_basis_kernel(spec, 2).vectors
-        site_h = build_site_operator("H", 0, spec, 2)
-        with pytest.raises(ValueError, match="does not preserve"):
-            _restrict([site_h], 1, vectors, build_total_generator("E", spec, 2))
+        for m in (1, 2):
+            family = eigenbasis._level_family(spec, m)
+            family[1][0].add_term(0, 0, 1)
+            with pytest.raises(ValueError, match="does not preserve"):
+                eigenbasis._diagonalize_level(spec, m, None, family, DEFAULT_SEED)
+
+    def test_non_singular_frame_fails_the_gate(self, monkeypatch):
+        # an orthonormal frame of the complement of the kernel: its lowered
+        # vacuum is a joint eigenvector, but not a singular one
+        def complement(weights, m, raise_e, count):
+            root = _shapovalov_root(weights, m)
+            scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
+            return root, np.linalg.svd(scaled)[2][:count].T
+
+        monkeypatch.setattr(eigenbasis, "_singular_frame", complement)
+        with pytest.raises(DiagonalizationError, match="singular residual") as err:
+            diagonalize_singular(ladder_spec((3, 5)), 1)
+        assert err.value.worst_residual > 1e-9
+
+
+class TestSingularFrame:
+    @pytest.mark.parametrize(
+        "weights, m", [((3,) * 7, 3), ((4,) * 5, 4), ((2, 3, 3, 4), 2), ((1, 1, 3), 2)]
+    )
+    def test_squared_singular_values_are_known_exactly(self, weights, m):
+        # E's Shapovalov adjoint is F, so the squares are the eigenvalues of F E
+        # on V_m: k (sum - 2m + k + 1) with multiplicity singular_dimension(m - k)
+        raise_e = build_total_generator("E", weights, m).to_array(float)
+        scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / _shapovalov_root(weights, m)
+        computed = np.sort(np.linalg.svd(scaled, compute_uv=False) ** 2)
+        expected = np.sort([
+            float(k * (sum(weights) - 2 * m + k + 1))
+            for k in range(1, m + 1)
+            for _ in range(singular_dimension(weights, m - k))
+        ])
+        assert computed.shape == expected.shape
+        assert np.max(np.abs(computed - expected) / expected) <= 1e-12
+        assert expected[0] == sum(weights) - 2 * m + 2
 
 
 class TestBuildEigenbasis:

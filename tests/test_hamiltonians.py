@@ -12,7 +12,6 @@ from gaudin import (
     build_total_generator,
     enumerate_weight_space,
     hamiltonian_array,
-    hamiltonian_family,
     independent_count,
     vacuum_eigenvalue,
     verify_family,
@@ -80,7 +79,7 @@ class TestBuildHamiltonian:
         for _ in range(5):
             spec = random_spec(rng, n_max=4, lam_max=3)
             for m in range(min(spec.min_weight, 2) + 1):
-                mats = hamiltonian_family(spec, m).matrices
+                mats = [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]
                 total = mats[0]
                 for mat in mats[1:]:
                     total = total + mat
