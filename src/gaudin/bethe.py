@@ -48,6 +48,7 @@ from .sl2 import (
     build_site_operator,
     build_total_generator,
     enumerate_weight_space,
+    _lower,
     _lowering_map,
     _weights_of,
 )
@@ -88,18 +89,6 @@ def _check_off_poles(z: np.ndarray, w: np.ndarray) -> None:
         raise ValueError(f"lowering field evaluated at a pole: w={w[near][0]}")
 
 
-def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """F(w_s) psi_s for each row psi_s on V_m, given src = _lowering_map(weights, m).
-
-    coeffs[s, k] = 1 / (w_s - z_k).
-    """
-    padded = np.concatenate([psi, np.zeros((len(psi), 1), dtype=complex)], axis=1)
-    out = padded[:, src[:, 0]] * coeffs[:, :1]
-    for k in range(1, src.shape[1]):
-        out += padded[:, src[:, k]] * coeffs[:, k : k + 1]
-    return out
-
-
 def lowering_field(spec: ModelSpec, w: complex, m: int) -> np.ndarray:
     """Dense complex matrix of F(w) = sum_k F^(k)/(w - z_k) from V_m to V_{m+1}."""
     z = np.array([complex(x) for x in spec.z])
@@ -125,9 +114,9 @@ def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
 def _bethe_vectors(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Bethe vectors F(w_1)...F(w_m) v_0, one row per root set: roots (S, m) -> (S, dim V_m).
 
-    Each F(w) acts by gathers through _lowering_map, in O(N dim S) work per
-    root.  Only elementwise arithmetic is used, so a row comes out the same
-    whether it is built alone or in a batch.
+    Each F(w) acts by gathers through _lowering_map (sl2._lower), in
+    O(N dim S) work per root.  Only elementwise arithmetic is used, so a row
+    comes out the same whether it is built alone or in a batch.
     """
     _check_off_poles(z, roots)
     psi = np.ones((len(roots), 1), dtype=complex)
@@ -167,9 +156,7 @@ def bethe_residual(spec: ModelSpec, m: int, roots) -> np.ndarray:
     if len(roots) != m:
         raise ValueError("number of roots must equal m")
     z = np.array([complex(x) for x in spec.z])
-    scale = _z_scale(z)
-    if np.min(np.abs(roots[:, None] - z[None, :])) < 1e-12 * scale:
-        raise ValueError("root coincides with a site point")
+    _check_off_poles(z, roots)
     _check_distinct(roots, z)
     lam = np.array([float(x) for x in _weights_of(spec)])
     return _residuals(lam, z, roots)

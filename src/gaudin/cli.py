@@ -91,9 +91,9 @@ def cmd_verify(args) -> int:
     matrices = []
     all_ok = True
     # a sliding window of the integer families at m-1, m and m+1: each is built once
-    below, here = None, _integer_family(spec, 0, scale)
+    below, here = None, _integer_family(spec, 0)
     for m in range(spec.total_weight + 1):
-        above = _integer_family(spec, m + 1, scale) if m < spec.total_weight else None
+        above = _integer_family(spec, m + 1) if m < spec.total_weight else None
         report = _level_report(spec, m, below, here, above)
         per_m.append(
             {

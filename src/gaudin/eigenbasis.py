@@ -2,7 +2,8 @@
 
 On each V_m the basis splits into singular eigenvectors and nonsingular ones
 (images under the total lowering operator of the previous level's
-eigenvectors, which inherit their eigenvalue tuples unchanged).
+eigenvectors, which inherit their eigenvalue tuples unchanged, all lowered
+at once by the index-map gathers of sl2._lower).
 
 The singular eigenvectors come from the Shapovalov form S, diagonal on the
 basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
@@ -28,6 +29,8 @@ from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
+    _lower,
+    _lowering_map,
     _shapovalov_norms,
     build_total_generator,
     enumerate_weight_space,
@@ -177,7 +180,7 @@ def _trace(op) -> int:
 def _level_family(spec: ModelSpec, m: int):
     """(D, the integer matrices D H_i, the float arrays of H_i) on V_m, built once per level."""
     scale = _scale(spec.z)
-    ints = _integer_family(spec, m, scale)
+    ints = _integer_family(spec, m)
     return scale, ints, [_float_array(op, scale) for op in ints]
 
 
@@ -205,7 +208,7 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
         return []
     scale, hams, ham_arrays = family or _level_family(spec, m)
     if below is None and m > 0:
-        below = _integer_family(spec, m - 1, scale)
+        below = _integer_family(spec, m - 1)
     # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
     for op, ham in zip(below or (), hams):
         if not _products_equal(op, raise_e, raise_e, ham):
@@ -276,11 +279,10 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     levels = [_diagonalize_level(spec, 0, None, family, seed)]
 
     for m in range(1, m_max + 1):
-        lower_f = build_total_generator("F", spec, m - 1).to_array(float)
         below, family = family[1], _level_family(spec, m)
         parents = levels[m - 1]
-        # one image per parent keeps each vector's coordinates independent of the batch
-        images = [lower_f @ parent.coords for parent in parents]
+        unit = np.ones((len(parents), spec.n_sites))  # the total F: coefficient 1 on every site
+        images = _lower(np.array([p.coords for p in parents]), _lowering_map(spec.weights, m - 1), unit)
         norms = [float(np.linalg.norm(image)) for image in images]
         if 0.0 in norms:
             raise CompletenessError(f"lowering annihilated an eigenvector at level {m}")

@@ -1,15 +1,17 @@
 """The N commuting Gaudin Hamiltonians on each weight subspace.
 
-    H_i = sum_{j != i} 1/(z_i - z_j) [ H^(i) H^(j) / 2 + E^(i) F^(j) + F^(i) E^(j) ]
+    H_i = sum_{j != i} Omega_ij / (z_i - z_j),
+    Omega_ij = H^(i) H^(j) / 2 + E^(i) F^(j) + F^(i) E^(j) = Omega_ji,
 
-Every H_i preserves each V_m.  Matrices are assembled state by state (each
-basis state contributes O(N) terms per Hamiltonian), on integers: with
+where Omega_ij does not depend on z and preserves each V_m.  With
 D = 2 lcm over i != j of numerator(z_i - z_j), every D / (z_i - z_j) is an
-even integer, so one builder gives the integer matrices D H_i.
-build_hamiltonian divides by D only at the end (exact Fraction entries).
-The identities [H_i, H_j] = 0, sum_i H_i = 0 and the intertwinings with the
-total generators are homogeneous in the H_i, so verify_family checks every
-one of them on the integer matrices D H_i, with zero tolerance.
+even integer, so _integer_family, the one builder, makes the integer
+matrices D H_i in one walk over the pairs i < j.  build_hamiltonian divides
+by D only at the end (exact Fraction entries).  The identities
+[H_i, H_j] = 0, sum_i H_i = 0 and the intertwinings with the total E and F
+are homogeneous in the H_i, so verify_family checks every one of them on
+the integer matrices D H_i, with zero tolerance.  The total H is the scalar
+sum(weights) - 2m on V_m, so it needs no check.
 """
 
 from __future__ import annotations
@@ -30,27 +32,23 @@ from .sl2 import (
 )
 
 
-def _pair_terms(weights, states, index, i):
-    """Yield (row, col, j, k): the H_i entry contribution k / (2 (z_i - z_j)), k an int."""
-    n_sites = len(weights)
+def _pair_terms(weights, states, index, i, j):
+    """Yield (row, col, k): the Omega_ij entry k / 2, k an int; Omega_ij = Omega_ji."""
     for col, s in enumerate(states):
-        for j in range(n_sites):
-            if j == i:
-                continue
-            # diagonal part: H^(i) H^(j) / 2
-            yield col, col, j, (weights[i] - 2 * s[i]) * (weights[j] - 2 * s[j])
-            # E^(i) F^(j): lowers n_i, raises n_j
-            if s[i] > 0 and s[j] < weights[j]:
-                t = list(s)
-                t[i] -= 1
-                t[j] += 1
-                yield index[tuple(t)], col, j, 2 * s[i] * (weights[i] - s[i] + 1)
-            # F^(i) E^(j): raises n_i, lowers n_j
-            if s[j] > 0 and s[i] < weights[i]:
-                t = list(s)
-                t[i] += 1
-                t[j] -= 1
-                yield index[tuple(t)], col, j, 2 * s[j] * (weights[j] - s[j] + 1)
+        # diagonal part: H^(i) H^(j) / 2
+        yield col, col, (weights[i] - 2 * s[i]) * (weights[j] - 2 * s[j])
+        # E^(i) F^(j): lowers n_i, raises n_j
+        if s[i] > 0 and s[j] < weights[j]:
+            t = list(s)
+            t[i] -= 1
+            t[j] += 1
+            yield index[tuple(t)], col, 2 * s[i] * (weights[i] - s[i] + 1)
+        # F^(i) E^(j): raises n_i, lowers n_j
+        if s[j] > 0 and s[i] < weights[i]:
+            t = list(s)
+            t[i] += 1
+            t[j] -= 1
+            yield index[tuple(t)], col, 2 * s[j] * (weights[j] - s[j] + 1)
 
 
 def _scale(z) -> int:
@@ -58,25 +56,23 @@ def _scale(z) -> int:
     return 2 * math.lcm(*((zi - zj).numerator for a, zi in enumerate(z) for zj in z[a + 1 :]))
 
 
-def _integer_hamiltonian(spec: ModelSpec, i: int, m: int, scale: int) -> SparseOperator:
-    """scale * H_i on V_m with int entries; scale must be a multiple of _scale(spec.z)."""
-    half = {}  # (scale / 2) / (z_i - z_j), an integer
-    for j, zj in enumerate(spec.z):
-        if j != i:
-            diff = spec.z[i] - zj
-            half[j], rem = divmod(scale * diff.denominator, 2 * diff.numerator)
-            if rem:
-                raise ValueError(f"scale {scale} leaves H_{i} with a fractional entry")
+def _integer_family(spec: ModelSpec, m: int) -> list:
+    """The integer matrices D H_i on V_m, i = 0..N-1, with D = _scale(spec.z).
+
+    Each pair i < j is walked once: an Omega_ij entry k / 2 adds k h to D H_i
+    and -k h to D H_j, with h = D / (2 (z_i - z_j)), an integer.
+    """
+    half = _scale(spec.z) // 2
     space = enumerate_weight_space(spec, m)
-    op = SparseOperator.zero(space, space)
-    for row, col, j, k in _pair_terms(spec.weights, space.states, space.index, i):
-        op.add_term(row, col, k * half[j])
-    return op
-
-
-def _integer_family(spec: ModelSpec, m: int, scale: int) -> list:
-    """The integer matrices scale * H_i on V_m, i = 0..N-1."""
-    return [_integer_hamiltonian(spec, i, m, scale) for i in range(spec.n_sites)]
+    family = [SparseOperator.zero(space, space) for _ in range(spec.n_sites)]
+    for i, zi in enumerate(spec.z):
+        for j in range(i + 1, spec.n_sites):
+            diff = zi - spec.z[j]
+            h = half * diff.denominator // diff.numerator
+            for row, col, k in _pair_terms(spec.weights, space.states, space.index, i, j):
+                family[i].add_term(row, col, k * h)
+                family[j].add_term(row, col, -k * h)
+    return family
 
 
 def _float_array(op: SparseOperator, scale: int) -> np.ndarray:
@@ -94,8 +90,7 @@ def _float_array(op: SparseOperator, scale: int) -> np.ndarray:
 
 def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
     """Exact matrix of H_i on V_m (site index i is 0-based), Fraction entries."""
-    scale = _scale(spec.z)
-    return _integer_hamiltonian(spec, i, m, scale).scaled(Fraction(1, scale))
+    return _integer_family(spec, m)[i].scaled(Fraction(1, _scale(spec.z)))
 
 
 def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
@@ -104,8 +99,10 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     space = enumerate_weight_space(weights, m)
     arr = np.zeros((space.dim, space.dim), dtype=complex)
-    for row, col, j, k in _pair_terms(weights, space.states, space.index, i):
-        arr[row, col] += (k / 2) / (z[i] - z[j])
+    for j in range(len(weights)):
+        if j != i:
+            for row, col, k in _pair_terms(weights, space.states, space.index, i, j):
+                arr[row, col] += (k / 2) / (z[i] - z[j])
     return arr
 
 
@@ -157,16 +154,17 @@ def _products_equal(a: SparseOperator, b: SparseOperator, c: SparseOperator, d: 
 def _level_report(spec: ModelSpec, m: int, below, here, above) -> VerifyReport:
     """verify_family's checks on V_m, given the integer families at m-1, m and m+1.
 
-    The three families share one scale.  below is None at m = 0 and above is
+    The three families share one scale D.  below is None at m = 0 and above is
     None at the top level, where E (resp. F) maps to the zero space.
     """
     commuting = all(
         _products_equal(a, b, b, a) for k, a in enumerate(here) for b in here[k + 1 :]
     )
     sum_zero = sum(here[1:], here[0]).is_zero()
-    # X_i g == g H_i for the total generator g, with X_i = H_i (H), below_i (E), above_i (F)
+    # X_i g == g H_i for the total generator g, with X_i = below_i (E), above_i (F);
+    # the total H is the scalar sum(weights) - 2m on V_m: every X_i commutes with it
     symmetry = True
-    for family, gen in ((here, "H"), (below, "E"), (above, "F")):
+    for family, gen in ((below, "E"), (above, "F")):
         if family is not None:
             g = build_total_generator(gen, spec, m)
             symmetry = symmetry and all(_products_equal(x, g, g, h) for x, h in zip(family, here))
@@ -178,17 +176,17 @@ def verify_family(spec: ModelSpec, m: int) -> VerifyReport:
 
     commuting:        [H_i, H_j] = 0 for all pairs.
     sum_zero:         sum_i H_i = 0.
-    symmetry_commute: H_i intertwines with E (V_m -> V_{m-1}), F
-                      (V_m -> V_{m+1}) and commutes with the diagonal total H,
-                      using the Hamiltonians built on each relevant degree.
+    symmetry_commute: H_i intertwines with E (V_m -> V_{m-1}) and F
+                      (V_m -> V_{m+1}), using the Hamiltonians built on each
+                      relevant degree.  The total H is the scalar
+                      sum(weights) - 2m on V_m, so it is not checked.
 
     Every identity is checked on the integer matrices D H_i, with
     D = _scale(spec.z).
     """
-    scale = _scale(spec.z)
-    below = _integer_family(spec, m - 1, scale) if m >= 1 else None
-    above = _integer_family(spec, m + 1, scale) if m < spec.total_weight else None
-    return _level_report(spec, m, below, _integer_family(spec, m, scale), above)
+    below = _integer_family(spec, m - 1) if m >= 1 else None
+    above = _integer_family(spec, m + 1) if m < spec.total_weight else None
+    return _level_report(spec, m, below, _integer_family(spec, m), above)
 
 
 def independent_count(spec: ModelSpec, m: int) -> int:
@@ -196,6 +194,6 @@ def independent_count(spec: ModelSpec, m: int) -> int:
 
     The rank of the integer matrices D H_i is the same.
     """
-    mats = _integer_family(spec, m, _scale(spec.z))
+    mats = _integer_family(spec, m)
     vectorized = [[x for row in op.rows() for x in row] for op in mats]
     return rank(vectorized)

@@ -153,6 +153,18 @@ def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
     return src
 
 
+def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[s, k] F^(k) psi_s for each row psi_s on V_m, given src = _lowering_map(weights, m).
+
+    Gathers and elementwise arithmetic only: a row is the same alone as in a batch.
+    """
+    padded = np.concatenate([psi, np.zeros((len(psi), 1), dtype=complex)], axis=1)
+    out = padded[:, src[:, 0]] * coeffs[:, :1]
+    for k in range(1, src.shape[1]):
+        out += padded[:, src[:, k]] * coeffs[:, k : k + 1]
+    return out
+
+
 def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:
     """S(F^n v, F^n v) = prod_j n_j! lam_j! / (lam_j - n_j)! for each state n of V_m.
 

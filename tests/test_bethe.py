@@ -694,6 +694,14 @@ class TestEdgeInputs:
         with pytest.raises(ValueError):
             verify_solution(SPEC3, 2, SimpleNamespace(roots=np.array([0.5, 1.0])))
 
+    @pytest.mark.xfail(strict=True, reason="the absolute DEFAULT_TOL_ROOT drops root sets near coalescing sites")
+    def test_all_solutions_near_coalescing_sites(self):
+        # sites 1 and 1 + 1/1000: the dropped root sets lie between them, where
+        # the terms of f_k are about 1e3-1e4 and Newton stops at residuals
+        # near 1e-9; all 6 are found at a gap of 1/10
+        spec = ModelSpec((2, 2, 2, 2), (Fraction(0), Fraction(1), Fraction(1001, 1000), Fraction(3)))
+        assert len(solve_bethe(spec, 2)) == singular_dimension(spec, 2) == 6
+
 
 class TestScale:
     def test_ladder_eight_sites_weight_three_level_four(self, monkeypatch):

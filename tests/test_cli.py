@@ -101,20 +101,21 @@ class TestVerify:
         # m = 0 (no E check) and the top (no F check) included; shifting H_1 by
         # a multiple of the identity on one end level breaks sum_zero there and
         # the intertwinings on both sides of it
-        from gaudin import hamiltonians
+        from gaudin import cli, hamiltonians
 
         spec = ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
         level = {None: None, "bottom": 0, "top": spec.total_weight}[shifted]
-        original = hamiltonians._integer_hamiltonian
+        original = hamiltonians._integer_family
 
-        def shifted_builder(spec, i, m, scale):
-            op = original(spec, i, m, scale)
-            if (i, m) == (0, level):
-                for k in range(op.domain.dim):
-                    op.add_term(k, k, scale)
-            return op
+        def shifted_builder(spec, m):
+            family = original(spec, m)
+            if m == level:
+                for k in range(family[0].domain.dim):
+                    family[0].add_term(k, k, hamiltonians._scale(spec.z))
+            return family
 
-        monkeypatch.setattr(hamiltonians, "_integer_hamiltonian", shifted_builder)
+        monkeypatch.setattr(hamiltonians, "_integer_family", shifted_builder)
+        monkeypatch.setattr(cli, "_integer_family", shifted_builder)
         code, payload = run_json(["verify", "--spec", spec_file(spec.to_json())], capsys)
         expected = []
         for m in range(spec.total_weight + 1):

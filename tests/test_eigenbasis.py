@@ -221,9 +221,9 @@ class TestBuildEigenbasis:
         built = []
         original = eigenbasis._integer_family
 
-        def counting(spec, m, scale):
+        def counting(spec, m):
             built.append(m)
-            return original(spec, m, scale)
+            return original(spec, m)
 
         monkeypatch.setattr(eigenbasis, "_integer_family", counting)
         spec = ladder_spec((3, 3, 3, 3))

@@ -35,14 +35,10 @@ from conftest import random_spec
 SPEC2 = ModelSpec((1, 1), (Fraction(0), Fraction(1)))
 
 
-def integer_family(spec, m):
-    return _integer_family(spec, m, _scale(spec.z))
-
-
 def level_report(spec, m, here):
     """verify_family's checks on V_m with the integer family D H_i replaced by here."""
-    below = integer_family(spec, m - 1) if m >= 1 else None
-    above = integer_family(spec, m + 1) if m < spec.total_weight else None
+    below = _integer_family(spec, m - 1) if m >= 1 else None
+    above = _integer_family(spec, m + 1) if m < spec.total_weight else None
     return _level_report(spec, m, below, here, above)
 
 
@@ -109,7 +105,7 @@ class TestVerifyFamily:
 
     def test_tampered_matrix_detected(self):
         spec = ModelSpec((1, 1, 1), (Fraction(0), Fraction(1), Fraction(2)))
-        mats = integer_family(spec, 1)
+        mats = _integer_family(spec, 1)
         assert level_report(spec, 1, mats).all_ok
         mats[0].add_term(0, 1, 1)
         report = level_report(spec, 1, mats)
@@ -123,7 +119,7 @@ class TestVerifyFamily:
         spec = ladder_spec((1, 2, 2))
         shifts = (1, -3, 2)
         for m in (1, spec.total_weight):
-            mats = integer_family(spec, m)
+            mats = _integer_family(spec, m)
             for mat, c in zip(mats, shifts):
                 for k in range(mat.domain.dim):
                     mat.add_term(k, k, c)
@@ -242,23 +238,34 @@ class TestProductsEqual:
 class TestBuildCounts:
     @pytest.fixture
     def builds(self, monkeypatch):
+        from gaudin import cli
+
         calls = []
-        original = hamiltonians._integer_hamiltonian
+        original = hamiltonians._integer_family
 
-        def counted(spec, i, m, scale):
-            calls.append((i, m))
-            return original(spec, i, m, scale)
+        def counted(spec, m):
+            calls.append(m)
+            return original(spec, m)
 
-        monkeypatch.setattr(hamiltonians, "_integer_hamiltonian", counted)
+        monkeypatch.setattr(hamiltonians, "_integer_family", counted)
+        monkeypatch.setattr(cli, "_integer_family", counted)
         return calls
 
-    def test_verify_family_builds_at_most_three_families(self, builds):
+    def test_verify_family_builds_at_most_three_families(self, builds, monkeypatch):
+        generators = []
+        original = hamiltonians.build_total_generator
+
+        def counted(gen, spec, m):
+            generators.append(gen)
+            return original(gen, spec, m)
+
+        monkeypatch.setattr(hamiltonians, "build_total_generator", counted)
         spec = ladder_spec((2, 3, 3, 4))
         for m in range(spec.total_weight + 1):
             builds.clear()
             verify_family(spec, m)
-            assert len(builds) <= 3 * spec.n_sites
-            assert {k for _, k in builds} == {k for k in (m - 1, m, m + 1) if 0 <= k <= spec.total_weight}
+            assert sorted(builds) == [k for k in (m - 1, m, m + 1) if 0 <= k <= spec.total_weight]
+        assert "H" not in generators
 
     def test_cli_verify_builds_each_matrix_once(self, builds, tmp_path, capsys):
         from gaudin.cli import main
@@ -268,8 +275,7 @@ class TestBuildCounts:
         path.write_text(spec.to_json())
         assert main(["verify", "--spec", str(path), "--emit-matrices"]) == 0
         assert len(json.loads(capsys.readouterr().out)["matrices"]) == 52
-        assert len(builds) == 52  # 13 levels x 4 sites
-        assert sorted(builds) == sorted((i, m) for i in range(4) for m in range(13))
+        assert sorted(builds) == list(range(13))  # each level's family once
 
 def ladder_spec(weights, den=None):
     z = [Fraction(k * k + 1, k + 2) for k in range(len(weights))]
@@ -302,8 +308,10 @@ def reference_array(weights, z, i, m):
     """The complex matrix summed in _pair_terms order from float(Fraction) terms."""
     space = enumerate_weight_space(weights, m)
     arr = np.zeros((space.dim, space.dim), dtype=complex)
-    for row, col, j, k in _pair_terms(weights, space.states, space.index, i):
-        arr[row, col] += float(Fraction(k, 2)) / (z[i] - z[j])
+    for j in range(len(weights)):
+        if j != i:
+            for row, col, k in _pair_terms(weights, space.states, space.index, i, j):
+                arr[row, col] += float(Fraction(k, 2)) / (z[i] - z[j])
     return arr
 
 
@@ -331,7 +339,7 @@ class TestIntegerScaling:
             scale = _scale(spec.z)
             assert scale % 2 == 0
             for m in range(spec.total_weight + 1):
-                ints = _integer_family(spec, m, scale)
+                ints = _integer_family(spec, m)
                 for i, op in enumerate(ints):
                     assert all(type(v) is int for _, _, v in op.entries())
                     exact = build_hamiltonian(spec, i, m)
@@ -383,11 +391,10 @@ class TestStructure:
         truncated = 0
         for _ in range(5):
             spec = random_spec(rng, n_max=4, lam_max=3)
-            scale = _scale(spec.z)
             for m in range(spec.total_weight + 1):
                 truncated += m > spec.min_weight
                 norms = _shapovalov_norms(spec.weights, m)
-                for op in _integer_family(spec, m, scale):
+                for op in _integer_family(spec, m):
                     rows = op.rows()
                     for r, row in enumerate(rows):
                         for c, value in enumerate(row):
