@@ -6,23 +6,23 @@ all Hamiltonians exactly when the parameters satisfy
 
     f_k(w) = sum_j lam_j / (w_k - z_j) + sum_{l != k} 2 / (w_l - w_k) = 0.
 
-For m = 1 the roots are those of P(w) = sum_j lam_j prod_{j' != j} (w - z_{j'}),
-computed from companion-matrix eigenvalues.  For m >= 2 they come from the
-singular joint eigenvectors (Heine-Stieltjes): eigenvalues E_i fix
-Lambda_i = sum_k 1 / (z_i - w_k) = -(E_i - E_i^vac) / lam_i, and
-y(x) = prod_k (x - w_k) solves
+With R = prod_j (x - z_j) and the cofactors Q_j = R / (x - z_j), the m = 1
+roots are those of P = sum_j lam_j Q_j, from companion-matrix eigenvalues.
+For m >= 2 they come from the singular joint eigenvectors (Heine-Stieltjes):
+with their eigenvalues E_i, y(x) = prod_k (x - w_k) solves
 
-    R y'' - P y' + V y = 0,    R(x) = prod_j (x - z_j),
+    R y'' - P y' + V y = 0,    V = sum_i (E_i^vac - E_i) Q_i,
 
-where V has degree N - 2 and V(z_i) = P(z_i) Lambda_i.  So y is the null
-vector of a linear map on polynomials of degree m, and each of the
-singular_dimension eigenvectors gives one root set: no random starts and no
-duplicates.  The maps of all eigenvectors share R y'' - P y' and go through
-one batched SVD.  The eigenvectors come from the singular frame and the
-joint-eigen routine of the eigenbasis layer.  With S the diagonal Shapovalov
-norms, the scaled Hamiltonians S^1/2 H_i S^-1/2 are real symmetric for real
-z (diagonalized by eigh) and complex symmetric otherwise (by eig), and the
-frame spans the kernel of the scaled total S_{m-1}^1/2 E S_m^-1/2.
+so P and V share the cofactors.  V interpolates V(z_i) = P(z_i) Lambda_i with
+Lambda_i = sum_k 1/(z_i - w_k), of degree N - 2 as sum_i E_i = sum_i E_i^vac.
+So y is the null vector of a linear map on polynomials of degree m, and each
+of the singular_dimension eigenvectors gives one root set: no random starts
+and no duplicates.  The maps of all eigenvectors share R y'' - P y' and go
+through one batched SVD.  The eigenvectors come from the singular frame and
+the joint-eigen routine of the eigenbasis layer.  With S the diagonal
+Shapovalov norms, the scaled Hamiltonians S^1/2 H_i S^-1/2 are real symmetric
+for real z (diagonalized by eigh) and complex symmetric otherwise (by eig),
+and the frame spans the kernel of the scaled total S_{m-1}^1/2 E S_m^-1/2.
 Every root set is polished by Newton on f_k with its analytic Jacobian and
 reported only when its residual reaches DEFAULT_TOL_ROOT.  F^(k) moves each basis
 vector F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of
@@ -162,13 +162,17 @@ def bethe_residual(spec: ModelSpec, m: int, roots) -> np.ndarray:
     return _residuals(lam, z, roots)
 
 
+def _cofactors(z: np.ndarray) -> np.ndarray:
+    """Coefficients (highest first) of Q_j = R / (x - z_j) = prod_{k != j} (x - z_k), one row per site."""
+    return np.array([np.poly(np.delete(z, j)) for j in range(len(z))])
+
+
 def _site_polynomials(lam: np.ndarray, z: np.ndarray):
-    """Coefficient arrays (highest first) of P and R."""
-    r_coeffs = np.poly(z) if len(z) else np.array([1.0 + 0j])
+    """Coefficient arrays (highest first) of P = sum_j lam_j Q_j and R."""
     p_coeffs = np.zeros(len(z), dtype=complex)
-    for j in range(len(z)):
-        p_coeffs = p_coeffs + lam[j] * np.poly(np.delete(z, j))
-    return p_coeffs, r_coeffs
+    for lam_j, row in zip(lam, _cofactors(z)):
+        p_coeffs = p_coeffs + lam_j * row
+    return p_coeffs, np.poly(z)
 
 
 def _jacobian(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -279,23 +283,20 @@ def _degree_one_roots(lam, z, p_coeffs) -> np.ndarray:
 def _heine_stieltjes_matrices(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
     """Matrices of y -> R y'' - P y' + V y on polynomials of degree <= m, one per column of v_coeffs.
 
-    Column d of each matrix is the image of x^d, highest coefficient first.
-    The V-independent part R y'' - P y' is built once and each V y is added
-    to it as shifted copies of V; that is np.polyadd's order, so each matrix
-    is bit for bit the one built by polymul for its V alone.
+    Column d of each matrix is the image d(d-1) R x^(d-2) - d P x^(d-1) + V x^d
+    of x^d, highest coefficient first, written by slicing; the rows are those
+    of the polymul route, which pads columns 0 and 1 to len(R).
+    tests/test_bethe.py checks the matrices against polymul bit for bit.
     """
-    images = []
+    size = max(len(r_coeffs) + max(m - 1, 1) - 1, len(p_coeffs) + max(m, 1) - 1)
+    mats = np.zeros((v_coeffs.shape[1], size, m + 1), dtype=complex)
     for d in range(m + 1):
-        mono = np.zeros(d + 1)
-        mono[0] = 1.0  # x^d
-        r_part = np.polymul(r_coeffs, np.polyder(mono, 2))
-        images.append(np.polysub(r_part, np.polymul(p_coeffs, np.polyder(mono))))
-    n_v = len(v_coeffs)
-    size = max(len(image) for image in images)
-    base = np.array([np.pad(image, (size - len(image), 0)) for image in images]).T
-    mats = np.repeat(base[None], v_coeffs.shape[1], axis=0)
-    for d in range(m + 1):
-        mats[:, size - n_v - d : size - d, d] += v_coeffs.T
+        low = size - d  # one row below x^d
+        if d >= 2:
+            mats[:, low + 2 - len(r_coeffs) : low + 2, d] = d * (d - 1) * r_coeffs
+        if d >= 1:
+            mats[:, low + 1 - len(p_coeffs) : low + 1, d] -= d * p_coeffs
+        mats[:, low - len(v_coeffs) : low, d] += v_coeffs.T
     return mats
 
 
@@ -313,17 +314,15 @@ def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed) -> 
     singular subspace, `count` vectors.  The symmetric restrictions of the
     Hamiltonians to it are jointly diagonalized (eigenbasis._joint_eigen,
     seeded by seed), and the Rayleigh quotients give the eigenvalue tuples.
-    They only start the polish, so no residual gate applies to them.
+    Each tuple gives V from the cofactors that also give P.  The tuples only
+    start the polish, so no residual gate applies to them.
     """
     root, kernel = _singular_frame(weights, m, raise_e, count)
     _, energies = _joint_eigen(_symmetric_restriction(hams, root, kernel), seed)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
-    site_sums = -(energies - vacuum[:, None]) / lam[:, None]  # Lambda_i per eigenvector
-    p_coeffs, r_coeffs = polys
-    v_coeffs = np.linalg.lstsq(
-        np.vander(z, len(z) - 1), np.polyval(p_coeffs, z)[:, None] * site_sums, rcond=None
-    )[0]
-    rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
+    # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
+    v_coeffs = (_cofactors(z).T @ (vacuum[:, None] - energies))[1:]
+    rows = _heine_stieltjes_roots(*polys, v_coeffs, m)
     w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
     w, res = _polish(lam, z, w.reshape(-1, m))
     return w[res <= DEFAULT_TOL_ROOT]

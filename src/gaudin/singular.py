@@ -94,11 +94,9 @@ def gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
         )
     coeffs = []
     for k in range(m + 1):
-        den = pochhammer(-l1, k)
-        if den == 0:
-            raise GordanSingularityError(f"denominator (-{l1})_{k} vanishes")
+        # each factor -l1 + t of (-l1)_k has t < k <= m <= l1, so none vanishes
         num = pochhammer(m - k - l2, k)
-        coeffs.append(Fraction((-1) ** k * math.comb(m, k)) * num / den)
+        coeffs.append(Fraction((-1) ** k * math.comb(m, k)) * num / pochhammer(-l1, k))
     return GordanCoefficients(m, l1, l2, tuple(coeffs))
 
 
