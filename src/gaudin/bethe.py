@@ -24,10 +24,16 @@ Shapovalov norms, the scaled Hamiltonians S^1/2 H_i S^-1/2 are real symmetric
 for real z (diagonalized by eigh) and complex symmetric otherwise (by eig),
 and the frame spans the kernel of the scaled total S_{m-1}^1/2 E S_m^-1/2.
 Every root set is polished by Newton on f_k with its analytic Jacobian and
-reported only when its residual reaches DEFAULT_TOL_ROOT.  F^(k) moves each basis
-vector F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of
-all solutions are built together by index-map gathers, with elementwise
-arithmetic only.  Complex site points are accepted by the numeric layer;
+reported only when its residual reaches DEFAULT_TOL_ROOT.
+
+No dense Hamiltonian is built.  Each solve or verification builds the gather
+forms of the H_i once (hamiltonians._gather_form, in real arithmetic for
+real z) from the cached, z-independent pair maps, and the total E reads
+sl2._lowering_map backwards.  F^(k) moves each basis vector F^n v to
+F^(n + e_k) v with coefficient 1, so the Bethe vectors of all solutions, the
+restriction of the H_i to the frame and every residual come from index-map
+gathers with elementwise arithmetic only: a root set gets the same residuals
+alone as in a batch.  Complex site points are accepted by the numeric layer;
 only the exact-algebra layer restricts z to rationals.
 """
 
@@ -38,8 +44,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame, _symmetric_restriction
-from .hamiltonians import _vacuum_eigenvalue, hamiltonian_array
+from .eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame
+# hamiltonian_array is not called here but stays bound: the benchmark harness
+# patches it and build_total_generator as module globals
+from .hamiltonians import _gather_form, _vacuum_eigenvalue, hamiltonian_array  # noqa: F401
 from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
@@ -48,6 +56,7 @@ from .sl2 import (
     build_site_operator,
     build_total_generator,
     enumerate_weight_space,
+    _gather_sum,
     _lower,
     _lowering_map,
     _weights_of,
@@ -236,13 +245,37 @@ def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return worst
 
 
+def _raising_gathers(weights, m: int):
+    """(src, coef), each of shape (N, dim V_{m-1}): the total E from V_m as sum_k coef[k] psi[src[k]].
+
+    _lowering_map(weights, m - 1) read backwards: F^(k) sends the state r of
+    V_{m-1} to r + e_k, and E^(k) sends it back with n (lam_k - n + 1),
+    n = r_k + 1.  The sentinel dim V_m marks r_k = lam_k, where coef is 0.
+    """
+    if m == 0:  # E maps V_0 to the zero space
+        return np.zeros((len(weights), 0), dtype=np.intp), np.zeros((len(weights), 0))
+    lower = _lowering_map(weights, m - 1)
+    dim, n = lower.shape
+    below = enumerate_weight_space(weights, m - 1)
+    src = np.full((n, below.dim + 1), dim, dtype=np.intp)
+    src[np.arange(n), lower] = np.arange(dim)[:, None]  # the sentinel column below.dim is dropped
+    occupied = np.array(below.states, dtype=float).reshape(below.dim, n).T
+    return src[:, :-1], (occupied + 1) * (np.array(weights, dtype=float)[:, None] - occupied)
+
+
+def _operators(weights, z: np.ndarray, m: int):
+    """The gather forms of the total E and of each H_i on V_m; those of the H_i are real for real z."""
+    z_h = z if np.any(z.imag) else z.real
+    return _raising_gathers(weights, m), [_gather_form(weights, z_h, i, m) for i in range(len(weights))]
+
+
 def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
     """Singular residual, eigenvalue tuple and vector residual of the Bethe vector of each row of roots.
 
     The eigenvalues are E_i = E_i^vac + sum_k lam_i / (w_k - z_i), one row
-    per root set; raise_e and hams are the total E and the Hamiltonians on
-    V_m as arrays.  Their products with a Bethe vector stay one matrix-vector
-    product per root set, so a root set gets the same residuals alone as in a
+    per root set; raise_e and hams are the gather forms of _operators.  All
+    Bethe vectors go through each operator at once, with elementwise
+    arithmetic only, so a root set gets the same residuals alone as in a
     batch.
     """
     psi = _bethe_vectors(weights, z, roots)
@@ -250,13 +283,10 @@ def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
     lam = np.array([float(x) for x in weights])
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     eigenvalues = vacuum + np.sum(lam[:, None] / (roots[:, None, :] - z[:, None]), axis=-1)
-    singular_residual = np.zeros(len(roots))
-    if raise_e.size:
-        raise_e = raise_e.astype(complex)
-        singular_residual = np.array([np.max(np.abs(raise_e @ v)) for v in psi]) / sup
+    singular_residual = np.max(np.abs(_gather_sum(psi, *raise_e)), axis=1, initial=0.0) / sup
     vector_residual = np.zeros(len(roots))
     for ham, values in zip(hams, eigenvalues.T):
-        gaps = np.array([np.max(np.abs(ham @ v - e * v)) for v, e in zip(psi, values)])
+        gaps = np.max(np.abs(_gather_sum(psi, *ham) - values[:, None] * psi), axis=1)
         vector_residual = np.maximum(vector_residual, gaps / sup)
     return singular_residual, eigenvalues, vector_residual
 
@@ -307,18 +337,22 @@ def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
     return [np.roots(y[::-1]) for y in np.linalg.svd(mats)[2][:, -1].conj()]
 
 
-def _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed) -> np.ndarray:
+def _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed) -> np.ndarray:
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
     eigenbasis._singular_frame gives an orthonormal basis of the scaled
-    singular subspace, `count` vectors.  The symmetric restrictions of the
-    Hamiltonians to it are jointly diagonalized (eigenbasis._joint_eigen,
-    seeded by seed), and the Rayleigh quotients give the eigenvalue tuples.
-    Each tuple gives V from the cofactors that also give P.  The tuples only
-    start the polish, so no residual gate applies to them.
+    singular subspace, `count` vectors.  The symmetric restrictions
+    basis^T S^1/2 H_i S^-1/2 basis of the Hamiltonians (gather forms hams) to
+    it are jointly diagonalized (eigenbasis._joint_eigen, seeded by seed),
+    and the Rayleigh quotients give the eigenvalue tuples.  Each tuple gives
+    V from the cofactors that also give P.  The tuples only start the
+    polish, so no residual gate applies to them.
     """
+    raise_e = build_total_generator("E", weights, m).to_array(float)
     root, kernel = _singular_frame(weights, m, raise_e, count)
-    _, energies = _joint_eigen(_symmetric_restriction(hams, root, kernel), seed)
+    scaled = (kernel / root[:, None]).T  # rows S^-1/2 basis[:, s]
+    restricted = [kernel.T @ (root[:, None] * _gather_sum(scaled, *ham).T) for ham in hams]
+    _, energies = _joint_eigen(restricted, seed)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
     v_coeffs = (_cofactors(z).T @ (vacuum[:, None] - energies))[1:]
@@ -340,22 +374,31 @@ def _collapse(lam, z, rows: np.ndarray) -> list:
     """
     tol = 1e-7 * _z_scale(z)
     heads = np.empty(rows.shape, dtype=complex)
+    means = np.empty(len(rows), dtype=complex)
     groups = []
     for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: [_root_key(c) for c in r]):
-        near = np.flatnonzero(_multiset_gaps(row, heads[: len(groups)]) <= tol)
+        # any matching's largest gap is at least the distance of the means,
+        # so only heads whose mean is that close are matched
+        mean = np.mean(row)
+        near = np.flatnonzero(np.abs(means[: len(groups)] - mean) <= 2 * tol)
+        if near.size:
+            near = near[_multiset_gaps(row, heads[near]) <= tol]
         if near.size:
             groups[near[0]].append(row)
         else:
-            heads[len(groups)] = row
+            heads[len(groups)], means[len(groups)] = row, mean
             groups.append([row])
-    out = []
-    for group in groups:
-        roots = np.mean(group, axis=0)
-        residual = max(abs(f) for f in _residuals(lam, z, roots))
-        if len(group) == 1 and not residual <= DEFAULT_TOL_ROOT:
-            continue
-        out.append((roots, residual, len(group)))
-    return out
+    if not groups:
+        return []
+    roots = np.array([np.mean(group, axis=0) for group in groups])
+    f = _residuals(lam, z, roots)
+    # rounded as the scalar abs() of each f_k
+    residuals = np.max(np.hypot(f.real, f.imag), axis=1)
+    return [
+        (mean, residual, len(group))
+        for mean, residual, group in zip(roots, residuals, groups)
+        if len(group) > 1 or residual <= DEFAULT_TOL_ROOT
+    ]
 
 
 def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
@@ -375,16 +418,15 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
         raise ValueError("m must be at least 1")
     z = np.asarray(z, dtype=complex)
     lam = np.array([float(x) for x in weights])
-    raise_e = build_total_generator("E", weights, m).to_array(float)
     count = singular_dimension(weights, m)
     if count == 0:
         return []
-    hams = [hamiltonian_array(weights, z, i, m) for i in range(len(weights))]
+    raise_e, hams = _operators(weights, z, m)
     polys = _site_polynomials(lam, z)
     if m == 1:
         rows = _degree_one_roots(lam, z, polys[0])
     else:
-        rows = _eigenbasis_roots(weights, lam, z, m, count, raise_e, hams, polys, seed)
+        rows = _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed)
 
     collapsed = _collapse(lam, z, rows)
     if not collapsed:
@@ -425,9 +467,7 @@ def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution) -> SolutionRepo
     roots = np.asarray(sol.roots, dtype=complex)
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
-    raise_e = build_total_generator("E", spec, m).to_array(float)
-    hams = [hamiltonian_array(spec.weights, z, i, m) for i in range(spec.n_sites)]
-    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], raise_e, hams)
+    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], *_operators(spec.weights, z, m))
     singular_residual, vector_residual = float(singular[0]), float(vector[0])
     return SolutionReport(
         singular_residual=singular_residual,

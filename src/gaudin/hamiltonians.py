@@ -3,19 +3,31 @@
     H_i = sum_{j != i} Omega_ij / (z_i - z_j),
     Omega_ij = H^(i) H^(j) / 2 + E^(i) F^(j) + F^(i) E^(j) = Omega_ji,
 
-where Omega_ij does not depend on z and preserves each V_m.  With
-D = 2 lcm over i != j of numerator(z_i - z_j), every D / (z_i - z_j) is an
-even integer, so _integer_family, the one builder, makes the integer
+where Omega_ij does not depend on z and preserves each V_m.  Each column of
+Omega_ij has at most three entries: a diagonal and two hops, which move one
+unit of spin deviation between sites i and j.  _pair_map holds them once per
+(weights, m) as read-only gather maps, and both builders read it.
+
+With D = 2 lcm over i != j of numerator(z_i - z_j), every D / (z_i - z_j) is
+an even integer, so _integer_family, the exact builder, makes the integer
 matrices D H_i in one walk over the pairs i < j.  build_hamiltonian divides
 by D only at the end (exact Fraction entries).  The identities
 [H_i, H_j] = 0, sum_i H_i = 0 and the intertwinings with the total E and F
 are homogeneous in the H_i, so verify_family checks every one of them on
 the integer matrices D H_i, with zero tolerance.  The total H is the scalar
 sum(weights) - 2m on V_m, so it needs no check.
+
+For float or complex z, _gather_form writes H_i as 2N - 1 gathers (the
+diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j), which
+sl2._gather_sum applies to a block of vectors with elementwise arithmetic
+only, so a vector gets the same result alone as in a batch.
+hamiltonian_array scatters one gather form into a dense matrix.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +63,39 @@ def _pair_terms(weights, states, index, i, j):
             yield index[tuple(t)], col, 2 * s[j] * (weights[j] - s[j] + 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_map(weights: tuple[int, ...], m: int):
+    """Read-only gather maps of every Omega_ij on V_m, i < j, cached; they do not depend on z.
+
+    Returns (diag, src, k).  Index p runs over the pairs (i, j) in the order
+    of itertools.combinations(range(N), 2).  Omega_ij has the entry
+    diag[p, t] / 2 at (t, t) and k[p, h, t] / 2 at (t, src[p, h, t]) for its
+    hops h = 0 (E^(i) F^(j)) and h = 1 (F^(i) E^(j)), all from _pair_terms.
+    Where a hop does not reach row t, src[p, h, t] = dim V_m, a sentinel that
+    points at an appended zero, and k[p, h, t] = 0.
+    """
+    space = enumerate_weight_space(weights, m)
+    dim = space.dim
+    diag, src, k = [], [], []
+    for i, j in itertools.combinations(range(len(weights)), 2):
+        diag.append([0] * dim)
+        src.append([[dim] * dim, [dim] * dim])
+        k.append([[0] * dim, [0] * dim])
+        for row, col, value in _pair_terms(weights, space.states, space.index, i, j):
+            if row == col:
+                diag[-1][row] = value
+            else:
+                # E^(i) F^(j) lowers n_i with i < j, so its image comes first in lex order
+                h = int(row > col)
+                src[-1][h][row], k[-1][h][row] = col, value
+    maps = (np.array(diag, dtype=np.int64).reshape(-1, dim),
+            np.array(src, dtype=np.intp).reshape(-1, 2, dim),
+            np.array(k, dtype=np.int64).reshape(-1, 2, dim))
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 def _scale(z) -> int:
     """D = 2 lcm over i != j of numerator(z_i - z_j): each D / (z_i - z_j) is an even integer."""
     return 2 * math.lcm(*((zi - zj).numerator for a, zi in enumerate(z) for zj in z[a + 1 :]))
@@ -59,19 +104,24 @@ def _scale(z) -> int:
 def _integer_family(spec: ModelSpec, m: int) -> list:
     """The integer matrices D H_i on V_m, i = 0..N-1, with D = _scale(spec.z).
 
-    Each pair i < j is walked once: an Omega_ij entry k / 2 adds k h to D H_i
-    and -k h to D H_j, with h = D / (2 (z_i - z_j)), an integer.
+    Each pair i < j of _pair_map is read once: an Omega_ij entry k / 2 adds
+    k h to D H_i and -k h to D H_j, with h = D / (2 (z_i - z_j)), an integer.
     """
     half = _scale(spec.z) // 2
     space = enumerate_weight_space(spec, m)
+    diag, src, k = (arr.tolist() for arr in _pair_map(spec.weights, m))
     family = [SparseOperator.zero(space, space) for _ in range(spec.n_sites)]
-    for i, zi in enumerate(spec.z):
-        for j in range(i + 1, spec.n_sites):
-            diff = zi - spec.z[j]
-            h = half * diff.denominator // diff.numerator
-            for row, col, k in _pair_terms(spec.weights, space.states, space.index, i, j):
-                family[i].add_term(row, col, k * h)
-                family[j].add_term(row, col, -k * h)
+    for p, (i, j) in enumerate(itertools.combinations(range(spec.n_sites), 2)):
+        diff = spec.z[i] - spec.z[j]
+        h = half * diff.denominator // diff.numerator
+        for row, value in enumerate(diag[p]):
+            family[i].add_term(row, row, value * h)
+            family[j].add_term(row, row, -value * h)
+        for cols, values in zip(src[p], k[p]):
+            for row, (col, value) in enumerate(zip(cols, values)):
+                if value:
+                    family[i].add_term(row, col, value * h)
+                    family[j].add_term(row, col, -value * h)
     return family
 
 
@@ -93,17 +143,42 @@ def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
     return _integer_family(spec, m)[i].scaled(Fraction(1, _scale(spec.z)))
 
 
+def _gather_form(weights, z: np.ndarray, i: int, m: int):
+    """(src, coef), each of shape (2N - 1, dim V_m): H_i psi = sum_h coef[h] psi[src[h]].
+
+    z is a float or complex array and sets the dtype of coef.  Row 0 is the
+    diagonal, summed over j != i in ascending order; then come the two hops
+    of each j != i.  Every entry k / 2 of Omega_ij becomes (k / 2) / (z_i - z_j).
+    """
+    diag_k, src_k, hop_k = _pair_map(weights, m)
+    dim = diag_k.shape[1]
+    diag = np.zeros(dim, dtype=z.dtype)
+    src, coef = [np.arange(dim)], []
+    # the pairs that hold i come in ascending order of the other site j
+    for p, pair in enumerate(itertools.combinations(range(len(weights)), 2)):
+        if i in pair:
+            j = sum(pair) - i
+            diag = diag + (diag_k[p] / 2) / (z[i] - z[j])
+            src.extend(src_k[p])
+            coef.extend((hop_k[p] / 2) / (z[i] - z[j]))
+    return np.array(src), np.array([diag] + coef)
+
+
 def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
-    """Dense complex matrix of H_i on V_m for arbitrary complex site points z."""
-    weights = _weights_of(weights)
-    z = np.asarray(z, dtype=complex)
-    space = enumerate_weight_space(weights, m)
-    arr = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(len(weights)):
-        if j != i:
-            for row, col, k in _pair_terms(weights, space.states, space.index, i, j):
-                arr[row, col] += (k / 2) / (z[i] - z[j])
-    return arr
+    """Dense complex matrix of H_i on V_m for arbitrary complex site points z.
+
+    The entries of _gather_form are added into a zero matrix: off the
+    diagonal each position comes from one hop of one pair, so every entry,
+    the sign of a zero part included, is the one a sum over the pairs in
+    ascending order gives.
+    """
+    src, coef = _gather_form(_weights_of(weights), np.asarray(z, dtype=complex), i, m)
+    dim = src.shape[1]
+    arr = np.zeros((dim, dim + 1), dtype=complex)  # column dim takes the sentinel hops
+    rows = np.arange(dim)
+    for cols, values in zip(src, coef):
+        arr[rows, cols] += values
+    return arr[:, :dim].copy()
 
 
 def vacuum_eigenvalue(spec: ModelSpec, i: int) -> Fraction:

@@ -153,16 +153,22 @@ def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
     return src
 
 
-def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[s, k] F^(k) psi_s for each row psi_s on V_m, given src = _lowering_map(weights, m).
+def _gather_sum(psi: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_h psi[:, src[h]] * coef[h] for a block of rows psi of shape (S, dim).
 
+    psi is padded by a zero at index dim, so a sentinel dim in src reads 0.
     Gathers and elementwise arithmetic only: a row is the same alone as in a batch.
     """
-    padded = np.concatenate([psi, np.zeros((len(psi), 1), dtype=complex)], axis=1)
-    out = padded[:, src[:, 0]] * coeffs[:, :1]
-    for k in range(1, src.shape[1]):
-        out += padded[:, src[:, k]] * coeffs[:, k : k + 1]
+    padded = np.concatenate([psi, np.zeros((len(psi), 1), dtype=psi.dtype)], axis=1)
+    out = padded[:, src[0]] * coef[0]
+    for s, c in zip(src[1:], coef[1:]):
+        out += padded[:, s] * c
     return out
+
+
+def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[s, k] F^(k) psi_s for each complex row psi_s on V_m, given src = _lowering_map(weights, m)."""
+    return _gather_sum(psi, src.T, coeffs.T[:, :, None])
 
 
 def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from gaudin import (
 import gaudin.hamiltonians as hamiltonians
 from gaudin.hamiltonians import (
     _float_array,
+    _gather_form,
     _integer_family,
     _level_report,
+    _pair_map,
     _pair_terms,
     _products_equal,
     _scale,
@@ -409,3 +412,36 @@ class TestStructure:
             above = build_hamiltonian(spec, i, m)
             below = build_hamiltonian(spec, i, m - 1)
             assert (above @ f_op - f_op @ below).is_zero()
+
+
+class TestPairMap:
+    def test_maps_are_read_only(self):
+        for arr in _pair_map((2, 1, 3), 2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_second_z_hits_the_cache(self):
+        weights, m = (3, 1, 2, 2), 3
+        _pair_map(weights, m)
+        misses = _pair_map.cache_info().misses
+        for z in (np.array([0.0, 1.0, 2.5, -1.0]), np.array([0.5j, 1.0, 2.0 - 1.0j, 4.0])):
+            hits = _pair_map.cache_info().hits
+            for i in range(len(weights)):
+                _gather_form(weights, z, i, m)
+            assert _pair_map.cache_info().hits == hits + len(weights)
+        assert _pair_map.cache_info().misses == misses
+
+    def test_maps_hold_every_pair_term(self, rng):
+        for _ in range(4):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            for m in range(spec.total_weight + 1):
+                space = enumerate_weight_space(spec, m)
+                diag, src, k = _pair_map(spec.weights, m)
+                for p, (i, j) in enumerate(itertools.combinations(range(spec.n_sites), 2)):
+                    held = {(t, t, int(diag[p, t])) for t in range(space.dim)}
+                    held |= {(t, int(src[p, h, t]), int(k[p, h, t]))
+                             for h in range(2) for t in range(space.dim) if k[p, h, t]}
+                    terms = set(_pair_terms(spec.weights, space.states, space.index, i, j))
+                    assert held == terms
+                    assert np.all((src[p] == space.dim) == (k[p] == 0))
