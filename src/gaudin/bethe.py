@@ -18,23 +18,20 @@ Lambda_i = sum_k 1/(z_i - w_k), of degree N - 2 as sum_i E_i = sum_i E_i^vac.
 So y is the null vector of a linear map on polynomials of degree m, and each
 of the singular_dimension eigenvectors gives one root set: no random starts
 and no duplicates.  The maps of all eigenvectors share R y'' - P y' and go
-through one batched SVD.  The eigenvectors come from the singular frame and
-the joint-eigen routine of the eigenbasis layer.  With S the diagonal
-Shapovalov norms, the scaled Hamiltonians S^1/2 H_i S^-1/2 are real symmetric
-for real z (diagonalized by eigh) and complex symmetric otherwise (by eig),
-and the frame spans the kernel of the scaled total S_{m-1}^1/2 E S_m^-1/2.
-Every root set is polished by Newton on f_k with its analytic Jacobian and
-reported only when its residual reaches DEFAULT_TOL_ROOT.
+through one batched SVD.  The eigenvectors come from the routine of the
+eigenbasis layer, eigenbasis._singular_eigen (with S the diagonal Shapovalov
+norms, S^1/2 H_i S^-1/2 is real symmetric for real z, complex symmetric
+otherwise).  Every root set is polished by Newton on f_k with its analytic
+Jacobian and reported only when its residual reaches DEFAULT_TOL_ROOT.
 
-No dense Hamiltonian is built.  Each solve or verification builds the gather
-forms of the H_i once (hamiltonians._gather_form, in real arithmetic for
-real z) from the cached, z-independent pair maps, and the total E reads
-sl2._lowering_map backwards.  F^(k) moves each basis vector F^n v to
-F^(n + e_k) v with coefficient 1, so the Bethe vectors of all solutions, the
-restriction of the H_i to the frame and every residual come from index-map
-gathers with elementwise arithmetic only: a root set gets the same residuals
-alone as in a batch.  Complex site points are accepted by the numeric layer;
-only the exact-algebra layer restricts z to rationals.
+No dense Hamiltonian is built.  Each solve or verification builds the family
+gather form of the H_i once (hamiltonians._gather_forms) from this layer's
+float differences z_i - z_j, real for real z.  F^(k) moves each basis vector
+F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of all
+solutions and their residuals (eigenbasis._residual and _singular_residual)
+come from index-map gathers with elementwise arithmetic only: a root set gets
+the same residuals alone as in a batch.  Complex site points are accepted by
+the numeric layer; only the exact-algebra layer restricts z to rationals.
 """
 
 from __future__ import annotations
@@ -44,10 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame
-# hamiltonian_array is not called here but stays bound: the benchmark harness
-# patches it and build_total_generator as module globals
-from .hamiltonians import _gather_form, _vacuum_eigenvalue, hamiltonian_array  # noqa: F401
+from .eigenbasis import DEFAULT_TOL, _residual, _singular_eigen, _singular_residual
+from .hamiltonians import _gather_forms, _vacuum_eigenvalue
 from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
@@ -56,7 +51,6 @@ from .sl2 import (
     build_site_operator,
     build_total_generator,
     enumerate_weight_space,
-    _gather_sum,
     _lower,
     _lowering_map,
     _weights_of,
@@ -104,8 +98,7 @@ def lowering_field(spec: ModelSpec, w: complex, m: int) -> np.ndarray:
     w = complex(w)
     _check_off_poles(z, np.array(w))
     dim = enumerate_weight_space(spec, m).dim
-    coeffs = np.broadcast_to(1.0 / (w - z), (dim, len(z)))
-    return _lower(np.eye(dim, dtype=complex), _lowering_map(spec.weights, m), coeffs).T
+    return _lower(np.eye(dim, dtype=complex), _lowering_map(spec.weights, m), (1.0 / (w - z))[:, None])
 
 
 def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
@@ -121,16 +114,16 @@ def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
 
 
 def _bethe_vectors(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Bethe vectors F(w_1)...F(w_m) v_0, one row per root set: roots (S, m) -> (S, dim V_m).
+    """Bethe vectors F(w_1)...F(w_m) v_0, one column per root set: roots (S, m) -> (dim V_m, S).
 
     Each F(w) acts by gathers through _lowering_map (sl2._lower), in
-    O(N dim S) work per root.  Only elementwise arithmetic is used, so a row
-    comes out the same whether it is built alone or in a batch.
+    O(N dim S) work per root.  Only elementwise arithmetic is used, so a
+    column comes out the same whether it is built alone or in a batch.
     """
     _check_off_poles(z, roots)
-    psi = np.ones((len(roots), 1), dtype=complex)
+    psi = np.ones((1, len(roots)), dtype=complex)
     for degree in range(roots.shape[1]):
-        psi = _lower(psi, _lowering_map(tuple(weights), degree), 1.0 / (roots[:, degree, None] - z))
+        psi = _lower(psi, _lowering_map(tuple(weights), degree), 1.0 / (roots[:, degree] - z[:, None]))
     return psi
 
 
@@ -147,7 +140,7 @@ def bethe_vector(spec: ModelSpec, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
-    return _bethe_vectors(spec.weights, z, roots[None, :])[0]
+    return _bethe_vectors(spec.weights, z, roots[None, :])[:, 0]
 
 
 def _residuals(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -217,13 +210,15 @@ def _polish(lam: np.ndarray, z: np.ndarray, w: np.ndarray):
     return w, res
 
 
-def _root_key(c: complex) -> tuple:
-    # a conjugate pair whose real parts differ in the last bits orders by imaginary part
-    return (round(c.real, 9), c.imag)
+def _root_keys(roots: np.ndarray) -> np.ndarray:
+    # (real part to 9 decimals, imaginary part) per root: a conjugate pair whose real parts
+    # differ in the last bits orders by imaginary part; np.round rounds as round() on each part
+    return np.stack([np.round(roots.real, 9), roots.imag], axis=-1)
 
 
 def _sorted_roots(roots) -> np.ndarray:
-    return np.array(sorted(np.asarray(roots, dtype=complex), key=_root_key))
+    roots = np.asarray(roots, dtype=complex)
+    return roots[np.lexsort(_root_keys(roots).T[::-1])]
 
 
 def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -245,50 +240,24 @@ def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return worst
 
 
-def _raising_gathers(weights, m: int):
-    """(src, coef), each of shape (N, dim V_{m-1}): the total E from V_m as sum_k coef[k] psi[src[k]].
-
-    _lowering_map(weights, m - 1) read backwards: F^(k) sends the state r of
-    V_{m-1} to r + e_k, and E^(k) sends it back with n (lam_k - n + 1),
-    n = r_k + 1.  The sentinel dim V_m marks r_k = lam_k, where coef is 0.
-    """
-    if m == 0:  # E maps V_0 to the zero space
-        return np.zeros((len(weights), 0), dtype=np.intp), np.zeros((len(weights), 0))
-    lower = _lowering_map(weights, m - 1)
-    dim, n = lower.shape
-    below = enumerate_weight_space(weights, m - 1)
-    src = np.full((n, below.dim + 1), dim, dtype=np.intp)
-    src[np.arange(n), lower] = np.arange(dim)[:, None]  # the sentinel column below.dim is dropped
-    occupied = np.array(below.states, dtype=float).reshape(below.dim, n).T
-    return src[:, :-1], (occupied + 1) * (np.array(weights, dtype=float)[:, None] - occupied)
+def _hamiltonian_gathers(weights, z: np.ndarray, m: int):
+    """The family gather form of the H_i on V_m from the float differences z_i - z_j, real for real z."""
+    diffs = z[:, None] - z
+    return _gather_forms(weights, diffs if np.any(z.imag) else diffs.real, m)
 
 
-def _operators(weights, z: np.ndarray, m: int):
-    """The gather forms of the total E and of each H_i on V_m; those of the H_i are real for real z."""
-    z_h = z if np.any(z.imag) else z.real
-    return _raising_gathers(weights, m), [_gather_form(weights, z_h, i, m) for i in range(len(weights))]
-
-
-def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, raise_e, hams):
+def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, hams):
     """Singular residual, eigenvalue tuple and vector residual of the Bethe vector of each row of roots.
 
     The eigenvalues are E_i = E_i^vac + sum_k lam_i / (w_k - z_i), one row
-    per root set; raise_e and hams are the gather forms of _operators.  All
-    Bethe vectors go through each operator at once, with elementwise
-    arithmetic only, so a root set gets the same residuals alone as in a
-    batch.
+    per root set; hams comes from _hamiltonian_gathers.  A root set gets the
+    same residuals alone as in a batch.
     """
     psi = _bethe_vectors(weights, z, roots)
-    sup = np.max(np.abs(psi), axis=1)
     lam = np.array([float(x) for x in weights])
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     eigenvalues = vacuum + np.sum(lam[:, None] / (roots[:, None, :] - z[:, None]), axis=-1)
-    singular_residual = np.max(np.abs(_gather_sum(psi, *raise_e)), axis=1, initial=0.0) / sup
-    vector_residual = np.zeros(len(roots))
-    for ham, values in zip(hams, eigenvalues.T):
-        gaps = np.max(np.abs(_gather_sum(psi, *ham) - values[:, None] * psi), axis=1)
-        vector_residual = np.maximum(vector_residual, gaps / sup)
-    return singular_residual, eigenvalues, vector_residual
+    return _singular_residual(weights, roots.shape[1], psi), eigenvalues, _residual(hams, psi, eigenvalues.T)
 
 
 def _degree_one_roots(lam, z, p_coeffs) -> np.ndarray:
@@ -340,19 +309,13 @@ def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
 def _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed) -> np.ndarray:
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
-    eigenbasis._singular_frame gives an orthonormal basis of the scaled
-    singular subspace, `count` vectors.  The symmetric restrictions
-    basis^T S^1/2 H_i S^-1/2 basis of the Hamiltonians (gather forms hams) to
-    it are jointly diagonalized (eigenbasis._joint_eigen, seeded by seed),
-    and the Rayleigh quotients give the eigenvalue tuples.  Each tuple gives
-    V from the cofactors that also give P.  The tuples only start the
-    polish, so no residual gate applies to them.
+    The eigenvalue tuples come from eigenbasis._singular_eigen, the routine
+    of the eigenbasis layer, on the gather forms hams (seeded by seed).  Each
+    tuple gives V from the cofactors that also give P.  The tuples only
+    start the polish, so no residual gate applies to them.
     """
     raise_e = build_total_generator("E", weights, m).to_array(float)
-    root, kernel = _singular_frame(weights, m, raise_e, count)
-    scaled = (kernel / root[:, None]).T  # rows S^-1/2 basis[:, s]
-    restricted = [kernel.T @ (root[:, None] * _gather_sum(scaled, *ham).T) for ham in hams]
-    _, energies = _joint_eigen(restricted, seed)
+    _, energies = _singular_eigen(weights, m, raise_e, count, hams, seed)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
     v_coeffs = (_cofactors(z).T @ (vacuum[:, None] - energies))[1:]
@@ -376,7 +339,7 @@ def _collapse(lam, z, rows: np.ndarray) -> list:
     heads = np.empty(rows.shape, dtype=complex)
     means = np.empty(len(rows), dtype=complex)
     groups = []
-    for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: [_root_key(c) for c in r]):
+    for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: _root_keys(r).tolist()):
         # any matching's largest gap is at least the distance of the means,
         # so only heads whose mean is that close are matched
         mean = np.mean(row)
@@ -421,7 +384,7 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     count = singular_dimension(weights, m)
     if count == 0:
         return []
-    raise_e, hams = _operators(weights, z, m)
+    hams = _hamiltonian_gathers(weights, z, m)
     polys = _site_polynomials(lam, z)
     if m == 1:
         rows = _degree_one_roots(lam, z, polys[0])
@@ -432,7 +395,7 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     if not collapsed:
         return []
     roots = np.array([mean for mean, _, _ in collapsed])
-    singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, raise_e, hams)
+    singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, hams)
     return [
         BetheSolution(
             roots=mean,
@@ -467,7 +430,7 @@ def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution) -> SolutionRepo
     roots = np.asarray(sol.roots, dtype=complex)
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
-    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], *_operators(spec.weights, z, m))
+    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], _hamiltonian_gathers(spec.weights, z, m))
     singular_residual, vector_residual = float(singular[0]), float(vector[0])
     return SolutionReport(
         singular_residual=singular_residual,

@@ -10,11 +10,13 @@ basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
 symmetric for S (Mukhin, Tarasov and Varchenko, Ann. of Math. 170, 2009), so
 for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  An SVD of the
 scaled total raising operator gives an orthonormal frame of the scaled
-singular subspace (_singular_frame, shared with the Bethe layer), and the
-exact intertwining E H_i = H_i E makes it invariant; the restricted
-Hamiltonians are jointly diagonalized by eigh of one seeded random
-combination, and every eigenvector is verified by its singular and
-eigenvector residuals in V_m coordinates.
+singular subspace, and the exact intertwining E H_i = H_i E makes it
+invariant; the restricted Hamiltonians are jointly diagonalized by eigh of
+one seeded random combination (_singular_eigen, shared with the Bethe
+layer).  Every eigenvector is verified by its singular and eigenvector
+residuals in V_m coordinates.  No dense Hamiltonian is built: the H_i act
+by the gathers of hamiltonians._gather_forms, from the correctly rounded
+floats of the exact differences z_i - z_j.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import _float_array, _integer_family, _products_equal, _scale
+from .hamiltonians import _gather_forms, _integer_family, _products_equal, _scale
 from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
+    _gather_sum,
     _lower,
     _lowering_map,
+    _pad,
+    _raising_gathers,
     _shapovalov_norms,
     build_total_generator,
     enumerate_weight_space,
@@ -43,6 +48,7 @@ DEFAULT_TOL_RANK = 1e-8
 # eigenvalues of the combination closer than this fraction of its spread form
 # a cluster that a fresh combination diagonalizes once more
 _CLUSTER_GAP = 1e-6
+_BLOCK = 1 << 16  # the entries _images gathers per term, or one site's worth
 
 
 class DiagonalizationError(RuntimeError):
@@ -100,17 +106,20 @@ def _singular_frame(weights, m: int, raise_e: np.ndarray, count: int):
     raise_e is the float total E from V_m to V_{m-1} and count the exact
     singular_dimension.  basis holds the last count right singular vectors of
     S_{m-1}^1/2 E S_m^-1/2 as columns.  The squares of that matrix's singular
-    values are k (sum(weights) - 2m + k + 1), k = 1..m, so the smallest
-    nonzero one, sqrt(sum(weights) - 2m + 2), is at least sqrt(2).
+    values, the eigenvalues of F E on V_m, are k (sum(weights) - 2m + k + 1)
+    with multiplicity singular_dimension(m - k), k = 1..m, all at least 2; a
+    relative error above DEFAULT_TOL raises DiagonalizationError.
     """
     root = _shapovalov_root(weights, m)
     scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
-    return root, np.linalg.svd(scaled)[2][-count:].T
-
-
-def _symmetric_restriction(ham_arrays, root: np.ndarray, basis: np.ndarray) -> list:
-    """basis^T S^1/2 H_i S^-1/2 basis for each H_i; basis has orthonormal real columns."""
-    return [basis.T @ (root[:, None] * ham / root) @ basis for ham in ham_arrays]
+    _, values, vt = np.linalg.svd(scaled)
+    counts = [singular_dimension(weights, m - k) for k in range(1, m + 1)]
+    k = np.arange(1, m + 1)  # the squares ascend in k
+    expected = np.repeat(k * (sum(weights) - 2 * m + k + 1.0), counts)
+    error = np.max(np.abs(np.sort(values**2) - expected) / expected, initial=0.0)
+    if error > DEFAULT_TOL:
+        raise DiagonalizationError(f"frame singular values off by {error:.3e} relative", error)
+    return root, vt[-count:].T
 
 
 def _eig(mat: np.ndarray, real: bool):
@@ -154,17 +163,48 @@ def _joint_eigen(mats, seed):
     return vecs, eigs
 
 
-def _residual(ham_arrays, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+def _images(hams, vecs: np.ndarray):
+    """Yield (sites, H_i vecs for the i in sites), hams a family gather form and vecs (dim, S) padded once."""
+    src, coef = hams
+    padded = _pad(vecs)
+    step = max(1, _BLOCK // padded.size)
+    for start in range(0, src.shape[1], step):
+        sites = slice(start, start + step)
+        yield sites, _gather_sum(padded, src[:, sites], coef[:, sites])
+
+
+def _singular_eigen(weights, m: int, raise_e: np.ndarray, count: int, hams, seed):
+    """(coords, eigs): the joint eigenvectors of the H_i on the singular subspace of V_m.
+
+    hams is the family gather form of the H_i.  Their restrictions
+    basis^T S^1/2 H_i S^-1/2 basis to the frame of raise_e are jointly
+    diagonalized.  coords holds the eigenvectors in V_m coordinates as
+    columns, and eigs[i, j] the eigenvalue of H_i at column j.
+    """
+    root, basis = _singular_frame(weights, m, raise_e, count)
+    chunks = _images(hams, basis / root[:, None])  # columns S^-1/2 basis[:, s]
+    blocks = (basis.T @ np.multiply(g, root[:, None], out=g) for _, g in chunks)
+    vecs, eigs = _joint_eigen([mat for block in blocks for mat in block], seed)
+    return (basis @ vecs) / root[:, None], eigs
+
+
+def _residual(hams, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """max_i |H_i v - E_i v| / max |v| for each column v of vecs, shape (dim, S).
 
-    eigenvalues has shape (N, S), column j the tuple of vecs[:, j]; one
-    product per H_i covers all S columns.
+    eigenvalues has shape (N, S), column j the tuple of vecs[:, j].  Gathers
+    act on each column alone, so it gets the same residual as in a batch.
     """
-    sup = np.max(np.abs(vecs), axis=0)
-    worst = np.zeros(vecs.shape[1])
-    for mat, values in zip(ham_arrays, eigenvalues):
-        worst = np.maximum(worst, np.max(np.abs(mat @ vecs - values * vecs), axis=0) / sup)
-    return worst
+    gaps = [
+        np.max(np.abs(images - eigenvalues[sites, None] * vecs), axis=(0, 1))
+        for sites, images in _images(hams, vecs)
+    ]
+    return np.max(gaps, axis=0) / np.max(np.abs(vecs), axis=0)
+
+
+def _singular_residual(weights, m: int, vecs: np.ndarray) -> np.ndarray:
+    """max |E v| / max |v| for each column v of vecs on V_m, by the gathers of the total E."""
+    image = _gather_sum(_pad(vecs), *_raising_gathers(weights, m))
+    return np.max(np.abs(image), axis=0, initial=0.0) / np.max(np.abs(vecs), axis=0)
 
 
 def _gate(residuals, what: str) -> None:
@@ -178,10 +218,10 @@ def _trace(op) -> int:
 
 
 def _level_family(spec: ModelSpec, m: int):
-    """(D, the integer matrices D H_i, the float arrays of H_i) on V_m, built once per level."""
-    scale = _scale(spec.z)
-    ints = _integer_family(spec, m)
-    return scale, ints, [_float_array(op, scale) for op in ints]
+    """(D, the integer matrices D H_i, the family gather form of the H_i) on V_m, built once per level."""
+    fractions = [(x.numerator, x.denominator) for x in spec.z]  # int / int rounds correctly
+    diffs = np.array([[(p * e - q * d) / (d * e) for q, e in fractions] for p, d in fractions])
+    return _scale(spec.z), _integer_family(spec, m), _gather_forms(spec.weights, diffs, m)
 
 
 def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
@@ -206,42 +246,27 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
     count = singular_dimension(spec, m)
     if count == 0:
         return []
-    scale, hams, ham_arrays = family or _level_family(spec, m)
+    scale, ints, gathers = family or _level_family(spec, m)
     if below is None and m > 0:
         below = _integer_family(spec, m - 1)
     # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
-    for op, ham in zip(below or (), hams):
+    for op, ham in zip(below or (), ints):
         if not _products_equal(op, raise_e, raise_e, ham):
             raise ValueError("operator does not preserve the kernel of the raising operator")
+    coords, eigs = _singular_eigen(spec.weights, m, raise_e.to_array(float), count, gathers, seed)
     exact = None
     if count == 1:
-        lower = [_trace(op) for op in below] if below else [0] * len(hams)
-        exact = tuple(Fraction(_trace(ham) - t, scale) for ham, t in zip(hams, lower))
-
-    raise_arr = raise_e.to_array(float)
-    root, basis = _singular_frame(spec.weights, m, raise_arr, count)
-    vecs, eigs = _joint_eigen(_symmetric_restriction(ham_arrays, root, basis), seed)
-    coords = (basis @ vecs) / root[:, None]
-    if exact is not None:
+        lower = [_trace(op) for op in below] if below else [0] * len(ints)
+        exact = tuple(Fraction(_trace(ham) - t, scale) for ham, t in zip(ints, lower))
         eigs = np.array([[float(x)] for x in exact])
 
-    units = [_canonical_phase(col / np.linalg.norm(col)).astype(complex) for col in coords.T]
-    stacked = np.array(units).T
-    sup = np.max(np.abs(stacked), axis=0)
-    _gate(np.max(np.abs(raise_arr @ stacked), axis=0, initial=0.0) / sup, "singular")
-    eigenvalues = eigs.astype(complex)
-    residuals = _residual(ham_arrays, stacked, eigenvalues)
+    units = np.array([_canonical_phase(col / np.linalg.norm(col)) for col in coords.T]).T
+    _gate(_singular_residual(spec.weights, m, units), "singular")
+    residuals = _residual(gathers, units, eigs)
     _gate(residuals, "singular-subspace eigenvector")
     out = [
-        EigenVector(
-            m=m,
-            coords=v,
-            eigenvalues=values,
-            origin="singular",
-            residual=res,
-            exact_eigenvalues=exact,
-        )
-        for v, values, res in zip(units, eigenvalues.T.copy(), residuals)
+        EigenVector(m=m, coords=v, eigenvalues=values, origin="singular", residual=res, exact_eigenvalues=exact)
+        for v, values, res in zip(units.T.astype(complex, order="C"), eigs.T.astype(complex), residuals)
     ]
     out.sort(key=lambda ev: tuple((s.real, s.imag) for s in ev.eigenvalues))
     return out
@@ -281,8 +306,8 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     for m in range(1, m_max + 1):
         below, family = family[1], _level_family(spec, m)
         parents = levels[m - 1]
-        unit = np.ones((len(parents), spec.n_sites))  # the total F: coefficient 1 on every site
-        images = _lower(np.array([p.coords for p in parents]), _lowering_map(spec.weights, m - 1), unit)
+        unit = np.ones((spec.n_sites, 1))  # the total F: coefficient 1 on every site
+        images = _lower(np.array([p.coords for p in parents]).T, _lowering_map(spec.weights, m - 1), unit).T
         norms = [float(np.linalg.norm(image)) for image in images]
         if 0.0 in norms:
             raise CompletenessError(f"lowering annihilated an eigenvector at level {m}")
@@ -350,17 +375,17 @@ def verify_nonsingularity(basis: EigenBasis, m: int) -> NonSingularityReport:
     scalar is strictly positive.
     """
     spec = basis.spec
-    raise_e = build_total_generator("E", spec, m).to_array(float)
+    level = basis.levels[m]
+    images = _gather_sum(_pad(np.array([v.coords for v in level]).T), *_raising_gathers(spec.weights, m)).T
     checks = []
     ok = True
     worst = 0.0
-    for j, vec in enumerate(basis.levels[m]):
+    for j, (vec, image) in enumerate(zip(level, images)):
         if vec.origin == "singular":
             continue
         parent = basis.levels[m - 1][vec.preimage]
         k = parent.times_lowered
         scalar = (k + 1) * (spec.total_weight - 2 * (m - 1) + k)
-        image = raise_e @ vec.coords
         predicted = (scalar / vec.lowering_norm) * parent.coords
         scale = max(np.max(np.abs(image)), 1e-300)
         rel = float(np.max(np.abs(image - predicted)) / scale)

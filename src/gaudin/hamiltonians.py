@@ -17,11 +17,11 @@ are homogeneous in the H_i, so verify_family checks every one of them on
 the integer matrices D H_i, with zero tolerance.  The total H is the scalar
 sum(weights) - 2m on V_m, so it needs no check.
 
-For float or complex z, _gather_form writes H_i as 2N - 1 gathers (the
-diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j), which
-sl2._gather_sum applies to a block of vectors with elementwise arithmetic
-only, so a vector gets the same result alone as in a batch.
-hamiltonian_array scatters one gather form into a dense matrix.
+For float or complex z, _gather_forms writes every H_i as 2N - 1 gathers
+(the diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j),
+given the differences z_i - z_j: the eigenbasis layer passes the correctly
+rounded exact ones, the Bethe layer its float ones, and neither layer builds
+a dense Hamiltonian.  hamiltonian_array scatters one H_i into a dense matrix.
 """
 
 from __future__ import annotations
@@ -65,35 +65,31 @@ def _pair_terms(weights, states, index, i, j):
 
 @functools.lru_cache(maxsize=None)
 def _pair_map(weights: tuple[int, ...], m: int):
-    """Read-only gather maps of every Omega_ij on V_m, i < j, cached; they do not depend on z.
+    """Read-only gather maps (src, k) of every Omega_ij on V_m by site, cached; they do not depend on z.
 
-    Returns (diag, src, k).  Index p runs over the pairs (i, j) in the order
-    of itertools.combinations(range(N), 2).  Omega_ij has the entry
-    diag[p, t] / 2 at (t, t) and k[p, h, t] / 2 at (t, src[p, h, t]) for its
-    hops h = 0 (E^(i) F^(j)) and h = 1 (F^(i) E^(j)), all from _pair_terms.
-    Where a hop does not reach row t, src[p, h, t] = dim V_m, a sentinel that
-    points at an appended zero, and k[p, h, t] = 0.
+    k[r, i] holds the integers k of the entries k / 2 of Omega_ij = Omega_ji,
+    j = r + (r >= i) the r-th other site of i, from _pair_terms(a, b) with
+    a < b: the diagonal, then the hops E^(a) F^(b) and F^(a) E^(b) from
+    columns src[2r + 1, i] and src[2r + 2, i].  src[0, i] is the identity.
+    A hop that misses row t reads the sentinel dim V_m, with k = 0.
     """
     space = enumerate_weight_space(weights, m)
-    dim = space.dim
-    diag, src, k = [], [], []
-    for i, j in itertools.combinations(range(len(weights)), 2):
-        diag.append([0] * dim)
-        src.append([[dim] * dim, [dim] * dim])
-        k.append([[0] * dim, [0] * dim])
+    n, dim = len(weights), space.dim
+    src = np.full((2 * n - 1, n, dim), dim, dtype=np.intp)
+    src[0] = np.arange(dim)
+    k = np.zeros((n - 1, n, 3, dim), dtype=np.int64)
+    for i, j in itertools.combinations(range(n), 2):
+        pair_k, pair_src = [[0] * dim for _ in range(3)], [[dim] * dim, [dim] * dim]
         for row, col, value in _pair_terms(weights, space.states, space.index, i, j):
-            if row == col:
-                diag[-1][row] = value
-            else:
-                # E^(i) F^(j) lowers n_i with i < j, so its image comes first in lex order
-                h = int(row > col)
-                src[-1][h][row], k[-1][h][row] = col, value
-    maps = (np.array(diag, dtype=np.int64).reshape(-1, dim),
-            np.array(src, dtype=np.intp).reshape(-1, 2, dim),
-            np.array(k, dtype=np.int64).reshape(-1, 2, dim))
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
+            # E^(i) F^(j) lowers n_i with i < j, so its image comes first in lex order
+            h = 0 if row == col else 1 + int(row > col)
+            pair_k[h][row] = value
+            if h:
+                pair_src[h - 1][row] = col
+        for site, r in ((i, j - 1), (j, i)):
+            k[r, site], src[2 * r + 1 : 2 * r + 3, site] = pair_k, pair_src
+    src.flags.writeable = k.flags.writeable = False
+    return src, k
 
 
 def _scale(z) -> int:
@@ -109,15 +105,16 @@ def _integer_family(spec: ModelSpec, m: int) -> list:
     """
     half = _scale(spec.z) // 2
     space = enumerate_weight_space(spec, m)
-    diag, src, k = (arr.tolist() for arr in _pair_map(spec.weights, m))
+    src, k = _pair_map(spec.weights, m)
     family = [SparseOperator.zero(space, space) for _ in range(spec.n_sites)]
-    for p, (i, j) in enumerate(itertools.combinations(range(spec.n_sites), 2)):
+    for i, j in itertools.combinations(range(spec.n_sites), 2):
         diff = spec.z[i] - spec.z[j]
         h = half * diff.denominator // diff.numerator
-        for row, value in enumerate(diag[p]):
+        diag, *hops = k[j - 1, i].tolist()  # j is the (j - 1)-th other site of i
+        for row, value in enumerate(diag):
             family[i].add_term(row, row, value * h)
             family[j].add_term(row, row, -value * h)
-        for cols, values in zip(src[p], k[p]):
+        for cols, values in zip(src[2 * j - 1 : 2 * j + 1, i].tolist(), hops):
             for row, (col, value) in enumerate(zip(cols, values)):
                 if value:
                     family[i].add_term(row, col, value * h)
@@ -125,58 +122,43 @@ def _integer_family(spec: ModelSpec, m: int) -> list:
     return family
 
 
-def _float_array(op: SparseOperator, scale: int) -> np.ndarray:
-    """Dense float matrix of op / scale.
-
-    Integer true division rounds correctly, so each entry equals float of the
-    Fraction entry of op.scaled(Fraction(1, scale)).
-    """
-    arr = np.zeros((op.codomain.dim, op.domain.dim))
-    for col, colmap in enumerate(op.cols):
-        for row, v in colmap.items():
-            arr[row, col] = v / scale
-    return arr
-
-
 def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
     """Exact matrix of H_i on V_m (site index i is 0-based), Fraction entries."""
     return _integer_family(spec, m)[i].scaled(Fraction(1, _scale(spec.z)))
 
 
-def _gather_form(weights, z: np.ndarray, i: int, m: int):
-    """(src, coef), each of shape (2N - 1, dim V_m): H_i psi = sum_h coef[h] psi[src[h]].
+def _gather_forms(weights, diffs: np.ndarray, m: int):
+    """(src, coef) of the family: H_i psi = sl2._gather_sum(sl2._pad(psi), src, coef)[i], src from _pair_map.
 
-    z is a float or complex array and sets the dtype of coef.  Row 0 is the
-    diagonal, summed over j != i in ascending order; then come the two hops
-    of each j != i.  Every entry k / 2 of Omega_ij becomes (k / 2) / (z_i - z_j).
+    diffs[i, j] = z_i - z_j, float or complex, sets the dtype of coef, which
+    has a trailing axis of length 1.  The diagonal of H_i is summed over
+    j != i in ascending order; every k / 2 becomes (k / 2) / diffs[i, j].
     """
-    diag_k, src_k, hop_k = _pair_map(weights, m)
-    dim = diag_k.shape[1]
-    diag = np.zeros(dim, dtype=z.dtype)
-    src, coef = [np.arange(dim)], []
-    # the pairs that hold i come in ascending order of the other site j
-    for p, pair in enumerate(itertools.combinations(range(len(weights)), 2)):
-        if i in pair:
-            j = sum(pair) - i
-            diag = diag + (diag_k[p] / 2) / (z[i] - z[j])
-            src.extend(src_k[p])
-            coef.extend((hop_k[p] / 2) / (z[i] - z[j]))
-    return np.array(src), np.array([diag] + coef)
+    src, k = _pair_map(weights, m)
+    n, dim = src.shape[1:]
+    r = np.arange(n - 1)[:, None]
+    terms = k / 2 / diffs[np.arange(n), r + (r >= np.arange(n))][:, :, None, None]
+    diag = np.zeros((n, dim), dtype=diffs.dtype)
+    for row in terms[:, :, 0]:
+        diag = diag + row
+    hops = terms[:, :, 1:].transpose(0, 2, 1, 3).reshape(-1, n, dim)
+    return src, np.concatenate([diag[None], hops])[..., None]
 
 
 def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     """Dense complex matrix of H_i on V_m for arbitrary complex site points z.
 
-    The entries of _gather_form are added into a zero matrix: off the
+    The entries of _gather_forms are added into a zero matrix: off the
     diagonal each position comes from one hop of one pair, so every entry,
     the sign of a zero part included, is the one a sum over the pairs in
     ascending order gives.
     """
-    src, coef = _gather_form(_weights_of(weights), np.asarray(z, dtype=complex), i, m)
-    dim = src.shape[1]
+    z = np.asarray(z, dtype=complex)
+    src, coef = _gather_forms(_weights_of(weights), z[:, None] - z, m)
+    dim = src.shape[2]
     arr = np.zeros((dim, dim + 1), dtype=complex)  # column dim takes the sentinel hops
     rows = np.arange(dim)
-    for cols, values in zip(src, coef):
+    for cols, values in zip(src[:, i], coef[:, i, :, 0]):
         arr[rows, cols] += values
     return arr[:, :dim].copy()
 

@@ -140,9 +140,9 @@ def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
     F^(k) sends the basis vector F^n v to F^(n + e_k) v with coefficient 1,
     so row t of F^(k) holds 1 in column src[t, k], the V_m index of t - e_k,
     for every site k with n_k(t) > 0.  Where n_k(t) = 0, src[t, k] = dim V_m,
-    a sentinel that points at an appended zero.
+    a sentinel that points at an appended zero.  V_{-1} is the zero space.
     """
-    domain = enumerate_weight_space(weights, m)
+    domain = _space(weights, m)
     codomain = _space(weights, m + 1)
     src = np.full((codomain.dim, len(weights)), domain.dim, dtype=np.intp)
     for t, state in enumerate(codomain.states):
@@ -153,22 +153,51 @@ def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
     return src
 
 
-def _gather_sum(psi: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_h psi[:, src[h]] * coef[h] for a block of rows psi of shape (S, dim).
+@functools.lru_cache(maxsize=None)
+def _raising_gathers(weights: tuple[int, ...], m: int):
+    """Read-only (src, coef) of the total E from V_m to V_{m-1}, cached: E psi = _gather_sum(_pad(psi), src, coef).
 
-    psi is padded by a zero at index dim, so a sentinel dim in src reads 0.
-    Gathers and elementwise arithmetic only: a row is the same alone as in a batch.
+    _lowering_map(weights, m - 1) read backwards: F^(k) sends the state r of
+    V_{m-1} to r + e_k, and E^(k) sends it back with n (lam_k - n + 1),
+    n = r_k + 1.  src has shape (N, dim V_{m-1}), and coef the same with a
+    trailing axis of length 1; the sentinel dim V_m marks r_k = lam_k.
     """
-    padded = np.concatenate([psi, np.zeros((len(psi), 1), dtype=psi.dtype)], axis=1)
-    out = padded[:, src[0]] * coef[0]
+    lower = _lowering_map(weights, m - 1)
+    dim, n = lower.shape
+    below = _space(weights, m - 1)
+    src = np.full((n, below.dim + 1), dim, dtype=np.intp)
+    src[np.arange(n), lower] = np.arange(dim)[:, None]  # the sentinel column below.dim is dropped
+    src = src[:, :-1].copy()
+    occupied = np.array(below.states, dtype=float).reshape(below.dim, n).T
+    coef = ((occupied + 1) * (np.array(weights, dtype=float)[:, None] - occupied))[:, :, None]
+    src.flags.writeable = coef.flags.writeable = False
+    return src, coef
+
+
+def _pad(psi: np.ndarray) -> np.ndarray:
+    """A block of column vectors psi, shape (dim, S), with a zero row appended at index dim."""
+    return np.concatenate([psi, np.zeros((1, psi.shape[1]), dtype=psi.dtype)])
+
+
+def _gather_sum(padded: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_h padded[src[h]] * coef[h] for a block of columns padded by _pad, shape (dim + 1, S).
+
+    A sentinel dim in src reads the zero row; src[h] may hold a family of
+    operators (hamiltonians._gather_forms).  The terms are added in the order
+    of h, elementwise only: a column is the same alone as in a batch.
+    """
+    out = padded[src[0]] * coef[0]
     for s, c in zip(src[1:], coef[1:]):
-        out += padded[:, s] * c
+        out += padded[s] * c
     return out
 
 
 def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[s, k] F^(k) psi_s for each complex row psi_s on V_m, given src = _lowering_map(weights, m)."""
-    return _gather_sum(psi, src.T, coeffs.T[:, :, None])
+    """sum_k coeffs[k] F^(k) psi for a block psi of shape (dim V_m, S), coeffs (N, S) or (N, 1).
+
+    src is _lowering_map(weights, m).
+    """
+    return _gather_sum(_pad(psi), src.T, coeffs[:, None])
 
 
 def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:

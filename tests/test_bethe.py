@@ -34,18 +34,17 @@ from gaudin.bethe import (
     _heine_stieltjes_roots,
     _jacobian,
     _lowering_map,
+    _hamiltonian_gathers,
     _multiset_gaps,
-    _operators,
     _polish,
     _residuals,
-    _root_key,
     _site_polynomials,
     _sorted_roots,
     _z_scale,
 )
-from gaudin.eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame, _symmetric_restriction
+from gaudin.eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame
 from gaudin.hamiltonians import _vacuum_eigenvalue, hamiltonian_array
-from gaudin.sl2 import DEFAULT_SEED, _gather_sum
+from gaudin.sl2 import DEFAULT_SEED, _gather_sum, _pad, _raising_gathers
 
 from conftest import random_spec
 
@@ -65,8 +64,13 @@ def rational_off_poles(rng, spec):
             return w
 
 
+def root_key(c):
+    """The canonical key of one root, by the scalar round() of its real part."""
+    return (round(c.real, 9), c.imag)
+
+
 def canonically_sorted(roots):
-    return np.array(sorted(roots, key=lambda c: (round(c.real, 9), c.imag)))
+    return np.array(sorted(roots, key=root_key))
 
 
 def multiset_gap_reference(a, b):
@@ -94,12 +98,15 @@ def heine_stieltjes_matrix_reference(p_coeffs, r_coeffs, v, m):
 
 
 def vandermonde_root_sets(weights, z, m):
-    """The m >= 2 solver with V fitted by least squares on monomials at the z_i, V(z_i) = P(z_i) Lambda_i."""
+    """The m >= 2 solver with V fitted by least squares on monomials at the z_i, V(z_i) = P(z_i) Lambda_i.
+
+    The restriction basis^T S^1/2 H_i S^-1/2 basis to the frame uses the dense hamiltonian_array.
+    """
     lam = np.array([float(x) for x in weights])
     raise_e = build_total_generator("E", weights, m).to_array(float)
     hams = [hamiltonian_array(weights, z, i, m) for i in range(len(weights))]
     root, kernel = _singular_frame(weights, m, raise_e, singular_dimension(weights, m))
-    _, energies = _joint_eigen(_symmetric_restriction(hams, root, kernel), DEFAULT_SEED)
+    _, energies = _joint_eigen([kernel.T @ (root[:, None] * ham / root) @ kernel for ham in hams], DEFAULT_SEED)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     site_sums = -(energies - vacuum[:, None]) / lam[:, None]
     p_coeffs, r_coeffs = _site_polynomials(lam, z)
@@ -112,10 +119,10 @@ def vandermonde_root_sets(weights, z, m):
 
 
 def collapse_reference(lam, z, rows, tol_root):
-    """The collapse comparing each row with one group head at a time."""
+    """The collapse comparing each row with one group head at a time, ordered by the scalar root_key."""
     tol = 1e-7 * _z_scale(z)
     groups = []
-    for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: [_root_key(c) for c in r]):
+    for row in sorted((canonically_sorted(r) for r in rows), key=lambda r: [root_key(c) for c in r]):
         for group in groups:
             if _multiset_gaps(row, group[0][None])[0] <= tol:
                 group.append(row)
@@ -134,7 +141,7 @@ def collapse_reference(lam, z, rows, tol_root):
 
 def dense_residuals(weights, z, m, roots):
     """(singular, vector) residuals of one root set from the dense hamiltonian_array and total E matrices."""
-    psi = _bethe_vectors(weights, z, np.asarray(roots, dtype=complex)[None, :])[0]
+    psi = _bethe_vectors(weights, z, np.asarray(roots, dtype=complex)[None, :])[:, 0]
     sup = np.max(np.abs(psi))
     singular = np.max(np.abs(build_total_generator("E", weights, m).to_array(float) @ psi)) / sup
     lam = np.array(weights, dtype=float)
@@ -147,20 +154,6 @@ def dense_residuals(weights, z, m, roots):
 
 def ladder_spec(weights):
     return ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
-
-
-def memoize_bethe_builders(monkeypatch):
-    """Let verify_solution calls share the operators they build; the builders are pure."""
-    for name in ("build_total_generator", "hamiltonian_array"):
-        memo = {}
-
-        def cached(*args, _memo=memo, _original=getattr(gaudin.bethe, name)):
-            key = tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
-            if key not in _memo:
-                _memo[key] = _original(*args)
-            return _memo[key]
-
-        monkeypatch.setattr(gaudin.bethe, name, cached)
 
 
 class TestLoweringField:
@@ -343,6 +336,17 @@ class TestPolish:
         assert res[0] <= 1e-14
         assert np.max(np.abs(w[0] - exact)) < 1e-14
         assert res[0] == np.max(np.abs(_residuals(lam, z, w)))
+
+    def test_sorted_roots_match_the_scalar_key(self):
+        # real parts near the 9-decimal rounding boundary and conjugate pairs
+        # whose real parts differ in the last bits
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            real = np.round(rng.standard_normal(6), 9) + rng.choice([0.0, 5e-10, -5e-10, 1e-16], 6)
+            roots = real + 1j * rng.standard_normal(6)
+            roots = np.concatenate([roots, np.nextafter(roots.real, 9.0) - 1j * roots.imag])
+            roots = rng.permutation(roots)
+            assert np.array_equal(_sorted_roots(roots), canonically_sorted(roots))
 
     def test_sorted_roots_order_a_conjugate_pair_one_ulp_apart(self):
         # real parts one ulp apart read as equal, so the pair orders by
@@ -705,13 +709,13 @@ class TestBatchedLayer:
         z = np.array([0.0, 1.0 + 0.25j, 2.5, -1.0 - 0.5j, 4.0])
         m = 3
         roots = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
-        raise_e, hams = _operators(weights, z, m)
+        hams = _hamiltonian_gathers(weights, z, m)
         batch = _bethe_vectors(weights, z, roots)
-        singular, eigenvalues, vector = _diagnostics(weights, z, roots, raise_e, hams)
+        singular, eigenvalues, vector = _diagnostics(weights, z, roots, hams)
         for s in range(len(roots)):
             one = roots[s : s + 1]
-            assert np.array_equal(batch[s], _bethe_vectors(weights, z, one)[0])
-            single = _diagnostics(weights, z, one, raise_e, hams)
+            assert np.array_equal(batch[:, s], _bethe_vectors(weights, z, one)[:, 0])
+            single = _diagnostics(weights, z, one, hams)
             assert single[0][0] == singular[s]
             assert np.array_equal(single[1][0], eigenvalues[s])
             assert single[2][0] == vector[s]
@@ -725,15 +729,16 @@ class TestBatchedLayer:
             for z in (real_z, real_z + 1j * rng.standard_normal(spec.n_sites)):
                 for m in range(1, spec.total_weight + 1):
                     dim = enumerate_weight_space(spec, m).dim
-                    psi = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
-                    raise_e, hams = _operators(spec.weights, z, m)
+                    psi = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+                    padded = _pad(psi)
                     dense = [build_total_generator("E", spec, m).to_array(float)]
                     dense += [hamiltonian_array(spec.weights, z, i, m) for i in range(spec.n_sites)]
-                    for mat, form in zip(dense, [raise_e] + hams):
-                        got = _gather_sum(psi, *form)
-                        bound = np.abs(mat) @ np.abs(psi.T)  # the sum of the terms' sizes
-                        assert got.shape == (3, mat.shape[0])
-                        assert np.all(np.abs(got - (mat @ psi.T).T) <= 1e-14 * bound.T)
+                    images = [_gather_sum(padded, *_raising_gathers(spec.weights, m))]
+                    images += list(_gather_sum(padded, *_hamiltonian_gathers(spec.weights, z, m)))
+                    for mat, got in zip(dense, images):
+                        bound = np.abs(mat) @ np.abs(psi)  # the sum of the terms' sizes
+                        assert got.shape == (mat.shape[0], 3)
+                        assert np.all(np.abs(got - mat @ psi) <= 1e-14 * bound)
 
     def test_prefiltered_collapse_matches_reference(self, monkeypatch):
         # rows about tol apart: the greedy gap decides, and the means are within 2 tol
@@ -767,7 +772,7 @@ class TestEdgeInputs:
         assert verify_solution(SPEC2, 1, sols[0]).ok
 
     def test_no_diagnostics_without_solutions(self, monkeypatch):
-        def refuse(weights, z, roots, raise_e, hams):
+        def refuse(weights, z, roots, hams):
             raise AssertionError(f"diagnostics called on {len(roots)} root sets")
 
         monkeypatch.setattr(gaudin.bethe, "_diagnostics", refuse)
@@ -795,7 +800,8 @@ class TestEdgeInputs:
         ((hams, vecs, eigenvalues, out),) = calls
         assert vecs.shape == (3, 1) and out.shape == (1,)
         v = vecs[:, 0]
-        alone = max(np.max(np.abs(h @ v - e * v)) for h, e in zip(hams, eigenvalues[:, 0])) / np.max(np.abs(v))
+        images = _gather_sum(_pad(v[:, None]), *hams)[:, :, 0]
+        alone = max(np.max(np.abs(h - e * v)) for h, e in zip(images, eigenvalues[:, 0])) / np.max(np.abs(v))
         assert ev.residual == out[0] == alone <= 1e-12
 
     def test_root_on_a_site_point_is_rejected(self):
@@ -832,11 +838,10 @@ class TestEdgeInputs:
 
 
 class TestScale:
-    def test_ladder_eight_sites_weight_three_level_four(self, monkeypatch):
+    def test_ladder_eight_sites_weight_three_level_four(self):
         spec = ladder_spec((3,) * 8)
         sols = solve_bethe(spec, 4)
         assert len(sols) == 202 == singular_dimension(spec, 4)
-        memoize_bethe_builders(monkeypatch)
         for sol in sols:
             assert verify_solution(spec, 4, sol).ok
 
@@ -847,7 +852,6 @@ class TestBenchmarkInterface:
     def test_patched_builders_are_module_globals(self):
         assert gaudin.bethe.build_site_operator is gaudin.sl2.build_site_operator
         assert gaudin.bethe.build_total_generator is gaudin.sl2.build_total_generator
-        assert gaudin.bethe.hamiltonian_array is gaudin.hamiltonians.hamiltonian_array
 
     def test_verify_solution_builds_no_dense_operator(self, monkeypatch):
         spec = ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3)))
@@ -856,8 +860,8 @@ class TestBenchmarkInterface:
         def refuse(*args, **kwargs):
             raise AssertionError("dense operator built")
 
-        for name in ("build_total_generator", "hamiltonian_array"):
-            monkeypatch.setattr(gaudin.bethe, name, refuse)
+        monkeypatch.setattr(gaudin.bethe, "build_total_generator", refuse)
+        monkeypatch.setattr(gaudin.hamiltonians, "hamiltonian_array", refuse)
         assert len(sols) == 3
         for sol in sols:
             assert verify_solution(spec, 2, sol).ok

@@ -20,8 +20,8 @@ from gaudin import (
     solve_bethe_numeric,
     verify_nonsingularity,
 )
-from gaudin import eigenbasis
-from gaudin.eigenbasis import _joint_eigen, _shapovalov_root
+from gaudin import bethe, eigenbasis
+from gaudin.eigenbasis import _joint_eigen, _shapovalov_root, _singular_eigen, _singular_frame
 from gaudin.sl2 import DEFAULT_SEED
 
 from conftest import random_spec
@@ -215,6 +215,55 @@ class TestSingularFrame:
         assert np.max(np.abs(computed - expected) / expected) <= 1e-12
         assert expected[0] == sum(weights) - 2 * m + 2
 
+    def test_perturbed_total_e_fails_the_frame_gate(self, monkeypatch):
+        # one entry of E moved by 1e-6 of the largest: the squared singular
+        # values leave the exact multiset, in both layers of the shared routine
+        weights, m = (2, 2, 2, 2), 2
+        count = singular_dimension(weights, m)
+        raise_e = build_total_generator("E", weights, m).to_array(float)
+        _singular_frame(weights, m, raise_e, count)
+        perturbed = raise_e.copy()
+        perturbed[0, 0] += 1e-6 * np.max(raise_e)
+        with pytest.raises(DiagonalizationError, match="frame singular values") as err:
+            _singular_frame(weights, m, perturbed, count)
+        assert err.value.worst_residual > eigenbasis.DEFAULT_TOL
+
+        class Perturbed:
+            def to_array(self, dtype):
+                return perturbed
+
+        monkeypatch.setattr(bethe, "build_total_generator", lambda *args: Perturbed())
+        with pytest.raises(DiagonalizationError, match="frame singular values"):
+            solve_bethe(ladder_spec(weights), m)
+
+
+class TestSharedRoutine:
+    def test_both_layers_get_the_same_eigenvalue_tuples(self, monkeypatch):
+        # integer z: the float differences of the Bethe layer equal the
+        # rounded exact ones of the eigenbasis layer, so one routine on one
+        # operator form gives both layers the same bits
+        spec = ModelSpec((2, 2, 2, 2), (Fraction(0), Fraction(1), Fraction(3), Fraction(7)))
+        calls = []
+
+        def spy(*args):
+            calls.append(_singular_eigen(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(bethe, "_singular_eigen", spy)
+        solve_bethe(spec, 2)
+        ((_, eigs),) = calls
+        found = diagonalize_singular(spec, 2)
+        assert len(found) == eigs.shape[1] == singular_dimension(spec, 2) > 1
+        tuples = sorted(eigs.T.astype(complex).tolist(), key=lambda t: [(x.real, x.imag) for x in t])
+        assert np.array_equal(np.array(tuples), np.array([v.eigenvalues for v in found]))
+
+    def test_coalescing_sites_keep_their_accuracy(self):
+        # sites 1 and 1 + 1/1000: H_i has entries of order 1e3, and the
+        # correctly rounded exact differences keep every residual small
+        spec = ModelSpec((2, 2, 2, 2), (Fraction(0), Fraction(1), Fraction(1001, 1000), Fraction(3)))
+        basis = build_eigenbasis(spec, 2)
+        assert max(v.residual for level in basis.levels for v in level) <= 1e-11
+
 
 class TestBuildEigenbasis:
     def test_one_hamiltonian_family_per_level(self, monkeypatch):
@@ -257,7 +306,7 @@ class TestBuildEigenbasis:
         assert vacuum.exact_eigenvalues == (Fraction(-1, 2), Fraction(1, 2))
 
     def test_level_zero_passes_the_residual_gate(self, monkeypatch):
-        def too_large(ham_arrays, vecs, eigenvalues):
+        def too_large(hams, vecs, eigenvalues):
             return np.full(vecs.shape[1], 10 * eigenbasis.DEFAULT_TOL)
 
         monkeypatch.setattr(eigenbasis, "_residual", too_large)
