@@ -24,14 +24,14 @@ norms, S^1/2 H_i S^-1/2 is real symmetric for real z, complex symmetric
 otherwise).  Every root set is polished by Newton on f_k with its analytic
 Jacobian and reported only when its residual reaches DEFAULT_TOL_ROOT.
 
-No dense Hamiltonian is built.  Each solve or verification builds the family
-gather form of the H_i once (hamiltonians._gather_forms) from this layer's
-float differences z_i - z_j, real for real z.  F^(k) moves each basis vector
-F^n v to F^(n + e_k) v with coefficient 1, so the Bethe vectors of all
-solutions and their residuals (eigenbasis._residual and _singular_residual)
-come from index-map gathers with elementwise arithmetic only: a root set gets
-the same residuals alone as in a batch.  Complex site points are accepted by
-the numeric layer; only the exact-algebra layer restricts z to rationals.
+No exact operator and no dense Hamiltonian is built.  Each solve or
+verification builds the family gather form of the H_i once
+(hamiltonians._gather_forms) from this layer's float differences z_i - z_j,
+real for real z.  The Bethe vectors of all solutions and their residuals
+(eigenbasis._residual and _singular_residual) come from gathers through the
+sl2 index maps, with elementwise arithmetic only: a root set gets the same
+residuals alone as in a batch.  Complex site points are accepted by the
+numeric layer; only the exact-algebra layer restricts z to rationals.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
     SparseOperator,
-    build_site_operator,
-    build_total_generator,
     enumerate_weight_space,
+    _exact_operator,
     _lower,
     _lowering_map,
     _weights_of,
@@ -106,11 +105,9 @@ def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
     w = Fraction(w)
     if any(w == zk for zk in spec.z):
         raise ValueError(f"lowering field evaluated at a pole: w={w}")
-    op = None
-    for k in range(spec.n_sites):
-        term = build_site_operator("F", k, spec, m).scaled(1 / (w - spec.z[k]))
-        op = term if op is None else op + term
-    return op
+    src = _lowering_map(spec.weights, m).T
+    coef = [[1 / (w - zk)] * src.shape[1] for zk in spec.z]
+    return _exact_operator(enumerate_weight_space(spec, m), 1, src, coef)
 
 
 def _bethe_vectors(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -314,8 +311,7 @@ def _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed) -> np.ndarra
     tuple gives V from the cofactors that also give P.  The tuples only
     start the polish, so no residual gate applies to them.
     """
-    raise_e = build_total_generator("E", weights, m).to_array(float)
-    _, energies = _singular_eigen(weights, m, raise_e, count, hams, seed)
+    energies = _singular_eigen(weights, m, count, hams, seed)[-1]
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
     v_coeffs = (_cofactors(z).T @ (vacuum[:, None] - energies))[1:]

@@ -9,14 +9,15 @@ The singular eigenvectors come from the Shapovalov form S, diagonal on the
 basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
 symmetric for S (Mukhin, Tarasov and Varchenko, Ann. of Math. 170, 2009), so
 for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  An SVD of the
-scaled total raising operator gives an orthonormal frame of the scaled
-singular subspace, and the exact intertwining E H_i = H_i E makes it
-invariant; the restricted Hamiltonians are jointly diagonalized by eigh of
-one seeded random combination (_singular_eigen, shared with the Bethe
-layer).  Every eigenvector is verified by its singular and eigenvector
-residuals in V_m coordinates.  No dense Hamiltonian is built: the H_i act
-by the gathers of hamiltonians._gather_forms, from the correctly rounded
-floats of the exact differences z_i - z_j.
+scaled total raising operator, scattered from sl2._raising_gathers, gives an
+orthonormal frame of the scaled singular subspace, and the exact
+intertwining E H_i = H_i E makes it invariant; the restricted Hamiltonians
+are jointly diagonalized by eigh of one seeded random combination
+(_singular_eigen, whose eigenvalues the Bethe layer shares).  Every
+eigenvector is verified by its singular and eigenvector residuals in V_m
+coordinates.  No dense Hamiltonian is built: the H_i act by the gathers of
+hamiltonians._gather_forms, from the correctly rounded floats of the exact
+differences z_i - z_j.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .sl2 import (
     _lowering_map,
     _pad,
     _raising_gathers,
+    _scatter,
     _shapovalov_norms,
     build_total_generator,
     enumerate_weight_space,
@@ -100,17 +102,19 @@ def _shapovalov_root(weights, m: int) -> np.ndarray:
     return np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
 
 
-def _singular_frame(weights, m: int, raise_e: np.ndarray, count: int):
+def _singular_frame(weights, m: int, count: int):
     """(root, basis): the diagonal of S_m^1/2 and an orthonormal frame of S_m^1/2 ker E.
 
-    raise_e is the float total E from V_m to V_{m-1} and count the exact
-    singular_dimension.  basis holds the last count right singular vectors of
-    S_{m-1}^1/2 E S_m^-1/2 as columns.  The squares of that matrix's singular
-    values, the eigenvalues of F E on V_m, are k (sum(weights) - 2m + k + 1)
-    with multiplicity singular_dimension(m - k), k = 1..m, all at least 2; a
-    relative error above DEFAULT_TOL raises DiagonalizationError.
+    count is the exact singular_dimension.  The dense total E from V_m to
+    V_{m-1} is scattered from sl2._raising_gathers, and basis holds the last
+    count right singular vectors of S_{m-1}^1/2 E S_m^-1/2 as columns.  The
+    squares of that matrix's singular values, the eigenvalues of F E on V_m,
+    are k (sum(weights) - 2m + k + 1) with multiplicity
+    singular_dimension(m - k), k = 1..m, all at least 2; a relative error
+    above DEFAULT_TOL raises DiagonalizationError.
     """
     root = _shapovalov_root(weights, m)
+    raise_e = _scatter(*_raising_gathers(weights, m), len(root), float)
     scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
     _, values, vt = np.linalg.svd(scaled)
     counts = [singular_dimension(weights, m - k) for k in range(1, m + 1)]
@@ -173,19 +177,19 @@ def _images(hams, vecs: np.ndarray):
         yield sites, _gather_sum(padded, src[:, sites], coef[:, sites])
 
 
-def _singular_eigen(weights, m: int, raise_e: np.ndarray, count: int, hams, seed):
-    """(coords, eigs): the joint eigenvectors of the H_i on the singular subspace of V_m.
+def _singular_eigen(weights, m: int, count: int, hams, seed):
+    """(root, basis, vecs, eigs): the joint eigenvectors of the H_i on the singular subspace of V_m.
 
     hams is the family gather form of the H_i.  Their restrictions
-    basis^T S^1/2 H_i S^-1/2 basis to the frame of raise_e are jointly
-    diagonalized.  coords holds the eigenvectors in V_m coordinates as
-    columns, and eigs[i, j] the eigenvalue of H_i at column j.
+    basis^T S^1/2 H_i S^-1/2 basis to the frame of _singular_frame are
+    jointly diagonalized: column j of vecs is an eigenvector in frame
+    coordinates, (basis @ vecs) / root[:, None] in V_m coordinates, and
+    eigs[i, j] the eigenvalue of H_i on it.
     """
-    root, basis = _singular_frame(weights, m, raise_e, count)
+    root, basis = _singular_frame(weights, m, count)
     chunks = _images(hams, basis / root[:, None])  # columns S^-1/2 basis[:, s]
     blocks = (basis.T @ np.multiply(g, root[:, None], out=g) for _, g in chunks)
-    vecs, eigs = _joint_eigen([mat for block in blocks for mat in block], seed)
-    return (basis @ vecs) / root[:, None], eigs
+    return root, basis, *_joint_eigen([mat for block in blocks for mat in block], seed)
 
 
 def _residual(hams, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
@@ -253,7 +257,8 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
     for op, ham in zip(below or (), ints):
         if not _products_equal(op, raise_e, raise_e, ham):
             raise ValueError("operator does not preserve the kernel of the raising operator")
-    coords, eigs = _singular_eigen(spec.weights, m, raise_e.to_array(float), count, gathers, seed)
+    root, basis, vecs, eigs = _singular_eigen(spec.weights, m, count, gathers, seed)
+    coords = (basis @ vecs) / root[:, None]
     exact = None
     if count == 1:
         lower = [_trace(op) for op in below] if below else [0] * len(ints)

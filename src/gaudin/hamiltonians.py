@@ -5,8 +5,9 @@
 
 where Omega_ij does not depend on z and preserves each V_m.  Each column of
 Omega_ij has at most three entries: a diagonal and two hops, which move one
-unit of spin deviation between sites i and j.  _pair_map holds them once per
-(weights, m) as read-only gather maps, and both builders read it.
+unit of spin deviation between sites i and j.  _pair_map reads them off the
+sl2 index maps once per (weights, m), as read-only gather maps, and both
+builders read it.
 
 With D = 2 lcm over i != j of numerator(z_i - z_j), every D / (z_i - z_j) is
 an even integer, so _integer_family, the exact builder, makes the integer
@@ -21,7 +22,8 @@ For float or complex z, _gather_forms writes every H_i as 2N - 1 gathers
 (the diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j),
 given the differences z_i - z_j: the eigenbasis layer passes the correctly
 rounded exact ones, the Bethe layer its float ones, and neither layer builds
-a dense Hamiltonian.  hamiltonian_array scatters one H_i into a dense matrix.
+a dense Hamiltonian.  hamiltonian_array scatters one H_i into a dense matrix
+by sl2._scatter.
 """
 
 from __future__ import annotations
@@ -40,27 +42,11 @@ from .sl2 import (
     SparseOperator,
     build_total_generator,
     enumerate_weight_space,
+    _lowering_map,
+    _raising_gathers,
+    _scatter,
     _weights_of,
 )
-
-
-def _pair_terms(weights, states, index, i, j):
-    """Yield (row, col, k): the Omega_ij entry k / 2, k an int; Omega_ij = Omega_ji."""
-    for col, s in enumerate(states):
-        # diagonal part: H^(i) H^(j) / 2
-        yield col, col, (weights[i] - 2 * s[i]) * (weights[j] - 2 * s[j])
-        # E^(i) F^(j): lowers n_i, raises n_j
-        if s[i] > 0 and s[j] < weights[j]:
-            t = list(s)
-            t[i] -= 1
-            t[j] += 1
-            yield index[tuple(t)], col, 2 * s[i] * (weights[i] - s[i] + 1)
-        # F^(i) E^(j): raises n_i, lowers n_j
-        if s[j] > 0 and s[i] < weights[i]:
-            t = list(s)
-            t[i] += 1
-            t[j] -= 1
-            yield index[tuple(t)], col, 2 * s[j] * (weights[j] - s[j] + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,26 +54,27 @@ def _pair_map(weights: tuple[int, ...], m: int):
     """Read-only gather maps (src, k) of every Omega_ij on V_m by site, cached; they do not depend on z.
 
     k[r, i] holds the integers k of the entries k / 2 of Omega_ij = Omega_ji,
-    j = r + (r >= i) the r-th other site of i, from _pair_terms(a, b) with
-    a < b: the diagonal, then the hops E^(a) F^(b) and F^(a) E^(b) from
+    j = r + (r >= i) the r-th other site of i, with a < b the pair sorted:
+    the diagonal H^(a) H^(b), then the hops E^(a) F^(b) and E^(b) F^(a) from
     columns src[2r + 1, i] and src[2r + 2, i].  src[0, i] is the identity.
+    A hop E^(a) F^(b) takes row t to t - e_b by sl2._lowering_map, then
+    raises site a by sl2._raising_gathers, with k twice that E coefficient.
     A hop that misses row t reads the sentinel dim V_m, with k = 0.
     """
     space = enumerate_weight_space(weights, m)
     n, dim = len(weights), space.dim
-    src = np.full((2 * n - 1, n, dim), dim, dtype=np.intp)
-    src[0] = np.arange(dim)
-    k = np.zeros((n - 1, n, 3, dim), dtype=np.int64)
-    for i, j in itertools.combinations(range(n), 2):
-        pair_k, pair_src = [[0] * dim for _ in range(3)], [[dim] * dim, [dim] * dim]
-        for row, col, value in _pair_terms(weights, space.states, space.index, i, j):
-            # E^(i) F^(j) lowers n_i with i < j, so its image comes first in lex order
-            h = 0 if row == col else 1 + int(row > col)
-            pair_k[h][row] = value
-            if h:
-                pair_src[h - 1][row] = col
-        for site, r in ((i, j - 1), (j, i)):
-            k[r, site], src[2 * r + 1 : 2 * r + 3, site] = pair_k, pair_src
+    up, coef = _raising_gathers(weights, m)  # from V_{m-1}, with a column appended for its sentinel
+    up = np.concatenate([up, np.full((n, 1), dim)], axis=1)
+    twice_e = np.concatenate([2 * coef[..., 0], np.zeros((n, 1), dtype=np.int64)], axis=1)
+    below = _lowering_map(weights, m - 1).T  # below[b, t]: the V_{m-1} index of t - e_b
+    hop_src, hop_k = up[:, below], twice_e[:, below]  # [a, b, t]: the hop E^(a) F^(b) at row t
+    h = np.array(weights, dtype=np.int64)[:, None] - 2 * np.array(space.states, dtype=np.int64).T  # H^(s) at row t
+    i, r = np.arange(n), np.arange(n - 1)[:, None]
+    j = r + (r >= i)  # the r-th other site of i
+    a, b = np.minimum(i, j), np.maximum(i, j)
+    k = np.stack([h[i] * h[j], hop_k[a, b], hop_k[b, a]], axis=2)
+    hops = np.stack([hop_src[a, b], hop_src[b, a]], axis=1).reshape(2 * n - 2, n, dim)
+    src = np.concatenate([np.broadcast_to(np.arange(dim), (1, n, dim)), hops])
     src.flags.writeable = k.flags.writeable = False
     return src, k
 
@@ -155,12 +142,7 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     src, coef = _gather_forms(_weights_of(weights), z[:, None] - z, m)
-    dim = src.shape[2]
-    arr = np.zeros((dim, dim + 1), dtype=complex)  # column dim takes the sentinel hops
-    rows = np.arange(dim)
-    for cols, values in zip(src[:, i], coef[:, i, :, 0]):
-        arr[rows, cols] += values
-    return arr[:, :dim].copy()
+    return _scatter(src[:, i], coef[:, i], src.shape[2], complex)
 
 
 def vacuum_eigenvalue(spec: ModelSpec, i: int) -> Fraction:

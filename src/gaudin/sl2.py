@@ -8,8 +8,10 @@ v_n = F^n v_lam, n = 0..lam, with
     F v_n = v_{n+1},        F^{lam+1} v_lam = 0.
 
 The tensor product of N sites is graded by the spin deviation m = sum(n_i);
-this module enumerates the weight subspaces V_m and builds exact integer
-sparse matrices of the site-local and total generator actions.
+this module enumerates the weight subspaces V_m.  The cached index maps
+_lowering_map (F) and _raising_gathers (E) are the one table of the action:
+float layers gather through them, and exact or dense operators are scattered
+from them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ import numpy as np
 
 # default RNG seed shared by every randomized routine, for reproducible runs
 DEFAULT_SEED = 1729
-
-# degree shift of the codomain relative to the domain, per generator
-_DEGREE_STEP = {"E": -1, "F": +1, "H": 0}
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -159,8 +157,8 @@ def _raising_gathers(weights: tuple[int, ...], m: int):
 
     _lowering_map(weights, m - 1) read backwards: F^(k) sends the state r of
     V_{m-1} to r + e_k, and E^(k) sends it back with n (lam_k - n + 1),
-    n = r_k + 1.  src has shape (N, dim V_{m-1}), and coef the same with a
-    trailing axis of length 1; the sentinel dim V_m marks r_k = lam_k.
+    n = r_k + 1.  src has shape (N, dim V_{m-1}), and the int64 coef the same
+    with a trailing axis of length 1; the sentinel dim V_m marks r_k = lam_k.
     """
     lower = _lowering_map(weights, m - 1)
     dim, n = lower.shape
@@ -168,8 +166,8 @@ def _raising_gathers(weights: tuple[int, ...], m: int):
     src = np.full((n, below.dim + 1), dim, dtype=np.intp)
     src[np.arange(n), lower] = np.arange(dim)[:, None]  # the sentinel column below.dim is dropped
     src = src[:, :-1].copy()
-    occupied = np.array(below.states, dtype=float).reshape(below.dim, n).T
-    coef = ((occupied + 1) * (np.array(weights, dtype=float)[:, None] - occupied))[:, :, None]
+    occupied = np.array(below.states, dtype=np.int64).reshape(below.dim, n).T
+    coef = ((occupied + 1) * (np.array(weights, dtype=np.int64)[:, None] - occupied))[:, :, None]
     src.flags.writeable = coef.flags.writeable = False
     return src, coef
 
@@ -190,6 +188,18 @@ def _gather_sum(padded: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.nda
     for s, c in zip(src[1:], coef[1:]):
         out += padded[s] * c
     return out
+
+
+def _scatter(src: np.ndarray, coef: np.ndarray, dim: int, dtype) -> np.ndarray:
+    """The dense matrix M with M psi = _gather_sum(_pad(psi), src, coef), for src of shape (terms, rows).
+
+    The terms are added into a zero matrix in order; the sentinel column dim is dropped.
+    """
+    rows = np.arange(src.shape[1])
+    arr = np.zeros((src.shape[1], dim + 1), dtype=dtype)
+    for cols, values in zip(src, coef):
+        arr[rows, cols] += values[:, 0]
+    return arr[:, :dim].copy()
 
 
 def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -225,13 +235,8 @@ def apply_site_generator(gen: str, site: int, state: tuple[int, ...], weights):
     the image vanishes (E on n=0, or F past the top of the
     finite-dimensional module).
     """
-    return _site_action(gen, site, state, _weights_of(weights))
-
-
-def _site_action(gen: str, site: int, state: tuple[int, ...], weights: tuple[int, ...]):
-    """apply_site_generator on a weight tuple that is already normalized."""
     n = state[site]
-    lam = weights[site]
+    lam = _weights_of(weights)[site]
     if gen == "H":
         return lam - 2 * n, state
     if gen == "E":
@@ -369,26 +374,38 @@ def _nonzero(colmap: dict) -> dict:
     return {row: val for row, val in colmap.items() if val != 0}
 
 
-def _generator_on_sites(gen: str, sites, weights, m: int) -> SparseOperator:
-    """Matrix of sum_{i in sites} X^(i) from V_m to the adjacent degree."""
-    dom = enumerate_weight_space(weights, m)
-    cod = _space(weights, m + _DEGREE_STEP[gen])
-    op = SparseOperator.zero(dom, cod)
-    for col, state in enumerate(dom.states):
-        for site in sites:
-            hit = _site_action(gen, site, state, weights)
-            if hit is None:
-                continue
-            coeff, new_state = hit
-            row = cod.index.get(new_state)
-            if row is not None:
-                op.add_term(row, col, coeff)
+def _exact_operator(domain: WeightSpace, step: int, src: np.ndarray, coef) -> SparseOperator:
+    """The exact operator from domain V_m to V_{m+step}: row r adds coef[h][r] times column src[h, r].
+
+    src has shape (terms, rows) and coef one sequence of Python ints (from
+    .tolist()) or Fractions per term; the sentinel column domain.dim is skipped.
+    """
+    op = SparseOperator.zero(domain, _space(domain.weights, domain.m + step))
+    for cols, values in zip(src.tolist(), coef):
+        for row, (col, value) in enumerate(zip(cols, values)):
+            if col != domain.dim:
+                op.add_term(row, col, value)
     return op
+
+
+def _generator_on_sites(gen: str, sites, weights: tuple[int, ...], m: int) -> SparseOperator:
+    """Matrix of sum_{i in sites} X^(i) from V_m to the adjacent degree; sites is a list or a slice."""
+    space = enumerate_weight_space(weights, m)
+    if gen == "F":
+        src = _lowering_map(weights, m).T[sites]
+        return _exact_operator(space, 1, src, [[1] * src.shape[1]] * len(src))
+    if gen == "E":
+        src, coef = _raising_gathers(weights, m)
+        return _exact_operator(space, -1, src[sites], coef[sites, :, 0].tolist())
+    if gen == "H":
+        diag = np.sum(np.array(weights)[sites] - 2 * np.array(space.states)[:, sites], axis=1)
+        return _exact_operator(space, 0, np.arange(space.dim)[None], [diag.tolist()])
+    raise ValueError(f"unknown generator {gen!r}")
 
 
 def build_site_operator(gen: str, site: int, spec_or_weights, m: int) -> SparseOperator:
     """Matrix of the single-site generator X^(site) restricted to V_m."""
-    return _generator_on_sites(gen, (site,), _weights_of(spec_or_weights), m)
+    return _generator_on_sites(gen, [site], _weights_of(spec_or_weights), m)
 
 
 def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
@@ -398,5 +415,4 @@ def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
     entry sum(weights) - 2m.  At the boundary degrees (E on V_0, F on the top
     subspace) the codomain is the zero space and the map is the zero map.
     """
-    weights = _weights_of(spec_or_weights)
-    return _generator_on_sites(gen, range(len(weights)), weights, m)
+    return _generator_on_sites(gen, slice(None), _weights_of(spec_or_weights), m)

@@ -185,7 +185,8 @@ class TestRestriction:
     def test_non_singular_frame_fails_the_gate(self, monkeypatch):
         # an orthonormal frame of the complement of the kernel: its lowered
         # vacuum is a joint eigenvector, but not a singular one
-        def complement(weights, m, raise_e, count):
+        def complement(weights, m, count):
+            raise_e = build_total_generator("E", weights, m).to_array(float)
             root = _shapovalov_root(weights, m)
             scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
             return root, np.linalg.svd(scaled)[2][:count].T
@@ -221,18 +222,14 @@ class TestSingularFrame:
         weights, m = (2, 2, 2, 2), 2
         count = singular_dimension(weights, m)
         raise_e = build_total_generator("E", weights, m).to_array(float)
-        _singular_frame(weights, m, raise_e, count)
+        _singular_frame(weights, m, count)
         perturbed = raise_e.copy()
         perturbed[0, 0] += 1e-6 * np.max(raise_e)
+        # the frame scatters its dense E from the index maps
+        monkeypatch.setattr(eigenbasis, "_scatter", lambda *args: perturbed)
         with pytest.raises(DiagonalizationError, match="frame singular values") as err:
-            _singular_frame(weights, m, perturbed, count)
+            _singular_frame(weights, m, count)
         assert err.value.worst_residual > eigenbasis.DEFAULT_TOL
-
-        class Perturbed:
-            def to_array(self, dtype):
-                return perturbed
-
-        monkeypatch.setattr(bethe, "build_total_generator", lambda *args: Perturbed())
         with pytest.raises(DiagonalizationError, match="frame singular values"):
             solve_bethe(ladder_spec(weights), m)
 
@@ -251,7 +248,7 @@ class TestSharedRoutine:
 
         monkeypatch.setattr(bethe, "_singular_eigen", spy)
         solve_bethe(spec, 2)
-        ((_, eigs),) = calls
+        ((*_, eigs),) = calls
         found = diagonalize_singular(spec, 2)
         assert len(found) == eigs.shape[1] == singular_dimension(spec, 2) > 1
         tuples = sorted(eigs.T.astype(complex).tolist(), key=lambda t: [(x.real, x.imag) for x in t])

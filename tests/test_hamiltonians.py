@@ -23,7 +23,6 @@ from gaudin.hamiltonians import (
     _integer_family,
     _level_report,
     _pair_map,
-    _pair_terms,
     _products_equal,
     _scale,
 )
@@ -304,6 +303,25 @@ def reference_hamiltonian(spec, i, m):
             term = term + build_site_operator("F", i, w, m - 1) @ build_site_operator("E", j, w, m)
         out = out + term.scaled(1 / (spec.z[i] - spec.z[j]))
     return out
+
+
+def _pair_terms(weights, states, index, i, j):
+    """Yield (row, col, k): the Omega_ij entry k / 2, k an int, walked per state; Omega_ij = Omega_ji."""
+    for col, s in enumerate(states):
+        # diagonal part: H^(i) H^(j) / 2
+        yield col, col, (weights[i] - 2 * s[i]) * (weights[j] - 2 * s[j])
+        # E^(i) F^(j): lowers n_i, raises n_j
+        if s[i] > 0 and s[j] < weights[j]:
+            t = list(s)
+            t[i] -= 1
+            t[j] += 1
+            yield index[tuple(t)], col, 2 * s[i] * (weights[i] - s[i] + 1)
+        # F^(i) E^(j): raises n_i, lowers n_j
+        if s[j] > 0 and s[i] < weights[i]:
+            t = list(s)
+            t[i] += 1
+            t[j] -= 1
+            yield index[tuple(t)], col, 2 * s[j] * (weights[j] - s[j] + 1)
 
 
 def reference_array(weights, z, i, m):

@@ -9,6 +9,7 @@ from gaudin import (
     ModelSpec,
     SparseOperator,
     apply_site_generator,
+    build_site_operator,
     build_total_generator,
     enumerate_weight_space,
     weight_space_dimension_formula,
@@ -175,6 +176,42 @@ class TestTotalGenerators:
             for m in range(1, spec.min_weight + 1):
                 op = build_total_generator("F", spec, m - 1)
                 assert rank(op.rows()) == op.domain.dim
+
+
+def walked_entries(gen, sites, weights, m):
+    """{(row, col): value} of sum_{k in sites} X^(k) on V_m, walked per state with apply_site_generator."""
+    step = {"E": -1, "F": 1, "H": 0}[gen]
+    out = {}
+    for col, state in enumerate(enumerate_weight_space(weights, m).states):
+        for site in sites:
+            hit = apply_site_generator(gen, site, state, weights)
+            if hit is not None:
+                key = (enumerate_weight_space(weights, m + step).index[hit[1]], col)
+                out[key] = out.get(key, 0) + hit[0]
+    return {key: value for key, value in out.items() if value != 0}
+
+
+class TestBuildersFromIndexMaps:
+    def test_every_generator_matches_the_site_action(self, rng):
+        # a lam = 1 site truncates every level above 1; E on V_0 and F on the
+        # top level are the zero maps into the empty space
+        for _ in range(6):
+            weights = (1,) + random_spec(rng, n_max=4, lam_max=3).weights
+            for m in range(sum(weights) + 1):
+                for gen, step in (("E", -1), ("F", 1), ("H", 0)):
+                    ops = [(build_total_generator(gen, weights, m), range(len(weights)))]
+                    ops += [(build_site_operator(gen, k, weights, m), [k]) for k in range(len(weights))]
+                    for op, sites in ops:
+                        entries = {(row, col): value for row, col, value in op.entries()}
+                        assert entries == walked_entries(gen, sites, weights, m)
+                        assert all(type(value) is int for value in entries.values())
+                        assert (op.domain.m, op.codomain.m) == (m, m + step)
+
+    def test_unknown_generator(self):
+        with pytest.raises(ValueError, match="unknown generator"):
+            build_total_generator("X", (1, 2), 1)
+        with pytest.raises(ValueError, match="unknown generator"):
+            build_site_operator("X", 0, (1, 2), 1)
 
 
 class TestShapovalovForm:
