@@ -3,8 +3,9 @@
 A singular vector is annihilated by the total raising operator.  The Gordan
 route builds one explicit vector per composition (k_1..k_{N-1}) of m by
 repeatedly adjoining a site with Pochhammer-ratio coefficients; the kernel
-route computes the exact rational nullspace of the raising operator.  In the
-regime m <= min(weights) the two spans coincide, with dimension C(m+N-2, m).
+route applies the extremal projector prod_k (1 - F E / c_k) to the ballot
+states of V_m, in integers.  In the regime m <= min(weights) the two spans
+coincide, with dimension C(m+N-2, m).
 """
 
 from fractions import Fraction
@@ -39,7 +40,7 @@ print("\nevery vector exactly annihilated by the total raising operator:", annih
 
 kernel = singular_basis_kernel(spec, m)
 stacked = [list(v) for v in basis.vectors] + [list(v) for v in kernel.vectors]
-print("kernel-oracle dimension:", kernel.count,
+print("kernel-route dimension:", kernel.count,
       "= C(m+N-2, m) =", singular_dimension_formula(spec.n_sites, m))
 print("stacked rank (spans agree):", rank(stacked))
 

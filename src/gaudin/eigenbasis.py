@@ -246,10 +246,11 @@ def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
 def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
     """diagonalize_singular given the integer matrices D H_i on V_{m-1} (below) and
     _level_family(spec, m) (family); each None is built here when the level needs it."""
-    raise_e = build_total_generator("E", spec, m)
+    enumerate_weight_space(spec, m)  # raises for m outside 0..sum(weights)
     count = singular_dimension(spec, m)
     if count == 0:
         return []
+    raise_e = build_total_generator("E", spec, m)
     scale, ints, gathers = family or _level_family(spec, m)
     if below is None and m > 0:
         below = _integer_family(spec, m - 1)

@@ -11,8 +11,11 @@ factorial.  Compositions sharing a prefix share its vector: a depth-first walk
 over the prefix tree, in Python ints, holds each node's u as a primitive int
 vector times one Fraction, gathers its lowering chain F_tot^t u once through
 the cached index map of sl2, and combines it with each child's coefficients
-cleared by their lcm.  The kernel route computes the exact rational nullspace
-of the total raising operator and is valid for every m, including the
+cleared by their lcm.  The kernel route, the independent cross-check, applies
+the sl2 extremal projector prod_k (1 - F E / c_k) (Asherova, Smirnov and
+Tolstoy, Theor. Math. Phys. 8, 1971) to the ballot states of V_m, the
+highest-weight states of the crystal (Kashiwara's signature rule), through
+the same index maps in Python ints.  It is valid for every m, including the
 truncated regime m > min(weights) where the Gordan route is not offered.
 """
 
@@ -23,12 +26,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational_linalg import _cleared, nullspace
+import numpy as np
+
+from .rational_linalg import _cleared, _primitive
 from .sl2 import (
     _bounded_compositions,
+    _gather_sum,
+    _lower,
     _lowering_map,
+    _pad,
+    _raising_gathers,
     _space,
-    build_total_generator,
     enumerate_weight_space,
     _weights_of,
 )
@@ -202,7 +210,28 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
 
 
 def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
-    """Exact nullspace of the total raising operator on V_m (canonical basis)."""
-    raise_e = build_total_generator("E", spec_or_weights, m)
-    kernel = nullspace(raise_e.rows(), n_cols=raise_e.domain.dim)
-    return SingularBasis(m, None, tuple(tuple(v) for v in kernel))
+    """The extremal projector applied to the ballot states of V_m, as primitive int vectors.
+
+    The ballot states n have n_k <= sum_{j<k} (lam_j - 2 n_j) at every site k,
+    so n_0 = 0: the highest-weight states of the crystal, singular_dimension
+    of them.  They complement F V_{m-1}, the kernel of the projector; for
+    m <= min(weights) they are the Gordan labels with 0 prepended, and the
+    Gordan basis is unitriangular on them.  The projector prod_k (1 - F E / c_k), c_k = k (sum(weights) - 2m + k + 1),
+    over the k with Sing V_{m-k} nonzero, is applied as v <- c_k v - F E v.
+    It is orthogonal for the Shapovalov form, so each vector is positive at its
+    own state; the vectors follow the enumeration order of their states.
+    """
+    weights = _weights_of(spec_or_weights)
+    space = enumerate_weight_space(weights, m)
+    states = np.array(space.states).reshape(space.dim, len(weights))
+    step = np.array(weights) - 2 * states
+    ballot = np.flatnonzero((states <= np.cumsum(step, axis=1) - step).all(axis=1))
+    vecs = np.zeros((space.dim, len(ballot)), dtype=object)
+    vecs[ballot, np.arange(len(ballot))] = 1
+    unit = np.ones((len(weights), 1), dtype=object)
+    for k in range(1, m + 1):
+        if len(ballot) and singular_dimension(weights, m - k):
+            raised = _gather_sum(_pad(vecs), *_raising_gathers(weights, m))
+            lowered = _lower(raised, _lowering_map(weights, m - 1), unit)
+            vecs = k * (sum(weights) - 2 * m + k + 1) * vecs - lowered
+    return SingularBasis(m, None, tuple(tuple(_primitive(col)) for col in vecs.T.tolist()))

@@ -299,7 +299,7 @@ GOLDEN_SHA256 = {
     ("decompose",): "c26c960380075d4c95c0247b739b195797f2cf4ec57d7764c370bc56dbc2cafe",
     ("verify", "--emit-matrices"): "0967545e715b34e222f3ba79742dc6d3f9e729b2e51573f36ceb0ee4ebfb199b",
     ("singular", "--m", "2"): "c851dd31801cabfc7351ad11cc82a3596f029fa2687d1d3e89fde8762dc22c3a",
-    ("singular", "--m", "3"): "4dc74c0d9a66adbb554ae3533debae456a967c21d73d64ffc894a8652eb3896f",
+    ("singular", "--m", "3"): "74398d908574fb2e78c181a1698e487539d7818b91937aabdf1e8f2eb31df34f",
 }
 
 

@@ -119,6 +119,15 @@ class TestDiagonalizeSingular:
         with pytest.raises(ValueError, match=f"spin deviation m={m} outside 0..2"):
             diagonalize_singular(SPEC2, m)
 
+    def test_level_without_singular_vectors_builds_no_raising_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("total E built for a level with no singular vectors")
+
+        monkeypatch.setattr(eigenbasis, "build_total_generator", refuse)
+        spec = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
+        for m in (2, 3):
+            assert diagonalize_singular(spec, m) == []
+
     def test_counts_and_residuals(self, rng):
         for _ in range(4):
             spec = random_spec(rng, n_max=4, lam_max=3)

@@ -20,8 +20,10 @@ from gaudin import (
 )
 from gaudin import singular
 from gaudin.rational_linalg import rank
+from gaudin.sl2 import SparseOperator
 
 from conftest import random_spec
+from test_rational_linalg import reference_kernel
 
 
 def coefficients_by_recurrence(m, lam1, lam2):
@@ -344,3 +346,54 @@ class TestKernelBasis:
 
     def test_labels_absent(self):
         assert singular_basis_kernel((2, 2), 1).labels is None
+
+
+def ballot_states(weights, m):
+    """States n of V_m with n_k <= sum_{j<k} (lam_j - 2 n_j) at every site k."""
+    return [
+        n for n in enumerate_weight_space(weights, m).states
+        if all(n[k] <= sum(lam - 2 * x for lam, x in zip(weights[:k], n[:k])) for k in range(len(n)))
+    ]
+
+
+# N = 2, lambda = 1 sites, m > max(weights), the largest weight first or last
+EDGE_WEIGHTS = [(1, 1), (1, 3), (4, 1), (1, 1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 3)]
+
+
+class TestExtremalProjector:
+    @pytest.fixture
+    def weight_sets(self, rng):
+        return EDGE_WEIGHTS + [random_spec(rng, n_max=4, lam_max=3).weights for _ in range(8)]
+
+    def test_every_level_is_an_exact_primitive_kernel_basis(self, weight_sets):
+        for weights in weight_sets:
+            for m in range(sum(weights) + 1):
+                basis = singular_basis_kernel(weights, m)
+                assert basis.count == singular_dimension(weights, m)
+                assert basis.labels is None
+                space = enumerate_weight_space(weights, m)
+                raise_e = build_total_generator("E", weights, m)
+                states = ballot_states(weights, m)
+                assert len(states) == basis.count
+                for vec, state in zip(basis.vectors, states):
+                    assert all(type(x) is int for x in vec)
+                    assert math.gcd(*vec) == 1
+                    assert vec[space.index[state]] > 0
+                    assert not any(raise_e.apply(list(vec)))
+                expected = reference_kernel(raise_e.rows(), space.dim)
+                rows = [list(v) for v in basis.vectors]
+                assert rank(rows) == len(expected) == rank(rows + expected)
+
+    def test_ballot_states_are_the_gordan_labels_in_the_regime(self, weight_sets):
+        for weights in weight_sets:
+            for m in range(min(weights) + 1):
+                labels = singular_basis_gordan(weights, m).labels
+                assert ballot_states(weights, m) == [(0,) + label for label in labels]
+
+    def test_builds_no_sparse_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sparse operator built by the kernel route")
+
+        monkeypatch.setattr(SparseOperator, "add_term", refuse)
+        assert singular_basis_kernel((2, 3, 3, 4), 3).count == singular_dimension((2, 3, 3, 4), 3)
+        assert singular_basis_kernel((1,) * 5, 2).count == 5
