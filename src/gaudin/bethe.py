@@ -6,23 +6,26 @@ all Hamiltonians exactly when the parameters satisfy
 
     f_k(w) = sum_j lam_j / (w_k - z_j) + sum_{l != k} 2 / (w_l - w_k) = 0.
 
-With R = prod_j (x - z_j) and the cofactors Q_j = R / (x - z_j), the m = 1
-roots are those of P = sum_j lam_j Q_j, from companion-matrix eigenvalues.
-For m >= 2 they come from the singular joint eigenvectors (Heine-Stieltjes):
-with their eigenvalues E_i, y(x) = prod_k (x - w_k) solves
+At every level m >= 1 the roots come from the singular joint eigenvectors
+(Heine-Stieltjes).  With R = prod_j (x - z_j), the cofactors
+Q_j = R / (x - z_j), P = sum_j lam_j Q_j and the eigenvalues E_i of one
+eigenvector, y(x) = prod_k (x - w_k) solves
 
     R y'' - P y' + V y = 0,    V = sum_i (E_i^vac - E_i) Q_i,
 
-so P and V share the cofactors.  V interpolates V(z_i) = P(z_i) Lambda_i with
-Lambda_i = sum_k 1/(z_i - w_k), of degree N - 2 as sum_i E_i = sum_i E_i^vac.
-So y is the null vector of a linear map on polynomials of degree m, and each
-of the singular_dimension eigenvectors gives one root set: no random starts
-and no duplicates.  The maps of all eigenvectors share R y'' - P y' and go
-through one batched SVD.  The eigenvectors come from the routine of the
-eigenbasis layer, eigenbasis._singular_eigen (with S the diagonal Shapovalov
-norms, S^1/2 H_i S^-1/2 is real symmetric for real z, complex symmetric
-otherwise).  Every root set is polished by Newton on f_k with its analytic
-Jacobian and reported only when its residual reaches DEFAULT_TOL_ROOT.
+so P and V are built from one array of cofactors.  V interpolates
+V(z_i) = P(z_i) Lambda_i with Lambda_i = sum_k 1/(z_i - w_k), of degree N - 2
+as sum_i E_i = sum_i E_i^vac.  At m = 1 this reads V (x - w) = P, so the
+roots are those of P.  So y is the null vector of a linear map on
+polynomials of degree m, and each of the singular_dimension eigenvectors
+gives one root set: no random starts and no duplicates.  The maps of all
+eigenvectors share R y'' - P y' and go through one batched SVD.  The
+eigenvectors come from the routine of the eigenbasis layer,
+eigenbasis._singular_eigen (with S the diagonal Shapovalov norms,
+S^1/2 H_i S^-1/2 is real symmetric for real z, complex symmetric
+otherwise).  Every root set is polished by one batched Newton on f_k with
+its analytic Jacobian and reported only when its residual reaches
+DEFAULT_TOL_ROOT.
 
 No exact operator and no dense Hamiltonian is built.  Each solve or
 verification builds the family gather form of the H_i once
@@ -49,6 +52,7 @@ from .sl2 import (
     ModelSpec,
     SparseOperator,
     enumerate_weight_space,
+    _checked_sites,
     _exact_operator,
     _lower,
     _lowering_map,
@@ -63,9 +67,8 @@ DEFAULT_TOL_ROOT = 1e-11
 class BetheSolution:
     """One solution of the Bethe system, roots canonically sorted.
 
-    multiplicity > 1 marks a collapsed cluster of root candidates (a double
-    solution of the m = 1 polynomial, or several singular eigenvectors giving
-    one root set); such solutions are reported once.
+    multiplicity > 1 marks several singular eigenvectors giving one root set
+    (as at a double root of P at m = 1); such a cluster is reported once.
     """
 
     roots: np.ndarray
@@ -167,11 +170,12 @@ def _cofactors(z: np.ndarray) -> np.ndarray:
 
 
 def _site_polynomials(lam: np.ndarray, z: np.ndarray):
-    """Coefficient arrays (highest first) of P = sum_j lam_j Q_j and R."""
+    """Coefficient arrays (highest first) of P = sum_j lam_j Q_j and R, and the cofactor rows Q_j."""
+    cofactors = _cofactors(z)
     p_coeffs = np.zeros(len(z), dtype=complex)
-    for lam_j, row in zip(lam, _cofactors(z)):
+    for lam_j, row in zip(lam, cofactors):
         p_coeffs = p_coeffs + lam_j * row
-    return p_coeffs, np.poly(z)
+    return p_coeffs, np.poly(z), cofactors
 
 
 def _jacobian(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -213,9 +217,16 @@ def _root_keys(roots: np.ndarray) -> np.ndarray:
     return np.stack([np.round(roots.real, 9), roots.imag], axis=-1)
 
 
-def _sorted_roots(roots) -> np.ndarray:
-    roots = np.asarray(roots, dtype=complex)
-    return roots[np.lexsort(_root_keys(roots).T[::-1])]
+def _canonical_order(rows: np.ndarray) -> np.ndarray:
+    """Root sets of shape (S, m), each sorted by _root_keys, the rows then sorted by their key lists.
+
+    Both sorts are stable, as sorted() on the key lists.
+    """
+    keys = _root_keys(rows)
+    order = np.lexsort((keys[..., 1], keys[..., 0]), axis=-1)
+    rows = np.take_along_axis(rows, order, axis=-1)
+    keys = np.take_along_axis(keys, order[..., None], axis=-2).reshape(len(rows), 2 * rows.shape[-1])
+    return rows[np.lexsort(keys.T[::-1])]
 
 
 def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -243,37 +254,22 @@ def _hamiltonian_gathers(weights, z: np.ndarray, m: int):
     return _gather_forms(weights, diffs if np.any(z.imag) else diffs.real, m)
 
 
-def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, hams):
+def _vacuum(weights, z: np.ndarray) -> np.ndarray:
+    """The vacuum eigenvalues E_i^vac, one per site."""
+    return np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
+
+
+def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, hams, vacuum):
     """Singular residual, eigenvalue tuple and vector residual of the Bethe vector of each row of roots.
 
     The eigenvalues are E_i = E_i^vac + sum_k lam_i / (w_k - z_i), one row
-    per root set; hams comes from _hamiltonian_gathers.  A root set gets the
-    same residuals alone as in a batch.
+    per root set; hams comes from _hamiltonian_gathers and vacuum from
+    _vacuum.  A root set gets the same residuals alone as in a batch.
     """
     psi = _bethe_vectors(weights, z, roots)
     lam = np.array([float(x) for x in weights])
-    vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     eigenvalues = vacuum + np.sum(lam[:, None] / (roots[:, None, :] - z[:, None]), axis=-1)
     return _singular_residual(weights, roots.shape[1], psi), eigenvalues, _residual(hams, psi, eigenvalues.T)
-
-
-def _degree_one_roots(lam, z, p_coeffs) -> np.ndarray:
-    """Roots of P via the companion matrix, each polished by Newton on f_1; shape (N - 1, 1)."""
-    polished = []
-    for w in np.roots(p_coeffs):
-        for _ in range(50):
-            fw = np.sum(lam / (w - z))
-            if abs(fw) <= 0.1 * DEFAULT_TOL_ROOT:
-                break
-            dfw = -np.sum(lam / (w - z) ** 2)
-            if dfw == 0:
-                break
-            step = fw / dfw
-            w = w - step
-            if abs(step) < 1e-16 * max(1.0, abs(w)):
-                break
-        polished.append(w)
-    return np.array(polished, dtype=complex).reshape(-1, 1)
 
 
 def _heine_stieltjes_matrices(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
@@ -303,7 +299,7 @@ def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
     return [np.roots(y[::-1]) for y in np.linalg.svd(mats)[2][:, -1].conj()]
 
 
-def _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed) -> np.ndarray:
+def _eigenbasis_roots(weights, lam, z, m, count, hams, vacuum, seed) -> np.ndarray:
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
     The eigenvalue tuples come from eigenbasis._singular_eigen, the routine
@@ -312,10 +308,10 @@ def _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed) -> np.ndarra
     start the polish, so no residual gate applies to them.
     """
     energies = _singular_eigen(weights, m, count, hams, seed)[-1]
-    vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
+    p_coeffs, r_coeffs, cofactors = _site_polynomials(lam, z)
     # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
-    v_coeffs = (_cofactors(z).T @ (vacuum[:, None] - energies))[1:]
-    rows = _heine_stieltjes_roots(*polys, v_coeffs, m)
+    v_coeffs = (cofactors.T @ (vacuum[:, None] - energies))[1:]
+    rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
     w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
     w, res = _polish(lam, z, w.reshape(-1, m))
     return w[res <= DEFAULT_TOL_ROOT]
@@ -335,7 +331,7 @@ def _collapse(lam, z, rows: np.ndarray) -> list:
     heads = np.empty(rows.shape, dtype=complex)
     means = np.empty(len(rows), dtype=complex)
     groups = []
-    for row in sorted((_sorted_roots(r) for r in rows), key=lambda r: _root_keys(r).tolist()):
+    for row in _canonical_order(rows):
         # any matching's largest gap is at least the distance of the means,
         # so only heads whose mean is that close are matched
         mean = np.mean(row)
@@ -365,33 +361,32 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
 
     Returns the solutions found, canonically sorted, each annotated with its
     eigenvalue tuple and the eigen/singularity residuals of the reconstructed
-    Bethe vector.  For m >= 2 each of the singular_dimension(weights, m)
+    Bethe vector.  At every m >= 1 each of the singular_dimension(weights, m)
     singular joint eigenvectors gives one candidate; a candidate whose polish
     misses DEFAULT_TOL_ROOT is left out, so callers compare len(result) with
     singular_dimension.  Root sets that agree to the collapse width are
     reported once with their multiplicity.  seed draws the random combination
     of Hamiltonians whose eigenvectors separate the singular subspace.
+    weights and z follow the rules of ModelSpec, with finite complex z;
+    ValueError otherwise.
     """
-    weights = _weights_of(weights)
     if m < 1:
         raise ValueError("m must be at least 1")
     z = np.asarray(z, dtype=complex)
+    weights = _checked_sites(weights, z)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("site parameters z must be finite")
     lam = np.array([float(x) for x in weights])
     count = singular_dimension(weights, m)
     if count == 0:
         return []
     hams = _hamiltonian_gathers(weights, z, m)
-    polys = _site_polynomials(lam, z)
-    if m == 1:
-        rows = _degree_one_roots(lam, z, polys[0])
-    else:
-        rows = _eigenbasis_roots(weights, lam, z, m, count, hams, polys, seed)
-
-    collapsed = _collapse(lam, z, rows)
+    vacuum = _vacuum(weights, z)
+    collapsed = _collapse(lam, z, _eigenbasis_roots(weights, lam, z, m, count, hams, vacuum, seed))
     if not collapsed:
         return []
     roots = np.array([mean for mean, _, _ in collapsed])
-    singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, hams)
+    singular_residual, eigenvalues, vector_residual = _diagnostics(weights, z, roots, hams, vacuum)
     return [
         BetheSolution(
             roots=mean,
@@ -421,12 +416,15 @@ class SolutionReport:
 def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution) -> SolutionReport:
     """Recompute the Bethe vector and its residuals from the spec, reading only sol.roots.
 
-    ok means both residuals are at most DEFAULT_TOL.
+    ok means both residuals are at most DEFAULT_TOL.  sol must hold m roots.
     """
     roots = np.asarray(sol.roots, dtype=complex)
+    if len(roots) != m:
+        raise ValueError("number of roots must equal m")
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
-    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], _hamiltonian_gathers(spec.weights, z, m))
+    hams = _hamiltonian_gathers(spec.weights, z, m)
+    singular, _, vector = _diagnostics(spec.weights, z, roots[None, :], hams, _vacuum(spec.weights, z))
     singular_residual, vector_residual = float(singular[0]), float(vector[0])
     return SolutionReport(
         singular_residual=singular_residual,

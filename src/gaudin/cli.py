@@ -184,18 +184,15 @@ def cmd_eigenbasis(args) -> int:
     for m, level in enumerate(basis.levels):
         vectors = []
         for j, vec in enumerate(level):
-            vectors.append(
-                {
-                    "coords": [_complex_pair(c) for c in vec.coords],
-                    "eigenvalues": [_complex_pair(s) for s in vec.eigenvalues],
-                    "origin": vec.origin,
-                    "residual": vec.residual,
-                }
-            )
-            row = [m, j, vec.origin, vec.residual]
-            for s in vec.eigenvalues:
-                row.extend(_complex_pair(s))
-            rows.append(row)
+            entry = {
+                "coords": [_complex_pair(c) for c in vec.coords],
+                "eigenvalues": [_complex_pair(s) for s in vec.eigenvalues],
+                "origin": vec.origin,
+                "residual": vec.residual,
+            }
+            vectors.append(entry)
+            eigenvalues = [x for pair in entry["eigenvalues"] for x in pair]
+            rows.append([m, j, entry["origin"], entry["residual"]] + eigenvalues)
         levels.append({"m": m, "vectors": vectors})
     payload = {"m_max": m_max, "levels": levels}
     header = ["m", "vector_index", "origin", "residual"]
@@ -212,46 +209,28 @@ def cmd_bethe(args) -> int:
         print("error: --m is required for the bethe command", file=sys.stderr)
         return EXIT_INPUT
     solutions = solve_bethe(spec, m, seed=args.seed)
+    scalar_keys = ["residual_eq", "singular_residual", "vector_residual", "multiplicity_flag"]
     entries = []
     rows = []
     for j, sol in enumerate(solutions):
-        entries.append(
-            {
-                "roots": [_complex_pair(w) for w in sol.roots],
-                "eigenvalues": [_complex_pair(s) for s in sol.eigenvalues],
-                "residual_eq": sol.residual_eq,
-                "singular_residual": sol.singular_residual,
-                "vector_residual": sol.vector_residual,
-                "multiplicity_flag": sol.multiplicity_flag,
-            }
-        )
-        row = [
-            m,
-            j,
-            sol.residual_eq,
-            sol.singular_residual,
-            sol.vector_residual,
-            sol.multiplicity_flag,
-        ]
-        for w in sol.roots:
-            row.extend(_complex_pair(w))
-        for s in sol.eigenvalues:
-            row.extend(_complex_pair(s))
-        rows.append(row)
+        entry = {
+            "roots": [_complex_pair(w) for w in sol.roots],
+            "eigenvalues": [_complex_pair(s) for s in sol.eigenvalues],
+            "residual_eq": sol.residual_eq,
+            "singular_residual": sol.singular_residual,
+            "vector_residual": sol.vector_residual,
+            "multiplicity_flag": sol.multiplicity_flag,
+        }
+        entries.append(entry)
+        pairs = [x for pair in entry["roots"] + entry["eigenvalues"] for x in pair]
+        rows.append([m, j] + [entry[key] for key in scalar_keys] + pairs)
     payload = {
         "m": m,
         "solutions": entries,
         "expected_count": singular_dimension(spec, m),
         "found": len(solutions),
     }
-    header = [
-        "m",
-        "solution_index",
-        "residual_eq",
-        "singular_residual",
-        "vector_residual",
-        "multiplicity_flag",
-    ]
+    header = ["m", "solution_index"] + scalar_keys
     for k in range(m):
         header.extend([f"root_{k}_re", f"root_{k}_im"])
     for i in range(spec.n_sites):

@@ -27,6 +27,25 @@ import numpy as np
 # default RNG seed shared by every randomized routine, for reproducible runs
 DEFAULT_SEED = 1729
 
+
+def _checked_sites(weights, z) -> tuple[int, ...]:
+    """The weights as ints, once the rules of a model instance hold; ValueError otherwise.
+
+    The rules: at least two sites, one site point per weight, integer
+    weights >= 1 and pairwise-distinct site points.
+    """
+    if len(weights) < 2:
+        raise ValueError("need at least two sites")
+    if len(z) != len(weights):
+        raise ValueError("weights and z must have the same length")
+    ints = tuple(int(w) for w in weights)
+    if any(w < 1 or w != given for w, given in zip(ints, weights)):
+        raise ValueError("weights must be positive integers")
+    if len(set(z)) != len(z):
+        raise ValueError("site parameters z must be pairwise distinct")
+    return ints
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Problem instance: N site weights and pairwise-distinct rational site points."""
@@ -35,16 +54,8 @@ class ModelSpec:
     z: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         object.__setattr__(self, "z", tuple(Fraction(x) for x in self.z))
-        if len(self.weights) < 2:
-            raise ValueError("need at least two sites")
-        if len(self.z) != len(self.weights):
-            raise ValueError("weights and z must have the same length")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive integers")
-        if len(set(self.z)) != len(self.z):
-            raise ValueError("site parameters z must be pairwise distinct")
+        object.__setattr__(self, "weights", _checked_sites(tuple(self.weights), self.z))
 
     @property
     def n_sites(self) -> int:

@@ -27,9 +27,9 @@ from gaudin import (
 import gaudin
 from gaudin.bethe import (
     _bethe_vectors,
+    _canonical_order,
     _cofactors,
     _collapse,
-    _degree_one_roots,
     _diagnostics,
     _heine_stieltjes_matrices,
     _heine_stieltjes_roots,
@@ -40,7 +40,7 @@ from gaudin.bethe import (
     _polish,
     _residuals,
     _site_polynomials,
-    _sorted_roots,
+    _vacuum,
     _z_scale,
 )
 from gaudin.eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame
@@ -109,7 +109,7 @@ def vandermonde_root_sets(weights, z, m):
     _, energies = _joint_eigen([kernel.T @ (root[:, None] * ham / root) @ kernel for ham in hams], DEFAULT_SEED)
     vacuum = np.array([_vacuum_eigenvalue(weights, z, i) for i in range(len(weights))], dtype=complex)
     site_sums = -(energies - vacuum[:, None]) / lam[:, None]
-    p_coeffs, r_coeffs = _site_polynomials(lam, z)
+    p_coeffs, r_coeffs, _ = _site_polynomials(lam, z)
     fit = np.polyval(p_coeffs, z)[:, None] * site_sums
     v_coeffs = np.linalg.lstsq(np.vander(z, len(z) - 1), fit, rcond=None)[0]
     rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
@@ -346,14 +346,14 @@ class TestPolish:
             roots = real + 1j * rng.standard_normal(6)
             roots = np.concatenate([roots, np.nextafter(roots.real, 9.0) - 1j * roots.imag])
             roots = rng.permutation(roots)
-            assert np.array_equal(_sorted_roots(roots), canonically_sorted(roots))
+            assert np.array_equal(_canonical_order(roots[None, :])[0], canonically_sorted(roots))
 
     def test_sorted_roots_order_a_conjugate_pair_one_ulp_apart(self):
         # real parts one ulp apart read as equal, so the pair orders by
         # imaginary part; (real, imag) order would put -0.25j last
         pair = [complex(0.5, 0.25), complex(np.nextafter(0.5, 1.0), -0.25)]
         for roots in (pair, pair[::-1]):
-            assert np.array_equal(_sorted_roots(roots), [pair[1], pair[0]])
+            assert np.array_equal(_canonical_order(np.array([roots]))[0], [pair[1], pair[0]])
 
 
 class TestSolveBethe:
@@ -479,6 +479,44 @@ class TestSolveBethe:
                 assert min(gaps) < 1e-9
                 remaining.pop(int(np.argmin(gaps)))
 
+    def test_level_one_roots_are_the_roots_of_p(self):
+        # m = 1 takes the eigenvector route too: its roots are the companion roots of
+        # P = sum_j lam_j prod_{k != j} (x - z_k), built here from np.poly
+        rng = np.random.default_rng(606)
+        for trial in range(40):
+            n = int(rng.integers(2, 8))
+            lam = rng.integers(1, 5, n)
+            z = rng.uniform(-3, 3, n) + (1j * rng.uniform(-2, 2, n) if trial % 2 else 0)
+            if np.min(np.abs(z[:, None] - z)[~np.eye(n, dtype=bool)]) < 0.1:
+                continue
+            sols = solve_bethe_numeric(tuple(lam), z, 1)
+            assert len(sols) == singular_dimension(tuple(lam), 1) == n - 1
+            reference = list(np.roots(sum(l * np.poly(np.delete(z, j)) for j, l in enumerate(lam))))
+            for sol in sols:
+                (w,) = sol.roots
+                gaps = [abs(w - ref) for ref in reference]
+                j = int(np.argmin(gaps))
+                assert gaps[j] <= 1e-12 * max(abs(reference[j]), 1.0)
+                reference.pop(j)
+
+    def test_level_one_takes_one_singular_eigen_call(self, monkeypatch):
+        calls = []
+        original = gaudin.bethe._singular_eigen
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gaudin.bethe, "_singular_eigen", spy)
+        sols = solve_bethe_numeric((2, 1, 3, 2), np.array([0.0, 1.0, 2.5, -1.5 + 0.5j]), 1)
+        assert len(sols) == 3 and len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [1729, 555, 31337])
+    def test_equilateral_double_root_at_every_seed(self, seed):
+        z = np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)])
+        sols = solve_bethe_numeric((1, 1, 1), z, 1, seed=seed)
+        assert [sol.multiplicity for sol in sols] == [2]
+
     def test_roots_come_out_canonically_sorted(self):
         double = solve_bethe_numeric((1, 1, 1), np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)]), 1)
         complex_z = solve_bethe_numeric((2, 2, 2), np.array([0.0, 1.0 + 0.5j, 2.5 - 0.25j]), 2)
@@ -527,6 +565,15 @@ class TestVerification:
             for sol in sols:
                 assert sol.singular_residual <= 10 * 1e-11
                 assert sol.vector_residual <= 10 * 1e-11
+
+    def test_root_count_must_equal_m(self):
+        # dim V_1 = dim V_3 = 4 at four sites of weight 1, so a level-one root set
+        # would otherwise be checked by level-three operators
+        spec = ModelSpec((1, 1, 1, 1), tuple(Fraction(k) for k in range(4)))
+        sol = solve_bethe(spec, 1)[0]
+        assert verify_solution(spec, 1, sol).ok
+        with pytest.raises(ValueError):
+            verify_solution(spec, 3, sol)
 
     def test_solver_and_verification_agree_exactly(self):
         spec = ModelSpec((2, 2, 2, 2), tuple(Fraction(k * k + 1, k + 2) for k in range(4)))
@@ -606,7 +653,7 @@ class TestBatchedLayer:
         for n in range(2, 9):
             lam = rng.integers(1, 4, n).astype(float)
             real_z = np.arange(n) + rng.uniform(0, 0.5, n) + 0j
-            site_polys = _site_polynomials(lam, real_z)  # R comes out real for real z
+            site_polys = _site_polynomials(lam, real_z)[:2]  # R comes out real for real z
             for m in range(1, 6):
                 random_polys = (
                     rng.standard_normal(n) + 1j * rng.standard_normal(n),
@@ -670,7 +717,7 @@ class TestBatchedLayer:
         cases.append(np.array([[y + 1.5 * tol, x], [x, y], [x + 2e-9, y + 0.75 * tol]]))
         double_z = np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)])
         double_lam = np.ones(3)
-        double = _degree_one_roots(double_lam, double_z, _site_polynomials(double_lam, double_z)[0])
+        double = np.roots(_site_polynomials(double_lam, double_z)[0]).reshape(-1, 1)
         for lam_, z_, rows in [(lam, z, rows) for rows in cases] + [(double_lam, double_z, double)]:
             for tol_root in (np.inf, 1e-11):
                 monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", tol_root)
@@ -711,11 +758,12 @@ class TestBatchedLayer:
         roots = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
         hams = _hamiltonian_gathers(weights, z, m)
         batch = _bethe_vectors(weights, z, roots)
-        singular, eigenvalues, vector = _diagnostics(weights, z, roots, hams)
+        vacuum = _vacuum(weights, z)
+        singular, eigenvalues, vector = _diagnostics(weights, z, roots, hams, vacuum)
         for s in range(len(roots)):
             one = roots[s : s + 1]
             assert np.array_equal(batch[:, s], _bethe_vectors(weights, z, one)[:, 0])
-            single = _diagnostics(weights, z, one, hams)
+            single = _diagnostics(weights, z, one, hams, vacuum)
             assert single[0][0] == singular[s]
             assert np.array_equal(single[1][0], eigenvalues[s])
             assert single[2][0] == vector[s]
@@ -772,7 +820,7 @@ class TestEdgeInputs:
         assert verify_solution(SPEC2, 1, sols[0]).ok
 
     def test_no_diagnostics_without_solutions(self, monkeypatch):
-        def refuse(weights, z, roots, hams):
+        def refuse(weights, z, roots, *args):
             raise AssertionError(f"diagnostics called on {len(roots)} root sets")
 
         monkeypatch.setattr(gaudin.bethe, "_diagnostics", refuse)
@@ -803,6 +851,25 @@ class TestEdgeInputs:
         images = _gather_sum(_pad(v[:, None]), *hams)[:, :, 0]
         alone = max(np.max(np.abs(h - e * v)) for h, e in zip(images, eigenvalues[:, 0])) / np.max(np.abs(v))
         assert ev.residual == out[0] == alone <= 1e-12
+
+    @pytest.mark.parametrize(
+        "weights, z, m",
+        [
+            ((1, 1, 1), (0, 1, 1), 1),
+            ((2, 2, 2), (0, 1, 1), 2),
+            ((1, 1, 1), (0, 1), 1),
+            ((0, 2), (0, 1), 1),
+            ((1.5, 2), (0, 1), 1),
+            ((2,), (0,), 1),
+            ((1, 1, 1), (0, 1, np.inf), 1),
+            ((1, 1, 1), (0, 1, complex(2, np.nan)), 1),
+        ],
+        ids=["repeated-site-m1", "repeated-site-m2", "length-mismatch", "zero-weight", "fractional-weight",
+             "one-site", "infinite-site", "nan-site"],
+    )
+    def test_numeric_solver_rejects_invalid_models(self, weights, z, m):
+        with pytest.raises(ValueError):
+            solve_bethe_numeric(weights, np.array(z, dtype=complex), m)
 
     def test_root_on_a_site_point_is_rejected(self):
         with pytest.raises(ValueError):
