@@ -367,11 +367,11 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     singular_dimension.  Root sets that agree to the collapse width are
     reported once with their multiplicity.  seed draws the random combination
     of Hamiltonians whose eigenvectors separate the singular subspace.
-    weights and z follow the rules of ModelSpec, with finite complex z;
-    ValueError otherwise.
+    weights and z follow the rules of ModelSpec, with finite complex z, and
+    m is an integer; ValueError otherwise.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    if m < 1 or m != int(m):
+        raise ValueError("m must be an integer of at least 1")
     z = np.asarray(z, dtype=complex)
     weights = _checked_sites(weights, z)
     if not np.all(np.isfinite(z)):

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
-from fractions import Fraction
 
 from .bethe import solve_bethe
 from .eigenbasis import DEFAULT_TOL, CompletenessError, DiagonalizationError, build_eigenbasis
-from .hamiltonians import _integer_family, _level_report, _scale
+from .hamiltonians import _site_scales, _verified_levels
 from .singular import (
     singular_basis_gordan,
     singular_basis_kernel,
@@ -42,6 +43,12 @@ EXIT_NUMERIC = 3
 def _complex_pair(value) -> list:
     value = complex(value)
     return [float(value.real), float(value.imag)]
+
+
+def _ratio(value: int, scale: int) -> str:
+    """str(Fraction(value, scale)) for scale > 0, without building the Fraction."""
+    g = math.gcd(value, scale)
+    return str(value // g) if g == scale else f"{value // g}/{scale // g}"
 
 
 def _load_spec(path: str) -> ModelSpec:
@@ -86,15 +93,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
-    scale = _scale(spec.z)
+    scales = _site_scales(spec.z)
     per_m = []
     matrices = []
     all_ok = True
-    # a sliding window of the integer families at m-1, m and m+1: each is built once
-    below, here = None, _integer_family(spec, 0)
-    for m in range(spec.total_weight + 1):
-        above = _integer_family(spec, m + 1) if m < spec.total_weight else None
-        report = _level_report(spec, m, below, here, above)
+    for m, family, report in _verified_levels(spec):
         per_m.append(
             {
                 "m": m,
@@ -105,17 +108,14 @@ def cmd_verify(args) -> int:
         )
         all_ok = all_ok and report.all_ok
         if args.emit_matrices:
-            for i, op in enumerate(here):
+            for i, scale in enumerate(scales):
                 matrices.append(
                     {
                         "m": m,
                         "i": i + 1,  # 1-based site label on the wire
-                        "triplets": [
-                            [row, col, str(Fraction(val, scale))] for row, col, val in op.entries()
-                        ],
+                        "triplets": [[row, col, _ratio(val, scale)] for row, col, val in family.entries(i)],
                     }
                 )
-        below, here = here, above
     payload = {"per_m": per_m, "all_ok": all_ok}
     if args.emit_matrices:
         payload["matrices"] = matrices
@@ -280,9 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; each parse_args fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:

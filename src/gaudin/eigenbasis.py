@@ -27,7 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import _gather_forms, _integer_family, _products_equal, _scale
+from .hamiltonians import (
+    _exact_family,
+    _gather_forms,
+    _generator_rows,
+    _site_scales,
+    _vanishing,
+)
 from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
@@ -39,7 +45,6 @@ from .sl2 import (
     _raising_gathers,
     _scatter,
     _shapovalov_norms,
-    build_total_generator,
     enumerate_weight_space,
 )
 
@@ -217,22 +222,23 @@ def _gate(residuals, what: str) -> None:
         raise DiagonalizationError(f"{what} residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst)
 
 
-def _trace(op) -> int:
-    return sum(colmap.get(col, 0) for col, colmap in enumerate(op.cols))
+def _traces(form) -> list:
+    """tr D_i H_i for each site, from the diagonal term 0 of an _integer_gathers form (no hop reaches the diagonal)."""
+    return form[1][0].sum(axis=1).tolist()
 
 
 def _level_family(spec: ModelSpec, m: int):
-    """(D, the integer matrices D H_i, the family gather form of the H_i) on V_m, built once per level."""
+    """_exact_family(spec, m) and the family gather form of the H_i on V_m, built once per level."""
     fractions = [(x.numerator, x.denominator) for x in spec.z]  # int / int rounds correctly
     diffs = np.array([[(p * e - q * d) / (d * e) for q, e in fractions] for p, d in fractions])
-    return _scale(spec.z), _integer_family(spec, m), _gather_forms(spec.weights, diffs, m)
+    return (*_exact_family(spec, m), _gather_forms(spec.weights, diffs, m))
 
 
 def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
     The frame of _singular_frame is checked exactly to be invariant under
-    every H_i (E H_i = H_i E on the integer matrices); the symmetric
+    every H_i (E D_i H_i = D_i H_i E, decided by hamiltonians._vanishing); the symmetric
     restrictions are jointly diagonalized (seed draws the combination).
     Eigenvectors are returned in V_m coordinates with unit norm, their
     singular residuals max|E v| / max|v| and eigenvector residuals gated by
@@ -244,26 +250,29 @@ def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
 
 
 def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
-    """diagonalize_singular given the integer matrices D H_i on V_{m-1} (below) and
+    """diagonalize_singular given _exact_family(spec, m - 1) (below) and
     _level_family(spec, m) (family); each None is built here when the level needs it."""
     enumerate_weight_space(spec, m)  # raises for m outside 0..sum(weights)
     count = singular_dimension(spec, m)
     if count == 0:
         return []
-    raise_e = build_total_generator("E", spec, m)
-    scale, ints, gathers = family or _level_family(spec, m)
+    form, ints, gathers = family or _level_family(spec, m)
     if below is None and m > 0:
-        below = _integer_family(spec, m - 1)
-    # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
-    for op, ham in zip(below or (), ints):
-        if not _products_equal(op, raise_e, raise_e, ham):
+        below = _exact_family(spec, m - 1)
+    if below is not None:
+        # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
+        raise_e = _generator_rows("E", spec.weights, m)
+        items = [(1, raise_e, 0, ints, i, i) for i in range(spec.n_sites)]
+        items += [(-1, below[1], i, raise_e, 0, i) for i in range(spec.n_sites)]
+        if not _vanishing(items).all():
             raise ValueError("operator does not preserve the kernel of the raising operator")
     root, basis, vecs, eigs = _singular_eigen(spec.weights, m, count, gathers, seed)
     coords = (basis @ vecs) / root[:, None]
     exact = None
     if count == 1:
-        lower = [_trace(op) for op in below] if below else [0] * len(ints)
-        exact = tuple(Fraction(_trace(ham) - t, scale) for ham, t in zip(ints, lower))
+        lower = _traces(below[0]) if below else [0] * spec.n_sites
+        scales = _site_scales(spec.z)
+        exact = tuple(Fraction(t - s, d) for t, s, d in zip(_traces(form), lower, scales))
         eigs = np.array([[float(x)] for x in exact])
 
     units = np.array([_canonical_phase(col / np.linalg.norm(col)) for col in coords.T]).T
@@ -310,7 +319,7 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     levels = [_diagonalize_level(spec, 0, None, family, seed)]
 
     for m in range(1, m_max + 1):
-        below, family = family[1], _level_family(spec, m)
+        below, family = family[:2], _level_family(spec, m)
         parents = levels[m - 1]
         unit = np.ones((spec.n_sites, 1))  # the total F: coefficient 1 on every site
         images = _lower(np.array([p.coords for p in parents]).T, _lowering_map(spec.weights, m - 1), unit).T

@@ -863,9 +863,10 @@ class TestEdgeInputs:
             ((2,), (0,), 1),
             ((1, 1, 1), (0, 1, np.inf), 1),
             ((1, 1, 1), (0, 1, complex(2, np.nan)), 1),
+            ((1, 1), (0, 1), 1.5),
         ],
         ids=["repeated-site-m1", "repeated-site-m2", "length-mismatch", "zero-weight", "fractional-weight",
-             "one-site", "infinite-site", "nan-site"],
+             "one-site", "infinite-site", "nan-site", "fractional-level"],
     )
     def test_numeric_solver_rejects_invalid_models(self, weights, z, m):
         with pytest.raises(ValueError):

@@ -73,6 +73,40 @@ class TestDecompose:
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self, spec_file, capsys, monkeypatch):
+        path = spec_file(SPEC_11)
+        main(["decompose", "--spec", path])
+        monkeypatch.setattr(gaudin.cli, "build_parser", None)  # a second build would fail
+        assert main(["verify", "--spec", path]) == 0
+        capsys.readouterr()
+
+    def test_consecutive_calls_parse_independently(self, spec_file, capsys):
+        # one cached parser: no flag or default of one call leaks into the next
+        path = spec_file(SPEC_11)
+        code, emitted = run_json(["verify", "--spec", path, "--emit-matrices"], capsys)
+        assert code == 0 and "matrices" in emitted
+        code, plain = run_json(["verify", "--spec", path], capsys)
+        assert code == 0 and "matrices" not in plain
+        code, singular = run_json(["singular", "--spec", path, "--m", "1"], capsys)
+        assert code == 0 and singular["m"] == 1
+        assert main(["singular", "--spec", path]) == 2  # --m is not remembered
+        assert "--m is required" in capsys.readouterr().err
+        code, basis = run_json(["eigenbasis", "--spec", path, "--m-max", "0"], capsys)
+        assert code == 0 and basis["m_max"] == 0
+        code, basis = run_json(["eigenbasis", "--spec", path], capsys)
+        assert code == 0 and basis["m_max"] == 1
+        code, csv_out = run_json(["decompose", "--spec", path, "--format", "csv"], capsys)
+        assert code == 0 and csv_out.startswith("m,dim")
+        code, decomposed = run_json(["decompose", "--spec", path], capsys)
+        assert code == 0 and decomposed["weights"] == [1, 1]
+        with pytest.raises(SystemExit):
+            main(["decompose", "--spec", path, "--m", "1"])
+        capsys.readouterr()
+        code, solved = run_json(["bethe", "--spec", path, "--m", "1", "--seed", "7"], capsys)
+        assert code == 0 and solved["m"] == 1
+
+
 class TestVerify:
     def test_valid_spec_passes(self, spec_file, capsys):
         code, payload = run_json(["verify", "--spec", spec_file(SPEC_11)], capsys)
@@ -105,17 +139,15 @@ class TestVerify:
 
         spec = ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
         level = {None: None, "bottom": 0, "top": spec.total_weight}[shifted]
-        original = hamiltonians._integer_family
+        original = hamiltonians._integer_gathers
 
-        def shifted_builder(spec, m):
-            family = original(spec, m)
-            if m == level:
-                for k in range(family[0].domain.dim):
-                    family[0].add_term(k, k, hamiltonians._scale(spec.z))
-            return family
+        def shifted_builder(spec, m, sites=None):
+            src, coef = original(spec, m, sites)
+            if m == level and sites is None:
+                coef[0, 0] += hamiltonians._site_scales(spec.z)[0]
+            return src, coef
 
-        monkeypatch.setattr(hamiltonians, "_integer_family", shifted_builder)
-        monkeypatch.setattr(cli, "_integer_family", shifted_builder)
+        monkeypatch.setattr(hamiltonians, "_integer_gathers", shifted_builder)
         code, payload = run_json(["verify", "--spec", spec_file(spec.to_json())], capsys)
         expected = []
         for m in range(spec.total_weight + 1):
@@ -150,12 +182,10 @@ class TestNumericFailureExit:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_injected_verification_fault_maps_to_1(self, spec_file, monkeypatch, capsys):
-        from gaudin import cli
+        from gaudin import hamiltonians
         from gaudin.hamiltonians import VerifyReport
 
-        monkeypatch.setattr(
-            cli, "_level_report", lambda spec, m, below, here, above: VerifyReport(False, True, True)
-        )
+        monkeypatch.setattr(hamiltonians, "_report", lambda ok, groups: VerifyReport(False, True, True))
         code = main(["verify", "--spec", spec_file(SPEC_11)])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)

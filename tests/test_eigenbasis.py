@@ -20,7 +20,7 @@ from gaudin import (
     solve_bethe_numeric,
     verify_nonsingularity,
 )
-from gaudin import bethe, eigenbasis
+from gaudin import bethe, eigenbasis, hamiltonians
 from gaudin.eigenbasis import _joint_eigen, _shapovalov_root, _singular_eigen, _singular_frame
 from gaudin.sl2 import DEFAULT_SEED
 
@@ -123,7 +123,7 @@ class TestDiagonalizeSingular:
         def refuse(*args):
             raise AssertionError("total E built for a level with no singular vectors")
 
-        monkeypatch.setattr(eigenbasis, "build_total_generator", refuse)
+        monkeypatch.setattr(eigenbasis, "_generator_rows", refuse)
         spec = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
         for m in (2, 3):
             assert diagonalize_singular(spec, m) == []
@@ -182,14 +182,21 @@ class TestRestriction:
         assert len(found) > 1
         assert all(v.exact_eigenvalues is None for v in found)
 
-    def test_non_invariant_operator_raises(self):
-        # one changed entry of one D H_i breaks E H_i = H_i E, which the level checks exactly
+    def test_non_invariant_operator_raises(self, monkeypatch):
+        # one changed entry of one D_i H_i breaks E H_i = H_i E, which the level checks exactly
         spec = ladder_spec((1, 2, 3))
+        original = hamiltonians._integer_gathers
         for m in (1, 2):
-            family = eigenbasis._level_family(spec, m)
-            family[1][0].add_term(0, 0, 1)
+
+            def faulty(spec, k, sites=None):
+                src, coef = original(spec, k, sites)
+                if k == m:
+                    coef[0, 1, 0] += 1
+                return src, coef
+
+            monkeypatch.setattr(hamiltonians, "_integer_gathers", faulty)
             with pytest.raises(ValueError, match="does not preserve"):
-                eigenbasis._diagonalize_level(spec, m, None, family, DEFAULT_SEED)
+                eigenbasis._diagonalize_level(spec, m, None, None, DEFAULT_SEED)
 
     def test_non_singular_frame_fails_the_gate(self, monkeypatch):
         # an orthonormal frame of the complement of the kernel: its lowered
@@ -274,13 +281,13 @@ class TestSharedRoutine:
 class TestBuildEigenbasis:
     def test_one_hamiltonian_family_per_level(self, monkeypatch):
         built = []
-        original = eigenbasis._integer_family
+        original = hamiltonians._integer_gathers
 
-        def counting(spec, m):
+        def counting(spec, m, sites=None):
             built.append(m)
-            return original(spec, m)
+            return original(spec, m, sites)
 
-        monkeypatch.setattr(eigenbasis, "_integer_family", counting)
+        monkeypatch.setattr(hamiltonians, "_integer_gathers", counting)
         spec = ladder_spec((3, 3, 3, 3))
         basis = build_eigenbasis(spec, 3)
         assert built == [0, 1, 2, 3]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,16 +20,22 @@ from gaudin import (
 )
 import gaudin.hamiltonians as hamiltonians
 from gaudin.hamiltonians import (
+    VerifyReport,
+    _IntegerOperators,
+    _bounds,
+    _exact_family,
     _gather_forms,
-    _integer_family,
+    _integer_gathers,
     _level_report,
+    _moduli,
     _pair_map,
-    _products_equal,
-    _scale,
+    _prime,
+    _site_scales,
+    _vanishing,
 )
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_basis_kernel
-from gaudin.sl2 import _shapovalov_norms
+from gaudin.sl2 import _scatter, _shapovalov_norms
 
 from conftest import random_spec
 
@@ -36,11 +43,89 @@ from conftest import random_spec
 SPEC2 = ModelSpec((1, 1), (Fraction(0), Fraction(1)))
 
 
+def integer_family(spec, m):
+    """The integer matrices D_i H_i on V_m as SparseOperators, read off hamiltonians._integer_gathers."""
+    space = enumerate_weight_space(spec, m)
+    ops = _IntegerOperators(*hamiltonians._integer_gathers(spec, m), space.dim)
+    return [sparse(ops, b, space, space) for b in range(spec.n_sites)]
+
+
+def sparse(ops, b, domain, codomain):
+    """Operator b of an _IntegerOperators as a SparseOperator."""
+    op = SparseOperator.zero(domain, codomain)
+    for row, col, value in ops.entries(b):
+        op.add_term(row, col, value)
+    return op
+
+
+def integer_rows(mats):
+    """SparseOperators of one shape with int entries as _IntegerOperators, one gather term per entry of a row."""
+    dim, rows = mats[0].domain.dim, mats[0].codomain.dim
+    per_row = [[[] for _ in range(rows)] for _ in mats]
+    for b, op in enumerate(mats):
+        for row, col, value in op.entries():
+            per_row[b][row].append((col, value))
+    width = max([1] + [len(entries) for op_rows in per_row for entries in op_rows])
+    src = np.full((width, len(mats), rows), dim)
+    coef = np.zeros((width, len(mats), rows), dtype=object)
+    for b, op_rows in enumerate(per_row):
+        for row, entries in enumerate(op_rows):
+            for h, (col, value) in enumerate(entries):
+                src[h, b, row], coef[h, b, row] = col, value
+    return _IntegerOperators(src, coef, dim)
+
+
 def level_report(spec, m, here):
-    """verify_family's checks on V_m with the integer family D H_i replaced by here."""
-    below = _integer_family(spec, m - 1) if m >= 1 else None
-    above = _integer_family(spec, m + 1) if m < spec.total_weight else None
-    return _level_report(spec, m, below, here, above)
+    """verify_family's checks on V_m with the integer family D_i H_i replaced by the SparseOperators here."""
+    below = _exact_family(spec, m - 1)[1] if m >= 1 else None
+    above = _exact_family(spec, m + 1)[1] if m < spec.total_weight else None
+    return _level_report(spec, m, below, integer_rows(here), above)
+
+
+def reference_products_equal(a, b, c, d) -> bool:
+    """a @ b == c @ d by a dict of Python ints per column: the route the residue check replaced."""
+    if (a.domain, c.domain, a.codomain, b.domain) != (b.codomain, d.codomain, c.codomain, d.domain):
+        raise ValueError("operator composition shapes do not match")
+    for bcol, dcol in zip(b.cols, d.cols):
+        acc = {}
+        for mid, v in bcol.items():
+            for row, w in a.cols[mid].items():
+                acc[row] = acc.get(row, 0) + w * v
+        for mid, v in dcol.items():
+            for row, w in c.cols[mid].items():
+                acc[row] = acc.get(row, 0) - w * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def reference_report(spec, m):
+    """verify_family's report by the reference route on the same integer matrices."""
+    family = {k: integer_family(spec, k) for k in (m - 1, m, m + 1) if 0 <= k <= spec.total_weight}
+    here = family[m]
+    commuting = all(reference_products_equal(a, b, b, a) for k, a in enumerate(here) for b in here[k + 1 :])
+    scales = _site_scales(spec.z)
+    whole = math.lcm(*scales)
+    total = here[0].scaled(whole // scales[0])
+    for op, d in zip(here[1:], scales[1:]):
+        total = total + op.scaled(whole // d)
+    symmetry = True
+    for k, gen in ((m - 1, "E"), (m + 1, "F")):
+        if k in family:
+            g = build_total_generator(gen, spec, m)
+            symmetry = symmetry and all(reference_products_equal(x, g, g, h) for x, h in zip(family[k], here))
+    return VerifyReport(commuting, total.is_zero(), symmetry)
+
+
+def bench_ladder(weights, seed):
+    """The benchmark's ladder specs: z_k = (k^2 + 1)/(k + 2), shifted by a seeded nonzero k/97 unless seed is 1729."""
+    import random
+
+    z = [Fraction(k * k + 1, k + 2) for k in range(len(weights))]
+    if seed != 1729:
+        rng = random.Random(seed)
+        z = [x + Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 97) for x in z]
+    return ModelSpec(tuple(weights), tuple(z))
 
 
 class TestVacuum:
@@ -106,7 +191,7 @@ class TestVerifyFamily:
 
     def test_tampered_matrix_detected(self):
         spec = ModelSpec((1, 1, 1), (Fraction(0), Fraction(1), Fraction(2)))
-        mats = _integer_family(spec, 1)
+        mats = integer_family(spec, 1)
         assert level_report(spec, 1, mats).all_ok
         mats[0].add_term(0, 1, 1)
         report = level_report(spec, 1, mats)
@@ -120,7 +205,7 @@ class TestVerifyFamily:
         spec = ladder_spec((1, 2, 2))
         shifts = (1, -3, 2)
         for m in (1, spec.total_weight):
-            mats = _integer_family(spec, m)
+            mats = integer_family(spec, m)
             for mat, c in zip(mats, shifts):
                 for k in range(mat.domain.dim):
                     mat.add_term(k, k, c)
@@ -157,7 +242,7 @@ def spaces(weights, m):
 
 
 class TestProductsEqual:
-    """_products_equal(a, b, c, d) decides a @ b == c @ d as the built difference does."""
+    """The test-local reference_products_equal decides a @ b == c @ d as the built difference does."""
 
     # (a, b, c, d) as (codomain, domain) level offsets from m: square, E-shaped
     # (below @ E == E @ H) and F-shaped (above @ F == F @ H)
@@ -186,9 +271,9 @@ class TestProductsEqual:
                     a, b, c, d = self.operators(rng, weights, m, shape, density)
                     want = self.reference(a, b, c, d)
                     seen.add(want)
-                    assert _products_equal(a, b, c, d) is want
+                    assert reference_products_equal(a, b, c, d) is want
                     # equal by construction: a @ (k b) == (k a) @ b
-                    assert _products_equal(a, b.scaled(3), a.scaled(3), b)
+                    assert reference_products_equal(a, b.scaled(3), a.scaled(3), b)
         assert seen == {True, False}
 
     def test_entries_cancel_within_a_column(self, rng):
@@ -198,19 +283,19 @@ class TestProductsEqual:
         b = a @ a + a.scaled(2)
         assert any(len(col) > 1 for col in (a @ b).cols)
         assert self.reference(a, b, b, a)
-        assert _products_equal(a, b, b, a)
+        assert reference_products_equal(a, b, b, a)
 
     def test_difference_only_in_the_last_column(self, rng):
         for shape in self.SHAPES:
             a, b, _, _ = self.operators(rng, (2, 2, 1), 2, shape)
             c, d = a.scaled(2), b.scaled(1)
-            assert _products_equal(a, b.scaled(2), c, d)
+            assert reference_products_equal(a, b.scaled(2), c, d)
             # one more term in d's last column changes only the last column of c @ d
             mid = next(k for k, col in enumerate(c.cols) if col)
             d.add_term(mid, d.domain.dim - 1, 1)
             diff = a @ b.scaled(2) - c @ d
             assert [bool(col) for col in diff.cols] == [False] * (d.domain.dim - 1) + [True]
-            assert not _products_equal(a, b.scaled(2), c, d)
+            assert not reference_products_equal(a, b.scaled(2), c, d)
 
     def test_one_differing_entry_among_cancelling_ones(self, rng):
         for shape in self.SHAPES:
@@ -225,7 +310,7 @@ class TestProductsEqual:
             assert all(set(col) <= {row} for col in diff.cols)
             assert any(len(product.cols[k]) > 1 for k, col in enumerate(diff.cols) if col)
             assert self.reference(a, b, c, b) is False
-            assert _products_equal(a, b, c, b) is False
+            assert reference_products_equal(a, b, c, b) is False
 
     def test_shape_mismatch_raises(self, rng):
         square = spaces((2, 2), 2)[1]
@@ -233,40 +318,38 @@ class TestProductsEqual:
         a = random_operator(rng, square, square)
         e = random_operator(rng, square, below)
         with pytest.raises(ValueError):
-            _products_equal(a, e, a, a)
+            reference_products_equal(a, e, a, a)
 
 
 class TestBuildCounts:
     @pytest.fixture
     def builds(self, monkeypatch):
-        from gaudin import cli
-
         calls = []
-        original = hamiltonians._integer_family
+        original = hamiltonians._integer_gathers
 
-        def counted(spec, m):
+        def counted(spec, m, sites=None):
             calls.append(m)
-            return original(spec, m)
+            return original(spec, m, sites)
 
-        monkeypatch.setattr(hamiltonians, "_integer_family", counted)
-        monkeypatch.setattr(cli, "_integer_family", counted)
+        monkeypatch.setattr(hamiltonians, "_integer_gathers", counted)
         return calls
 
     def test_verify_family_builds_at_most_three_families(self, builds, monkeypatch):
         generators = []
-        original = hamiltonians.build_total_generator
+        original = hamiltonians._generator_rows
 
-        def counted(gen, spec, m):
+        def counted(gen, weights, m):
             generators.append(gen)
-            return original(gen, spec, m)
+            return original(gen, weights, m)
 
-        monkeypatch.setattr(hamiltonians, "build_total_generator", counted)
+        monkeypatch.setattr(hamiltonians, "_generator_rows", counted)
         spec = ladder_spec((2, 3, 3, 4))
         for m in range(spec.total_weight + 1):
             builds.clear()
             verify_family(spec, m)
             assert sorted(builds) == [k for k in (m - 1, m, m + 1) if 0 <= k <= spec.total_weight]
-        assert "H" not in generators
+        assert set(generators) == {"E", "F"}
+        assert len(generators) == 2 * spec.total_weight
 
     def test_cli_verify_builds_each_matrix_once(self, builds, tmp_path, capsys):
         from gaudin.cli import main
@@ -356,14 +439,26 @@ class TestIntegerScaling:
     def test_integer_family_is_scale_times_family(self, rng):
         for _ in range(4):
             spec = self.random_spec_97(rng)
-            scale = _scale(spec.z)
-            assert scale % 2 == 0
+            scales = _site_scales(spec.z)
+            assert all(d % 2 == 0 for d in scales)
             for m in range(spec.total_weight + 1):
-                ints = _integer_family(spec, m)
-                for i, op in enumerate(ints):
-                    assert all(type(v) is int for _, _, v in op.entries())
+                ints = _IntegerOperators(*_integer_gathers(spec, m), enumerate_weight_space(spec, m).dim)
+                for i, scale in enumerate(scales):
+                    entries = ints.entries(i)
+                    assert all(type(v) is int for _, _, v in entries)
                     exact = build_hamiltonian(spec, i, m)
-                    assert [(r, c, Fraction(v, scale)) for r, c, v in op.entries()] == exact.entries()
+                    assert [(r, c, Fraction(v, scale)) for r, c, v in entries] == exact.entries()
+
+    def test_one_site_is_built_from_its_pairs(self, rng):
+        # build_hamiltonian reads site i alone; its entries are the family's
+        for _ in range(3):
+            spec = self.random_spec_97(rng)
+            for m in range(spec.total_weight + 1):
+                src, coef = _integer_gathers(spec, m)
+                for i in range(spec.n_sites):
+                    one_src, one_coef = _integer_gathers(spec, m, [i])
+                    assert np.array_equal(one_src[:, 0], src[:, i])
+                    assert one_coef[:, 0].tolist() == coef[:, i].tolist()
 
     def test_array_matches_float_formula(self, rng):
         for _ in range(4):
@@ -413,8 +508,9 @@ class TestStructure:
             for m in range(spec.total_weight + 1):
                 truncated += m > spec.min_weight
                 norms = _shapovalov_norms(spec.weights, m)
-                for op in _integer_family(spec, m):
-                    rows = op.rows()
+                src, coef = _integer_gathers(spec, m)
+                for i in range(spec.n_sites):
+                    rows = _scatter(src[:, i], coef[:, i, :, None], src.shape[2], object).tolist()
                     for r, row in enumerate(rows):
                         for c, value in enumerate(row):
                             assert norms[r] * value == norms[c] * rows[c][r]
@@ -465,3 +561,182 @@ class TestPairMap:
                                  for h in range(2) for t in range(space.dim) if k[r, site, h + 1, t]}
                         assert held == terms
                         assert np.all((hops == space.dim) == (k[r, site, 1:] == 0))
+
+
+def random_gathers(rng, n, rows, dim, width, big=False):
+    """A random integer gather form of n operators: some terms at the sentinel, some entries large."""
+    src = rng.integers(0, dim + 1, size=(width, n, rows))
+    coef = rng.integers(-3, 4, size=(width, n, rows)).astype(object)
+    if big:
+        coef = coef * (1 << 70) + rng.integers(-5, 6, size=coef.shape).astype(object)
+    return src, coef
+
+
+def decided(items):
+    """_vanishing's answer for items that all lie in one group."""
+    return bool(_vanishing(items).all())
+
+
+def dense(ops, b):
+    """Operator b of an _IntegerOperators as a dense object matrix of Python ints."""
+    out = np.zeros((ops.rows, ops.dim), dtype=object)
+    for row, col, value in ops.entries(b):
+        out[row, col] = value
+    return out
+
+
+def capture_items(monkeypatch):
+    """Record the items of every _vanishing call made through the hamiltonians module."""
+    calls = []
+    original = hamiltonians._vanishing
+
+    def spy(items):
+        calls.append(items)
+        return original(items)
+
+    monkeypatch.setattr(hamiltonians, "_vanishing", spy)
+    return calls
+
+
+class TestVanishing:
+    """The residue check against the Python-int reference route."""
+
+    def test_primes_count_down_from_the_mersenne_prime(self):
+        primes = [_prime(k) for k in range(6)]
+        assert primes[0] == 2**31 - 1
+        assert primes == sorted(primes, reverse=True) and len(set(primes)) == 6
+        def odd_prime(n):
+            return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+        assert all(odd_prime(p) for p in primes)
+        # no prime lies between two consecutive ones
+        for hi, lo in zip(primes, primes[1:]):
+            assert not any(odd_prime(n) for n in range(lo + 2, hi, 2))
+
+    def test_moduli_are_the_fewest_above_twice_the_bound(self):
+        for bound in (0, 1, 2**30, 2**31, 2**61, 2**62 - 1, 2**100, 3**70):
+            primes = _moduli(bound)
+            assert math.prod(primes) > 2 * bound
+            assert len(primes) == 1 or math.prod(primes[:-1]) <= 2 * bound
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_agrees_with_the_reference_on_random_gather_forms(self, rng, big):
+        seen = set()
+        for weights, m in (((1, 2), 1), ((2, 2, 1), 2), ((1, 1, 1, 2), 2), ((3, 2), 3)):
+            below, here, above = spaces(weights, m)
+            for shape in ("square", "E", "F"):
+                rows_a, mid, dim = {"square": (here, here, here), "E": (below, below, here),
+                                    "F": (above, above, here)}[shape]
+                rows_c, mid_c = {"square": (here, here), "E": (below, here), "F": (above, here)}[shape]
+                for width in (1, 3, 6):
+                    a = _IntegerOperators(*random_gathers(rng, 2, rows_a.dim, mid.dim, width, big), mid.dim)
+                    b = _IntegerOperators(*random_gathers(rng, 2, mid.dim, dim.dim, width, big), dim.dim)
+                    c = _IntegerOperators(*random_gathers(rng, 2, rows_c.dim, mid_c.dim, width, big), mid_c.dim)
+                    d = _IntegerOperators(*random_gathers(rng, 2, mid_c.dim, dim.dim, width, big), dim.dim)
+                    for k in range(2):
+                        want = reference_products_equal(
+                            sparse(a, k, mid, rows_a), sparse(b, k, dim, mid),
+                            sparse(c, k, mid_c, rows_c), sparse(d, k, dim, mid_c))
+                        seen.add(want)
+                        assert decided([(1, a, k, b, k, 0), (-1, c, k, d, k, 0)]) is want
+                        # equal by construction, also beside a group that is not
+                        assert list(_vanishing([(3, a, k, b, k, 0), (-1, a, k, b, k, 0), (-2, a, k, b, k, 0),
+                                                (1, a, k, b, k, 1)])) == [True, not dense(a, k).dot(dense(b, k)).any()]
+        assert seen == {True, False}
+
+    def test_every_level_of_random_specs(self, rng):
+        for _ in range(100):
+            spec = random_spec(rng, n_max=5, lam_max=4)
+            for m in range(spec.total_weight + 1):
+                report = verify_family(spec, m)
+                assert report == reference_report(spec, m)
+                assert report.all_ok
+
+    @pytest.mark.parametrize("seed", [1729, 555])
+    def test_benchmark_ladders(self, seed, monkeypatch):
+        calls = capture_items(monkeypatch)
+        for weights, levels in (((4,) * 5, range(5)), ((3,) * 7, [3]), ((2, 3, 3, 4), range(13)),
+                                ((1, 2, 3, 4), range(11))):
+            spec = bench_ladder(weights, seed)
+            for m in levels:
+                report = verify_family(spec, m)
+                assert report == reference_report(spec, m)
+                assert report.all_ok
+        moduli = max(len(_moduli(max(_bounds(items)))) for items in calls)
+        assert moduli >= 3
+
+    @pytest.mark.parametrize("fault", ["one", "prime", "identity"])
+    def test_injected_faults(self, fault, monkeypatch):
+        spec = ladder_spec((2, 3, 3, 4))
+        level = 4
+        original = hamiltonians._integer_gathers
+        calls = capture_items(monkeypatch)
+        clean = [verify_family(spec, m) for m in (level - 1, level, level + 1)]
+        clean_moduli = max(len(_moduli(max(_bounds(items)))) for items in calls)
+
+        def faulty(spec, m, sites=None):
+            src, coef = original(spec, m, sites)
+            if m == level and sites is None:
+                if fault == "identity":
+                    coef[0, 1] += 5 * _site_scales(spec.z)[1]
+                else:
+                    hop = int(np.flatnonzero(src[1:, 1, 7] != src.shape[2])[0]) + 1  # a present hop of D_1 H_1
+                    coef[hop, 1, 7] += 1 if fault == "one" else _prime(0)
+            return src, coef
+
+        monkeypatch.setattr(hamiltonians, "_integer_gathers", faulty)
+        calls.clear()
+        reports = [verify_family(spec, m) for m in (level - 1, level, level + 1)]
+        assert reports == [reference_report(spec, m) for m in (level - 1, level, level + 1)]
+        assert all(r.all_ok for r in clean)
+        assert not reports[1].sum_zero and not reports[1].symmetry_commute
+        assert not reports[0].symmetry_commute and not reports[2].symmetry_commute
+        assert reports[1].commuting is (fault == "identity")
+        assert reports[0].commuting and reports[0].sum_zero and reports[2].commuting and reports[2].sum_zero
+        if fault == "prime":
+            # the fault vanishes modulo the first prime: only the larger bound it brings decides it
+            assert clean_moduli == 1
+            assert max(len(_moduli(max(_bounds(items)))) for items in calls) > 1
+
+    def test_no_sparse_operator_is_built(self, monkeypatch, tmp_path, capsys):
+        from gaudin import build_eigenbasis
+        from gaudin.cli import main
+
+        def refuse(*args):
+            raise AssertionError("SparseOperator entry added")
+
+        monkeypatch.setattr(SparseOperator, "add_term", refuse)
+        spec = ladder_spec((2, 3, 3, 4))
+        assert all(verify_family(spec, m).all_ok for m in range(spec.total_weight + 1))
+        path = tmp_path / "model.json"
+        path.write_text(spec.to_json())
+        assert main(["verify", "--spec", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_ok"] is True
+        assert len(build_eigenbasis(spec, 2).levels) == 3
+
+    def test_bound_covers_every_entry(self, rng, monkeypatch):
+        # the proven bound is at least the largest |entry| of each group's sum, in Python ints, and of
+        # each item alone (the sums of verify_family's groups vanish); the residue sums stay in int64:
+        # at most (products per entry) * 2^31 < 2^63
+        calls = capture_items(monkeypatch)
+        for _ in range(12):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            for m in range(spec.total_weight + 1):
+                verify_family(spec, m)
+        for _ in range(20):  # random operators, whose sums do not vanish
+            space = enumerate_weight_space((2, 2, 1), 2)
+            a, b = (_IntegerOperators(*random_gathers(rng, 2, space.dim, space.dim, 4, big), space.dim)
+                    for big in (False, True))
+            calls.append([(1, a, 0, b, 1, 0), (-7, b, 1, a, 0, 0), (3, a, 1, a, 0, 1)])
+        assert len(calls) > 20
+        for items in calls:
+            bounds = _bounds(items)
+            sums = {}
+            for c, x, a, y, b, g in items:
+                product = c * dense(x, a).dot(dense(y, b))
+                assert max((abs(v) for v in np.ravel(product)), default=0) <= _bounds([(c, x, a, y, b, 0)])[0]
+                sums[g] = sums.get(g, 0) + product
+                widest = max(np.diff(x.start).max(initial=0), 1) * max(np.diff(y.start).max(initial=0), 1)
+                assert len(items) * widest * 2**31 < 2**63
+            for g, total in sums.items():
+                assert max((abs(v) for v in np.ravel(total)), default=0) <= bounds[g]
