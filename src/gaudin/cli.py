@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .bethe import solve_bethe
 from .eigenbasis import DEFAULT_TOL, CompletenessError, DiagonalizationError, build_eigenbasis
 from .hamiltonians import _site_scales, _verified_levels
@@ -29,7 +31,9 @@ from .rational_linalg import rank
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
-    build_total_generator,
+    _gather_sum,
+    _pad,
+    _raising_gathers,
     enumerate_weight_space,
     weight_space_dimension_formula,
 )
@@ -145,10 +149,8 @@ def cmd_singular(args) -> int:
         basis = kernel
         method = "kernel"
         span_ok = True
-    raise_e = build_total_generator("E", spec, m)
-    annihilated = all(
-        all(x == 0 for x in raise_e.apply(list(v))) for v in basis.vectors
-    )
+    block = np.array(basis.vectors, dtype=object).reshape(basis.count, enumerate_weight_space(spec, m).dim).T
+    annihilated = not (_gather_sum(_pad(block), *_raising_gathers(spec.weights, m)) != 0).any()
     vectors = []
     for j, vec in enumerate(basis.vectors):
         vectors.append(

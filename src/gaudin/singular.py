@@ -7,16 +7,18 @@ adjoining one site with the bilinear covariant-style operator
     P_k(u (x) v_lam) = sum_j (-1)^j C(k,j) (k-j-lam)_j / (-mu)_j  F_tot^j u (x) F^{k-j} v_lam,
 
 where mu is the SL(2) weight of the left factor u and (x)_j is the rising
-factorial.  Compositions sharing a prefix share its vector: a depth-first walk
-over the prefix tree, in Python ints, holds each node's u as a primitive int
-vector times one Fraction, gathers its lowering chain F_tot^t u once through
-the cached index map of sl2, and combines it with each child's coefficients
-cleared by their lcm.  The kernel route, the independent cross-check, applies
-the sl2 extremal projector prod_k (1 - F E / c_k) (Asherova, Smirnov and
-Tolstoy, Theor. Math. Phys. 8, 1971) to the ballot states of V_m, the
-highest-weight states of the crystal (Kashiwara's signature rule), through
-the same index maps in Python ints.  It is valid for every m, including the
-truncated regime m > min(weights) where the Gordan route is not offered.
+factorial.  Compositions sharing a prefix share its vector: the prefix tree
+is walked one depth at a time, the nodes of one depth and degree forming one
+block of primitive int columns, whose lowering chain F_tot^t u is gathered
+once through the cached index maps of sl2 and combined with each child's
+coefficients cleared by their lcm.  The kernel route, the independent
+cross-check, applies the sl2 extremal projector prod_k (1 - F E / c_k)
+(Asherova, Smirnov and Tolstoy, Theor. Math. Phys. 8, 1971) to the ballot
+states of V_m, the highest-weight states of the crystal (Kashiwara's
+signature rule), through the same index maps.  It is valid for every m,
+including the truncated regime m > min(weights) where the Gordan route is
+not offered.  Both routes run on NumPy int64 blocks while a Python-int bound
+on every entry they form stays below 2^62, and on Python ints above it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational_linalg import _cleared, _primitive
+from .rational_linalg import _cleared
 from .sl2 import (
+    _appended,
     _bounded_compositions,
     _gather_sum,
     _lower,
@@ -108,30 +111,39 @@ def gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
     return GordanCoefficients(m, l1, l2, tuple(coeffs))
 
 
-def _adjoin(prefix: tuple, lam_last: int, degree: int, u: list, ks) -> list:
-    """P_k u for each k in ks (ascending), u a nonzero int vector over V_degree(prefix).
+def _exact_dtype(bound: int):
+    """np.int64 for blocks whose entries and partial sums a Python-int bound keeps below 2^62, else object."""
+    return np.int64 if bound < 2**62 else object
 
-    The lowering chain F_tot^t u grows to t = k as each k needs it, so every
-    k shares it.  Returns one (k, w, factor) per k with P_k u = factor * w and
-    w a primitive int vector over V_{degree+k}(prefix + (lam_last,)).
+
+def _adjoin(weights: tuple, degree: int, block: np.ndarray, ks) -> list:
+    """P_k of every column of block, nonzero int columns over V_degree(weights[:-1]), for each k in ks (ascending).
+
+    Returns one (k, w, lcm) per k: w = lcm P_k block over V_{degree+k}(weights), lcm that of the
+    coefficients' denominators.  Every k shares the lowering chain F_tot^t block.  No entry formed
+    exceeds max |block| times the largest cleared coefficient times the row sums of each F_tot
+    on the chain: a row into V_{d+1} has a 1 for each of its at most min(N, d + 1) occupied sites.
     """
-    chain = [u]
+    prefix, lam = weights[:-1], weights[-1]
+    cleared = [_cleared(gordan_coefficients(k, sum(prefix) - 2 * degree, lam).coeffs) for k in ks]
+    growth = math.prod(min(len(prefix), degree + t + 1) for t in range(ks[-1]))
+    dtype = _exact_dtype(int(np.abs(block).max()) * growth * max(abs(c) for _, cs in cleared for c in cs))
+    chain, unit = [block.astype(dtype)], np.ones((len(prefix), 1), dtype=dtype)
     out = []
-    for k in ks:
-        lcm, coeffs = _cleared(gordan_coefficients(k, sum(prefix) - 2 * degree, lam_last).coeffs)
+    for k, (lcm, coeffs) in zip(ks, cleared):
         while len(chain) <= k:
-            padded = chain[-1] + [0]
-            src = _lowering_map(prefix, degree + len(chain) - 1).tolist()
-            chain.append([sum(map(padded.__getitem__, row)) for row in src])
-        index = _space(prefix + (lam_last,), degree + k).index
-        w = [0] * len(index)
-        for j in range(max(0, k - lam_last), k + 1):
-            for state, x in zip(_space(prefix, degree + j).states, chain[j]):
-                if x:
-                    w[index[state + (k - j,)]] += coeffs[j] * x
-        g = math.gcd(*w) or 1
-        out.append((k, [x // g for x in w], Fraction(g, lcm)))
+            chain.append(_lower(chain[-1], _lowering_map(prefix, degree + len(chain) - 1), unit))
+        w = np.zeros((_space(weights, degree + k).dim, block.shape[1]), dtype=dtype)
+        for j in range(max(0, k - lam), k + 1):
+            w[_appended(weights, degree + k, k - j)] = coeffs[j] * chain[j]
+        out.append((k, w, lcm))
     return out
+
+
+def _scaled(block: np.ndarray, mults: list, den: int) -> tuple:
+    """Column c of the int block times mults[c] / den, as Fractions built once per distinct value."""
+    fraction = functools.lru_cache(maxsize=None)(functools.partial(Fraction, denominator=den))
+    return tuple(tuple(map(fraction, col)) for col in (block * np.array(mults, dtype=object)).T.tolist())
 
 
 def apply_P(spec_or_weights, k: int, u, m: int):
@@ -154,8 +166,8 @@ def apply_P(spec_or_weights, k: int, u, m: int):
     if all(x == 0 for x in u):
         raise ValueError("u must be nonzero")
     lcm, ints = _cleared(u)
-    ((_, w, factor),) = _adjoin(weights[:-1], weights[-1], m - k, ints, (k,))
-    return [x * factor / lcm for x in w]
+    ((_, w, den),) = _adjoin(weights, m - k, np.array(ints, dtype=object)[:, None], (k,))
+    return list(_scaled(w, [1], den * lcm)[0])
 
 
 def compositions(total: int, parts: int):
@@ -185,9 +197,9 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
     """One singular vector per composition of m into N-1 parts, in lex order.
 
     The composition entry k_1 is used when adjoining site 2, k_2 when
-    adjoining site 3, and so on.  A depth-first walk over the prefix tree,
-    children in ascending k, runs the adjoin step once per prefix.  Only
-    valid for m <= min(weights); the kernel route covers the truncated regime.
+    adjoining site 3, and so on.  The adjoin step runs once per (depth,
+    degree) of the prefix tree.  Only valid for m <= min(weights); the
+    kernel route covers the truncated regime.
     """
     weights = _weights_of(spec_or_weights)
     if m > min(weights):
@@ -195,18 +207,23 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
             f"Gordan construction requires m <= min(weights) = {min(weights)}, got m={m}"
         )
     n = len(weights)
-
-    def walk(label, degree, u, factor):
-        j = len(label) + 1
-        if j == n:
-            yield label, tuple(x * factor for x in u)
-            return
-        ks = (m - degree,) if j == n - 1 else range(m - degree + 1)
-        for k, w, step in _adjoin(weights[:j], weights[j], degree, u, ks):
-            yield from walk(label + (k,), degree + k, w, factor * step)
-
-    labels, vectors = zip(*walk((), 0, [1], Fraction(1)))
-    return SingularBasis(m, labels, vectors)
+    groups = {0: ([()], np.ones((1, 1), dtype=np.int64))}  # degree -> labels and primitive int columns
+    for j in range(2, n + 1):
+        grown = {}
+        for degree, (labels, block) in groups.items():
+            for k, w, _ in _adjoin(weights[:j], degree, block, (m - degree,) if j == n else range(m - degree + 1)):
+                labels_k, blocks = grown.setdefault(degree + k, ([], []))
+                labels_k.extend(label + (k,) for label in labels)
+                blocks.append(w // np.gcd.reduce(w, axis=0))
+        groups = {d: (labels, np.concatenate(blocks, axis=1)) for d, (labels, blocks) in grown.items()}
+    labels, block = groups[m]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    # c_0 = 1 at every step, so each vector is 1 at its ballot state (0,) + label
+    index = _space(weights, m).index
+    pivots = block[[index[(0,) + labels[i]] for i in order], order].tolist()
+    den = math.lcm(*pivots)
+    vectors = _scaled(block[:, order], [den // p for p in pivots], den)
+    return SingularBasis(m, tuple(labels[i] for i in order), vectors)
 
 
 def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
@@ -226,12 +243,17 @@ def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
     states = np.array(space.states).reshape(space.dim, len(weights))
     step = np.array(weights) - 2 * states
     ballot = np.flatnonzero((states <= np.cumsum(step, axis=1) - step).all(axis=1))
-    vecs = np.zeros((space.dim, len(ballot)), dtype=object)
+    scales = [k * (sum(weights) - 2 * m + k + 1) for k in range(1, m + 1)
+              if len(ballot) and singular_dimension(weights, m - k)]
+    (src, coef), lower = _raising_gathers(weights, m), _lowering_map(weights, m - 1)
+    # a step multiplies the largest entry by at most c_k plus the row sums of E (coef is 0 at
+    # the sentinel) times those of F (at most min(N, m) ones)
+    gain = int(coef.sum(axis=0).max(initial=0)) * min(len(weights), m)
+    dtype = _exact_dtype(math.prod(c + gain for c in scales))
+    vecs = np.zeros((space.dim, len(ballot)), dtype=dtype)
     vecs[ballot, np.arange(len(ballot))] = 1
-    unit = np.ones((len(weights), 1), dtype=object)
-    for k in range(1, m + 1):
-        if len(ballot) and singular_dimension(weights, m - k):
-            raised = _gather_sum(_pad(vecs), *_raising_gathers(weights, m))
-            lowered = _lower(raised, _lowering_map(weights, m - 1), unit)
-            vecs = k * (sum(weights) - 2 * m + k + 1) * vecs - lowered
-    return SingularBasis(m, None, tuple(tuple(_primitive(col)) for col in vecs.T.tolist()))
+    unit = np.ones((len(weights), 1), dtype=dtype)
+    for c in scales:
+        vecs = c * vecs - _lower(_gather_sum(_pad(vecs), src, coef), lower, unit)
+    vecs //= np.gcd.reduce(vecs, axis=0)
+    return SingularBasis(m, None, tuple(map(tuple, vecs.T.tolist())))

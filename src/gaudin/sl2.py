@@ -117,6 +117,15 @@ def _space(weights: tuple[int, ...], m: int) -> WeightSpace:
     return WeightSpace(weights, m, states, {s: i for i, s in enumerate(states)})
 
 
+@functools.lru_cache(maxsize=None)
+def _appended(weights: tuple[int, ...], m: int, n: int) -> np.ndarray:
+    """Read-only index in V_m of the state s + (n,), for each state s of V_{m-n}(weights[:-1]), cached."""
+    index = _space(weights, m).index
+    out = np.array([index[s + (n,)] for s in _space(weights[:-1], m - n).states], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 def _bounded_compositions(weights, m):
     """Tuples (n_1..n_N) with sum m and 0 <= n_i <= weights[i], in lex order."""
     if not weights:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -214,6 +215,19 @@ class TestSingular:
 
     def test_requires_m(self, spec_file, capsys):
         assert main(["singular", "--spec", spec_file(SPEC_11)]) == 2
+
+    def test_perturbed_entry_is_not_annihilated(self, spec_file, capsys, monkeypatch):
+        gordan = gaudin.cli.singular_basis_gordan
+
+        def perturbed(spec, m):
+            basis = gordan(spec, m)
+            first = (basis.vectors[0][0] + 1,) + basis.vectors[0][1:]
+            return dataclasses.replace(basis, vectors=(first,) + basis.vectors[1:])
+
+        monkeypatch.setattr(gaudin.cli, "singular_basis_gordan", perturbed)
+        code, payload = run_json(["singular", "--spec", spec_file(SPEC_222), "--m", "2"], capsys)
+        assert code == 1
+        assert payload["annihilated"] is False
 
 
 class TestEigenbasis:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gaudin import (
@@ -261,20 +262,27 @@ class TestGordanPrefixTree:
 
     @pytest.mark.parametrize("weights, m", TREE_SPECS)
     def test_adjoin_runs_once_per_prefix_node(self, weights, m, monkeypatch):
+        """One adjoin per (depth, degree) group, and each prefix node's vector formed once, counted in columns."""
         calls = []
         adjoin = singular._adjoin
 
-        def counted(*args):
-            calls.append(args)
-            return adjoin(*args)
+        def counted(weights, degree, block, ks):
+            out = adjoin(weights, degree, block, ks)
+            calls.append((len(weights), degree, block.shape[1], sum(w.shape[1] for _, w, _ in out)))
+            return out
 
         monkeypatch.setattr(singular, "_adjoin", counted)
         singular_basis_gordan(weights, m)
         n = len(weights)
-        assert len(calls) == math.comb(m + n - 1, m + 1)
+        # depth 1 holds the root at degree 0; each deeper prefix depth holds degrees 0..m
+        assert len(calls) == len({call[:2] for call in calls}) == 1 + (n - 2) * (m + 1)
+        nodes = math.comb(m + n - 1, m + 1)  # prefix nodes, the root included
+        assert sum(call[2] for call in calls) == nodes
+        # every node below the root, the C(m + n - 2, m) leaves included, is formed once
+        assert sum(call[3] for call in calls) == nodes - 1 + math.comb(m + n - 2, m)
         if (weights, m) == ((3,) * 7, 3):
-            # against one step per part of each of the C(8, 3) compositions
-            assert len(calls) == 126 < 336 == (n - 1) * len(list(compositions(m, n - 1)))
+            # against one adjoin per prefix node, or one per part of each of the C(8, 3) compositions
+            assert len(calls) == 21 < nodes == 126 < 336 == (n - 1) * len(list(compositions(m, n - 1)))
 
     def test_apply_P_matches_the_fraction_step(self, rng):
         for _ in range(40):
@@ -397,3 +405,112 @@ class TestExtremalProjector:
         monkeypatch.setattr(SparseOperator, "add_term", refuse)
         assert singular_basis_kernel((2, 3, 3, 4), 3).count == singular_dimension((2, 3, 3, 4), 3)
         assert singular_basis_kernel((1,) * 5, 2).count == 5
+
+
+# the exact-ladder and module-sweep levels of the benchmark
+BENCH_LEVELS = [((4,) * 5, range(5)), ((3,) * 7, (3,)), ((2, 3, 3, 4), (2, 3)), ((1, 2, 3, 4), (1, 2))]
+
+
+@pytest.fixture
+def dtypes(monkeypatch):
+    """(bound, dtype) of every block the singular routes choose while the test runs."""
+    chosen = []
+    choose = singular._exact_dtype
+
+    def record(bound):
+        chosen.append((bound, choose(bound)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr(singular, "_exact_dtype", record)
+    return chosen
+
+
+def exact_types(basis):
+    """Kernel entries are Python ints, Gordan entries Fractions of Python ints: no np.int64 anywhere."""
+    if basis.labels is None:
+        return all(type(x) is int for vec in basis.vectors for x in vec)
+    return all(type(x) is Fraction and type(x.numerator) is type(x.denominator) is int
+               for vec in basis.vectors for x in vec)
+
+
+class TestExactBlocks:
+    def test_benchmark_levels_run_on_int64(self, dtypes):
+        for weights, levels in BENCH_LEVELS:
+            for m in levels:
+                routes = [singular_basis_kernel] + ([singular_basis_gordan] if m <= min(weights) else [])
+                for route in routes:
+                    dtypes.clear()
+                    assert exact_types(route(weights, m))
+                    assert dtypes and all(dtype is np.int64 for _, dtype in dtypes)
+
+    def test_kernel_beyond_62_bits_runs_on_python_ints(self, dtypes):
+        weights, m = (20, 20, 20), 20
+        basis = singular_basis_kernel(weights, m)
+        ((bound, dtype),) = dtypes
+        assert dtype is object and bound.bit_length() == 206
+        assert exact_types(basis) and basis.count == singular_dimension(weights, m) == 21
+        raise_e = build_total_generator("E", weights, m)
+        assert all(math.gcd(*vec) == 1 and not any(raise_e.apply(list(vec))) for vec in basis.vectors)
+        # independent and annihilated, as many as the exact dimension: the kernel.  reference_kernel
+        # takes several seconds at this level, so it checks two smaller levels past 2^62.
+        assert rank([list(v) for v in basis.vectors]) == basis.count
+        for weights, m in (((20, 20, 20), 8), ((20, 20), 20)):
+            dtypes.clear()
+            basis = singular_basis_kernel(weights, m)
+            assert [dtype for _, dtype in dtypes] == [object] and exact_types(basis)
+            expected = reference_kernel(build_total_generator("E", weights, m).rows(),
+                                        enumerate_weight_space(weights, m).dim)
+            rows = [list(v) for v in basis.vectors]
+            assert rank(rows) == len(expected) == rank(rows + expected)
+        gordan = singular_basis_gordan((20, 20, 20), 20)
+        assert (gordan.labels, gordan.vectors) == gordan_by_composition((20, 20, 20), 20)
+
+    def test_apply_P_beyond_62_bits_runs_on_python_ints(self, dtypes, rng):
+        for _ in range(20):
+            spec = random_spec(rng, n_max=4, lam_max=4)
+            m = int(rng.integers(0, spec.min_weight + 1))
+            k = int(rng.integers(0, m + 1))
+            dim = enumerate_weight_space(spec.weights[:-1], m - k).dim
+            u = [Fraction(int(rng.integers(1, 5)) * 2**70 + int(rng.integers(-4, 5)), int(rng.integers(1, 6)))
+                 for _ in range(dim)]
+            dtypes.clear()
+            out = apply_P(spec, k, u, m)
+            assert [dtype for _, dtype in dtypes] == [object]
+            assert out == fraction_apply_P(spec.weights, k, u, m)
+            assert all(type(x) is Fraction for x in out)
+
+    def test_python_int_blocks_give_the_same_bases(self, monkeypatch, rng):
+        levels = [(w, m) for w in [(3, 3, 3), (2, 3, 3, 4), (1, 1, 1, 1, 1)]
+                  + [random_spec(rng, n_max=5, lam_max=3).weights for _ in range(6)]
+                  for m in range(min(w) + 1)]
+        expected = [(singular_basis_gordan(w, m), singular_basis_kernel(w, m)) for w, m in levels]
+        monkeypatch.setattr(singular, "_exact_dtype", lambda bound: object)
+        for (w, m), (gordan, kernel) in zip(levels, expected):
+            for basis, route in ((gordan, singular_basis_gordan), (kernel, singular_basis_kernel)):
+                again = route(w, m)
+                assert (again.labels, again.vectors) == (basis.labels, basis.vectors) and exact_types(again)
+
+    def test_bound_covers_every_formed_entry(self, monkeypatch, rng):
+        log = []
+        monkeypatch.setattr(singular, "_exact_dtype", lambda bound: log.append(("bound", bound)) or object)
+        for name in ("_lower", "_gather_sum", "_adjoin"):
+            def spy(*args, step=getattr(singular, name)):
+                out = step(*args)
+                blocks = [w for _, w, _ in out] if isinstance(out, list) else [out]
+                log.extend(("entry", int(np.abs(block).max(initial=0))) for block in blocks)
+                return out
+
+            monkeypatch.setattr(singular, name, spy)
+        # at (2, 2, 4), m = 2 and (4, 4, 5), m = 3 an adjoin without the chain's row sums underestimates
+        specs = [(4,) * 5, (1, 2, 3, 4), (20, 20), (2, 2, 4), (4, 4, 5)]
+        specs += [random_spec(rng, n_max=5, lam_max=4).weights for _ in range(6)]
+        for weights in specs:
+            for m in range(min(weights) + 1):
+                log.clear()
+                kernel = singular_basis_kernel(weights, m)
+                singular_basis_gordan(weights, m)
+                bound = None
+                for kind, value in log:
+                    bound = value if kind == "bound" else bound
+                    assert value <= bound
+                assert all(abs(x) <= log[0][1] for vec in kernel.vectors for x in vec)
