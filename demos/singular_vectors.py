@@ -35,7 +35,7 @@ for comp, vec in zip(basis.labels, basis.vectors):
     print(f"  composition {comp}: {entries}")
 
 raise_e = build_total_generator("E", spec, m)
-annihilated = all(all(x == 0 for x in raise_e.apply(list(v))) for v in basis.vectors)
+annihilated = all(not raise_e.apply(v).any() for v in basis.vectors)
 print("\nevery vector exactly annihilated by the total raising operator:", annihilated)
 
 kernel = singular_basis_kernel(spec, m)

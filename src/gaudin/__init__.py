@@ -10,7 +10,6 @@ from .sl2 import (
     ModelSpec,
     SparseOperator,
     WeightSpace,
-    apply_site_generator,
     build_site_operator,
     build_total_generator,
     enumerate_weight_space,
@@ -53,7 +52,6 @@ from .bethe import (
     bethe_residual,
     bethe_vector,
     lowering_field,
-    lowering_field_exact,
     solve_bethe,
     solve_bethe_numeric,
     verify_solution,
@@ -66,7 +64,6 @@ __all__ = [
     "ModelSpec",
     "SparseOperator",
     "WeightSpace",
-    "apply_site_generator",
     "build_site_operator",
     "build_total_generator",
     "enumerate_weight_space",
@@ -101,7 +98,6 @@ __all__ = [
     "bethe_residual",
     "bethe_vector",
     "lowering_field",
-    "lowering_field_exact",
     "solve_bethe",
     "solve_bethe_numeric",
     "verify_solution",

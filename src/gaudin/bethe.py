@@ -40,7 +40,6 @@ numeric layer; only the exact-algebra layer restricts z to rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,10 +49,8 @@ from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
-    SparseOperator,
     enumerate_weight_space,
     _checked_sites,
-    _exact_operator,
     _lower,
     _lowering_map,
     _weights_of,
@@ -101,16 +98,6 @@ def lowering_field(spec: ModelSpec, w: complex, m: int) -> np.ndarray:
     _check_off_poles(z, np.array(w))
     dim = enumerate_weight_space(spec, m).dim
     return _lower(np.eye(dim, dtype=complex), _lowering_map(spec.weights, m), (1.0 / (w - z))[:, None])
-
-
-def lowering_field_exact(spec: ModelSpec, w, m: int) -> SparseOperator:
-    """Exact rational matrix of F(w) for rational w off the poles."""
-    w = Fraction(w)
-    if any(w == zk for zk in spec.z):
-        raise ValueError(f"lowering field evaluated at a pole: w={w}")
-    src = _lowering_map(spec.weights, m).T
-    coef = [[1 / (w - zk)] * src.shape[1] for zk in spec.z]
-    return _exact_operator(enumerate_weight_space(spec, m), 1, src, coef)
 
 
 def _bethe_vectors(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -27,18 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import (
-    _exact_family,
-    _gather_forms,
-    _generator_rows,
-    _site_scales,
-    _vanishing,
-)
+from .hamiltonians import _exact_family, _gather_forms, _site_scales, _vanishing
 from .singular import singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
     _gather_sum,
+    _generator,
     _lower,
     _lowering_map,
     _pad,
@@ -222,16 +217,16 @@ def _gate(residuals, what: str) -> None:
         raise DiagonalizationError(f"{what} residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst)
 
 
-def _traces(form) -> list:
-    """tr D_i H_i for each site, from the diagonal term 0 of an _integer_gathers form (no hop reaches the diagonal)."""
-    return form[1][0].sum(axis=1).tolist()
+def _traces(family) -> list:
+    """tr D_i H_i for each site, from the diagonal term 0 of an _exact_family (no hop reaches the diagonal)."""
+    return family.coef[0].sum(axis=1).tolist()
 
 
 def _level_family(spec: ModelSpec, m: int):
     """_exact_family(spec, m) and the family gather form of the H_i on V_m, built once per level."""
     fractions = [(x.numerator, x.denominator) for x in spec.z]  # int / int rounds correctly
     diffs = np.array([[(p * e - q * d) / (d * e) for q, e in fractions] for p, d in fractions])
-    return (*_exact_family(spec, m), _gather_forms(spec.weights, diffs, m))
+    return _exact_family(spec, m), _gather_forms(spec.weights, diffs, m)
 
 
 def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
@@ -256,23 +251,23 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
     count = singular_dimension(spec, m)
     if count == 0:
         return []
-    form, ints, gathers = family or _level_family(spec, m)
+    ints, gathers = family or _level_family(spec, m)
     if below is None and m > 0:
         below = _exact_family(spec, m - 1)
     if below is not None:
         # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
-        raise_e = _generator_rows("E", spec.weights, m)
+        raise_e = _generator("E", spec.weights, m)
         items = [(1, raise_e, 0, ints, i, i) for i in range(spec.n_sites)]
-        items += [(-1, below[1], i, raise_e, 0, i) for i in range(spec.n_sites)]
+        items += [(-1, below, i, raise_e, 0, i) for i in range(spec.n_sites)]
         if not _vanishing(items).all():
             raise ValueError("operator does not preserve the kernel of the raising operator")
     root, basis, vecs, eigs = _singular_eigen(spec.weights, m, count, gathers, seed)
     coords = (basis @ vecs) / root[:, None]
     exact = None
     if count == 1:
-        lower = _traces(below[0]) if below else [0] * spec.n_sites
+        lower = _traces(below) if below is not None else [0] * spec.n_sites
         scales = _site_scales(spec.z)
-        exact = tuple(Fraction(t - s, d) for t, s, d in zip(_traces(form), lower, scales))
+        exact = tuple(Fraction(t - s, d) for t, s, d in zip(_traces(ints), lower, scales))
         eigs = np.array([[float(x)] for x in exact])
 
     units = np.array([_canonical_phase(col / np.linalg.norm(col)) for col in coords.T]).T
@@ -319,7 +314,7 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     levels = [_diagonalize_level(spec, 0, None, family, seed)]
 
     for m in range(1, m_max + 1):
-        below, family = family[:2], _level_family(spec, m)
+        below, family = family[0], _level_family(spec, m)
         parents = levels[m - 1]
         unit = np.ones((spec.n_sites, 1))  # the total F: coefficient 1 on every site
         images = _lower(np.array([p.coords for p in parents]).T, _lowering_map(spec.weights, m - 1), unit).T
@@ -330,7 +325,7 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
         # lowering chain must survive normalization
         units = [image / norm for image, norm in zip(images, norms)]
         eigenvalues = np.array([parent.eigenvalues for parent in parents])
-        residuals = _residual(family[2], np.array(units).T, eigenvalues.T)
+        residuals = _residual(family[1], np.array(units).T, eigenvalues.T)
         _gate(residuals, "lowered-vector")
         level = [
             EigenVector(

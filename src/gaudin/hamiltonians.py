@@ -12,15 +12,16 @@ builders read it.
 Each site i gets its own scale D_i = 2 lcm over j != i of numerator(z_i - z_j),
 so every D_i / (z_i - z_j) is an even integer, and _integer_gathers, the one
 exact builder, writes the integer matrices D_i H_i in the gather form of
-_pair_map with Python-int coefficients.  The identity checks, the emitted
-matrices, build_hamiltonian (exact Fractions, one site's pairs only) and
-independent_count all read that builder.
+_pair_map with Python-int coefficients.  Every exact matrix here is an
+sl2.SparseOperator of that form: the family (_exact_family) that the
+identity checks, the emitted matrices and independent_count read, and
+build_hamiltonian, one site's pairs over the denominator D_i.
 
 The identities [H_i, H_j] = 0, sum_i (D / D_i) D_i H_i = 0 (D = lcm of the
 D_i) and the intertwinings X_i E = E H_i, X_i F = F H_i with the family X_i
 on the adjacent level are homogeneous in each H_i, so they are decided on
 the integer matrices: each is a sum of products c A B of integer matrices,
-in sparse rows (_IntegerOperators), that must vanish.  _vanishing decides
+in the sparse rows of SparseOperator, that must vanish.  _vanishing decides
 them multi-modularly (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).  A Python-int
 bound B on every entry of the sum comes first: |(A B)[t, c]| is at most the
 largest row sum of |A| times that of |B|.  The moduli are the fewest primes
@@ -56,7 +57,7 @@ from .sl2 import (
     ModelSpec,
     SparseOperator,
     enumerate_weight_space,
-    _exact_operator,
+    _generator,
     _lowering_map,
     _raising_gathers,
     _scatter,
@@ -132,10 +133,9 @@ def _integer_gathers(spec: ModelSpec, m: int, sites=None):
 
 
 def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
-    """Exact matrix of H_i on V_m (site index i is 0-based), Fraction entries."""
+    """Exact matrix of H_i on V_m (site index i is 0-based): D_i H_i over the denominator D_i, Fraction entries."""
     src, coef = _integer_gathers(spec, m, [i])
-    op = _exact_operator(enumerate_weight_space(spec, m), 0, src[:, 0], coef[:, 0].tolist())
-    return op.scaled(Fraction(1, _site_scales(spec.z)[i]))
+    return SparseOperator(src, coef, src.shape[2], _site_scales(spec.z)[i])
 
 
 def _is_prime(n: int) -> bool:
@@ -174,52 +174,6 @@ def _expand(starts: np.ndarray, counts: np.ndarray):
     return owner, np.arange(owner.size) + (starts - np.cumsum(counts) + counts)[owner]
 
 
-class _IntegerOperators:
-    """Integer matrices X_0, ..., X_{n-1} on a space of dimension dim, in sparse rows.
-
-    Built from a gather form (src, coef) of shape (terms, n, rows): row t of
-    X_b holds coef[h, b, t] in column src[h, b, t], and a term in the
-    sentinel column dim is absent.  coef holds Python ints (dtype object) or
-    int64.  Row t of X_b has the entries start[b * rows + t] up to
-    start[b * rows + t + 1] of cols and values; sizes[b] counts the entries
-    of X_b, and rowsums[b], the largest sum of |coef| over a row of X_b,
-    bounds its row sums.  residues(count) holds the values modulo the first
-    count primes as int32, each reduced once.
-    """
-
-    def __init__(self, src: np.ndarray, coef: np.ndarray, dim: int):
-        present = src != dim
-        lengths = present.sum(axis=0)
-        self.dim, self.rows = dim, src.shape[2]
-        self.cols = src.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
-        self.values = coef.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
-        self.start = np.concatenate([[0], np.cumsum(lengths)])
-        self.sizes = lengths.sum(axis=1).tolist()
-        sums = np.sum(np.abs(np.where(present, coef, 0)), axis=0)
-        self.rowsums = [int(x) for x in np.max(sums, axis=1, initial=0)]
-        self._residues = np.zeros((0, self.values.size), dtype=np.int32)
-
-    def entries(self, b: int) -> list:
-        """(row, col, value) of X_b sorted by (row, col), entries at one position summed and zero sums dropped."""
-        lo, hi = self.start[b * self.rows], self.start[(b + 1) * self.rows]
-        lengths = np.diff(self.start[b * self.rows : (b + 1) * self.rows + 1])
-        keys = np.repeat(np.arange(self.rows) * self.dim, lengths) + self.cols[lo:hi]
-        if not keys.size:
-            return []
-        order = np.argsort(keys)
-        keys = keys[order]
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        sums = np.add.reduceat(self.values[lo:hi][order], first)
-        keep = sums != 0
-        rows, cols = divmod(keys[first][keep], self.dim)
-        return list(zip(rows.tolist(), cols.tolist(), sums[keep].tolist()))
-
-    def residues(self, count: int) -> np.ndarray:
-        for k in range(len(self._residues), count):
-            self._residues = np.concatenate([self._residues, (self.values % _prime(k)).astype(np.int32)[None]])
-        return self._residues[:count]
-
-
 def _bounds(items) -> list:
     """For each group of _vanishing's items, a Python-int bound on every entry of its sum.
 
@@ -235,8 +189,8 @@ def _bounds(items) -> list:
 def _vanishing(items) -> np.ndarray:
     """One bool per group: whether the sum of the group's items is the zero matrix, decided exactly.
 
-    An item (c, A, a, B, b, group) is c A_a B_b, with A and B
-    _IntegerOperators and c a Python int; the items of a group map between
+    An item (c, A, a, B, b, group) is c A_a B_b, with A and B integer
+    sl2.SparseOperators and c a Python int; the items of a group map between
     the same spaces.  The largest of _bounds sets the moduli.  For each
     prime the items are expanded, row by row, into their products of single
     entries in residues, and these are summed by target entry (group, row,
@@ -257,7 +211,7 @@ def _vanishing(items) -> np.ndarray:
             rows, entries = rows + op.start.size - 1, entries + op.cols.size
     start = np.concatenate([op.start[:-1] + e for op, e in operands] + [[entries]])
     cols = np.concatenate([op.cols for op, _ in operands])
-    residues = np.concatenate([op.residues(len(primes)) for op, _ in operands], axis=1)
+    residues = np.concatenate([op.residues(primes) for op, _ in operands], axis=1)
     # per item: its group, the pool rows of A_a and of B_b, the rows of A, and c modulo each prime
     group = np.array([g for *_, g in items])
     a_row = np.array([first[id(x)] + a * x.rows for _, x, a, *_ in items])
@@ -352,27 +306,16 @@ class VerifyReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_rows(gen: str, weights: tuple, m: int) -> _IntegerOperators:
-    """The total E (V_m -> V_{m-1}) or F (V_m -> V_{m+1}) as one operator in sparse rows, cached (z-free)."""
-    dim = enumerate_weight_space(weights, m).dim
-    if gen == "E":
-        src, coef = _raising_gathers(weights, m)
-        return _IntegerOperators(src[:, None], coef[:, None, :, 0], dim)
-    src = _lowering_map(weights, m).T[:, None]
-    return _IntegerOperators(src, np.ones_like(src), dim)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity_rows(dim: int) -> _IntegerOperators:
+def _identity_rows(dim: int) -> SparseOperator:
     """The identity on a space of dimension dim as one operator in sparse rows, cached."""
-    return _IntegerOperators(np.arange(dim)[None, None], np.ones((1, 1, dim), dtype=np.int64), dim)
+    return SparseOperator(np.arange(dim)[None, None], np.ones((1, 1, dim), dtype=np.int64), dim)
 
 
 def _level_items(spec: ModelSpec, m: int, below, here, above, first: int = 0):
     """The _vanishing items of verify_family's identities on V_m, in the groups first, first + 1, ...
 
     below, here and above are the integer families D_i H_i at m-1, m and m+1
-    as _IntegerOperators of the _integer_gathers form; below is None at m = 0
+    (_exact_family); below is None at m = 0
     and above is None at the top level, where E (resp. F) maps to the zero
     space.  Returns the items and the group slices of commuting, sum_zero and
     symmetry_commute.
@@ -388,7 +331,7 @@ def _level_items(spec: ModelSpec, m: int, below, here, above, first: int = 0):
     site = total + 1
     for family, gen in ((below, "E"), (above, "F")):
         if family is not None:
-            g = _generator_rows(gen, spec.weights, m)
+            g = _generator(gen, spec.weights, m)
             items += [(1, family, i, g, 0, site + i) for i in range(n)]
             items += [(-1, g, 0, here, i, site + i) for i in range(n)]
             site += n
@@ -406,7 +349,7 @@ def _level_report(spec: ModelSpec, m: int, below, here, above) -> VerifyReport:
 
 
 def _verified_levels(spec: ModelSpec):
-    """Yield (m, the family D_i H_i on V_m as _IntegerOperators, verify_family's report) for m = 0..sum(weights).
+    """Yield (m, the family D_i H_i on V_m (_exact_family), verify_family's report) for m = 0..sum(weights).
 
     A sliding window builds each level's family once.  Consecutive levels
     share one _vanishing call until their families hold 4 _BATCH entries, so
@@ -415,9 +358,9 @@ def _verified_levels(spec: ModelSpec):
     """
     top = spec.total_weight
     pending, items, entries, first = [], [], 0, 0
-    below, here = None, _exact_family(spec, 0)[1]
+    below, here = None, _exact_family(spec, 0)
     for m in range(top + 1):
-        above = _exact_family(spec, m + 1)[1] if m < top else None
+        above = _exact_family(spec, m + 1) if m < top else None
         level, groups = _level_items(spec, m, below, here, above, first)
         pending.append((m, here, groups))
         items, entries, first = items + level, entries + here.cols.size, groups[-1].stop
@@ -429,10 +372,10 @@ def _verified_levels(spec: ModelSpec):
         below, here = here, above
 
 
-def _exact_family(spec: ModelSpec, m: int):
-    """(the gather form (src, coef) of the D_i H_i on V_m from _integer_gathers, the same in sparse rows)."""
-    exact = _integer_gathers(spec, m)
-    return exact, _IntegerOperators(*exact, exact[0].shape[2])
+def _exact_family(spec: ModelSpec, m: int) -> SparseOperator:
+    """The integer matrices D_i H_i on V_m, X_i of one SparseOperator of the _integer_gathers form."""
+    src, coef = _integer_gathers(spec, m)
+    return SparseOperator(src, coef, src.shape[2])
 
 
 def verify_family(spec: ModelSpec, m: int) -> VerifyReport:
@@ -448,9 +391,9 @@ def verify_family(spec: ModelSpec, m: int) -> VerifyReport:
     Every identity is decided on the integer matrices D_i H_i by residues
     (see the module docstring).
     """
-    below = _exact_family(spec, m - 1)[1] if m >= 1 else None
-    above = _exact_family(spec, m + 1)[1] if m < spec.total_weight else None
-    return _level_report(spec, m, below, _exact_family(spec, m)[1], above)
+    below = _exact_family(spec, m - 1) if m >= 1 else None
+    above = _exact_family(spec, m + 1) if m < spec.total_weight else None
+    return _level_report(spec, m, below, _exact_family(spec, m), above)
 
 
 def independent_count(spec: ModelSpec, m: int) -> int:
@@ -458,6 +401,5 @@ def independent_count(spec: ModelSpec, m: int) -> int:
 
     The rank of the integer matrices D_i H_i is the same.
     """
-    src, coef = _integer_gathers(spec, m)
-    dim = src.shape[2]
-    return rank([_scatter(src[:, i], coef[:, i, :, None], dim, object).ravel().tolist() for i in range(spec.n_sites)])
+    family = _exact_family(spec, m)
+    return rank([family.to_array(object, i).ravel().tolist() for i in range(spec.n_sites)])

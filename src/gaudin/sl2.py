@@ -9,9 +9,13 @@ v_n = F^n v_lam, n = 0..lam, with
 
 The tensor product of N sites is graded by the spin deviation m = sum(n_i);
 this module enumerates the weight subspaces V_m.  The cached index maps
-_lowering_map (F) and _raising_gathers (E) are the one table of the action:
-float layers gather through them, and exact or dense operators are scattered
-from them.
+_lowering_map (F) and _raising_gathers (E) are the one table of the action,
+and _raising_gathers the only place the coefficient n (lam - n + 1) is
+written: float layers gather through them, and dense operators are
+scattered from them.  SparseOperator, the one exact operator type, keeps
+such a gather form with a denominator in sparse integer rows; the
+generator builders, the Hamiltonians and the exact identity checks of
+hamiltonians all use it.
 """
 
 from __future__ import annotations
@@ -97,13 +101,6 @@ class WeightSpace:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightSpace)
-            and self.weights == other.weights
-            and self.m == other.m
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,191 +245,116 @@ def weight_space_dimension_formula(n_sites: int, m: int) -> int:
     return math.comb(n_sites + m - 1, m)
 
 
-def apply_site_generator(gen: str, site: int, state: tuple[int, ...], weights):
-    """Act with E, F or H on one tensor factor of a basis state.
-
-    Returns (coefficient, new_state) with an int coefficient, or None when
-    the image vanishes (E on n=0, or F past the top of the
-    finite-dimensional module).
-    """
-    n = state[site]
-    lam = _weights_of(weights)[site]
-    if gen == "H":
-        return lam - 2 * n, state
-    if gen == "E":
-        if n == 0:
-            return None
-        return n * (lam - n + 1), state[:site] + (n - 1,) + state[site + 1 :]
-    if gen == "F":
-        if n == lam:
-            return None
-        return 1, state[:site] + (n + 1,) + state[site + 1 :]
-    raise ValueError(f"unknown generator {gen!r}")
-
-
 class SparseOperator:
-    """Exact sparse linear map between weight spaces, stored column-wise.
+    """Exact operators X_0, ..., X_{n-1} from a space of dimension dim, in sparse rows.
 
-    Entries are ints or Fractions (the generators are integer matrices;
-    rational coefficients such as 1/(z_i - z_j) make Fractions); zero entries
-    are never stored.  Supports the small algebra needed here: +, -, scalar
-    multiple, composition (@), application to coordinate vectors, and dense
-    conversions.
+    The one exact operator type.  Built from a gather form (src, coef) of shape (terms, n, rows), which it
+    keeps read-only: row t of denominator X_b holds coef[h, b, t] in column
+    src[h, b, t], and a term in the sentinel column dim is absent.  coef
+    holds Python ints (dtype object) or int64, and the positive int
+    denominator is 1 for integer operators.  Row t of denominator X_b has
+    the entries start[b * rows + t] up to start[b * rows + t + 1] of cols
+    and values; sizes[b] counts them over X_b, and rowsums[b], the largest
+    sum of |coef| over a row, bounds its row sums.  residues(primes) holds
+    the values modulo each prime as int32, each reduced once: the exact
+    checks of hamiltonians._vanishing read these integer parts only.
     """
 
-    __slots__ = ("domain", "codomain", "cols")
+    def __init__(self, src: np.ndarray, coef: np.ndarray, dim: int, denominator: int = 1):
+        present = src != dim
+        lengths = present.sum(axis=0)
+        self.src, self.coef, self.dim, self.rows, self.denominator = src, coef, dim, src.shape[2], denominator
+        self.cols = src.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
+        self.values = coef.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
+        self.start = np.concatenate([[0], np.cumsum(lengths)])
+        self.sizes = lengths.sum(axis=1).tolist()
+        sums = np.sum(np.abs(np.where(present, coef, 0)), axis=0)
+        self.rowsums = [int(x) for x in np.max(sums, axis=1, initial=0)]
+        self._residues = {}
+        for array in (src, coef, self.cols, self.values, self.start):
+            array.flags.writeable = False
 
-    def __init__(self, domain: WeightSpace, codomain: WeightSpace, cols=None):
-        self.domain = domain
-        self.codomain = codomain
-        self.cols = [dict() for _ in range(domain.dim)] if cols is None else cols
-
-    @classmethod
-    def zero(cls, domain: WeightSpace, codomain: WeightSpace) -> "SparseOperator":
-        return cls(domain, codomain)
-
-    def add_term(self, row: int, col: int, value) -> None:
-        if value == 0:
-            return
-        colmap = self.cols[col]
-        new = colmap.get(row, 0) + value
-        if new == 0:
-            colmap.pop(row, None)
-        else:
-            colmap[row] = new
-
-    def _check_same_shape(self, other: "SparseOperator") -> None:
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ValueError("operator shapes do not match")
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check_same_shape(other)
-        cols = []
-        for mine, theirs in zip(self.cols, other.cols):
-            acc = dict(mine)
-            for row, val in theirs.items():
-                acc[row] = acc.get(row, 0) + val
-            cols.append(_nonzero(acc))
-        return SparseOperator(self.domain, self.codomain, cols)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "SparseOperator":
-        return self.scaled(-1)
-
-    def scaled(self, factor) -> "SparseOperator":
-        if not isinstance(factor, int):
-            factor = Fraction(factor)
-        out = SparseOperator(self.domain, self.codomain)
-        if factor == 0:
+    def _over(self, out: np.ndarray) -> np.ndarray:
+        """out divided by the denominator, exactly for Python numbers (dtype object)."""
+        if self.denominator == 1:
             return out
-        out.cols = [{r: factor * v for r, v in colmap.items()} for colmap in self.cols]
-        return out
+        return out * Fraction(1, self.denominator) if out.dtype == object else out / self.denominator
 
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        if self.domain != other.codomain:
-            raise ValueError("operator composition shapes do not match")
-        cols = []
-        for colmap in other.cols:
-            acc = {}
-            for mid, v1 in colmap.items():
-                for row, v2 in self.cols[mid].items():
-                    acc[row] = acc.get(row, 0) + v2 * v1
-            cols.append(_nonzero(acc))
-        return SparseOperator(other.domain, self.codomain, cols)
+    def entries(self, b: int = 0) -> list:
+        """(row, col, value) of X_b sorted by (row, col), entries at one position summed and zero sums dropped.
 
-    def is_zero(self) -> bool:
-        return all(not colmap for colmap in self.cols)
-
-    @property
-    def nnz(self) -> int:
-        return sum(len(colmap) for colmap in self.cols)
-
-    def apply(self, vec):
-        """Apply to a coordinate vector (ints, Fractions, floats or complex).
-
-        Rows the vector does not reach are int 0.
+        The values are ints, or Fractions over the denominator.
         """
-        if len(vec) != self.domain.dim:
+        lo, hi = self.start[b * self.rows], self.start[(b + 1) * self.rows]
+        lengths = np.diff(self.start[b * self.rows : (b + 1) * self.rows + 1])
+        keys = np.repeat(np.arange(self.rows) * self.dim, lengths) + self.cols[lo:hi]
+        if not keys.size:
+            return []
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sums = np.add.reduceat(self.values[lo:hi][order], first)
+        keep = sums != 0
+        rows, cols = divmod(keys[first][keep], self.dim)
+        values = sums[keep].tolist()
+        if self.denominator != 1:
+            values = [Fraction(v, self.denominator) for v in values]
+        return list(zip(rows.tolist(), cols.tolist(), values))
+
+    def apply(self, vec, b: int = 0) -> np.ndarray:
+        """X_b vec for a coordinate vector, exact in Python ints and Fractions unless vec is a float or complex ndarray."""
+        if len(vec) != self.dim:
             raise ValueError("vector length does not match operator domain")
-        out = [0] * self.codomain.dim
-        for col, x in enumerate(vec):
-            if x == 0:
-                continue
-            for row, val in self.cols[col].items():
-                out[row] = out[row] + val * x
-        return out
+        if not (isinstance(vec, np.ndarray) and vec.dtype.kind in "fc"):
+            vec = np.array(vec, dtype=object)
+        return self._over(_gather_sum(_pad(vec[:, None]), self.src[:, b], self.coef[:, b, :, None])[:, 0])
 
-    def entries(self):
-        """Yield (row, col, value) sorted by (row, col)."""
-        items = []
-        for col, colmap in enumerate(self.cols):
-            for row, val in colmap.items():
-                items.append((row, col, val))
-        items.sort(key=lambda t: (t[0], t[1]))
-        return items
+    def to_array(self, dtype=float, b: int = 0) -> np.ndarray:
+        """Dense X_b, shape (rows, dim); dtype=object gives exact ints, or Fractions over the denominator."""
+        arr = self._over(_scatter(self.src[:, b], self.coef[:, b, :, None], self.dim, object))
+        return arr if dtype is object else arr.astype(dtype)
 
-    def rows(self):
-        """Dense matrix as a list of row lists, int 0 where no entry is stored."""
-        mat = [[0] * self.domain.dim for _ in range(self.codomain.dim)]
-        for col, colmap in enumerate(self.cols):
-            for row, val in colmap.items():
-                mat[row][col] = val
-        return mat
-
-    def to_array(self, dtype=float) -> np.ndarray:
-        arr = np.zeros((self.codomain.dim, self.domain.dim), dtype=dtype)
-        for col, colmap in enumerate(self.cols):
-            for row, val in colmap.items():
-                arr[row, col] = float(val)
-        return arr
+    def residues(self, primes) -> np.ndarray:
+        """The values modulo each of primes, one int32 row per prime."""
+        for q in primes:
+            if q not in self._residues:
+                self._residues[q] = (self.values % q).astype(np.int32)
+        return np.array([self._residues[q] for q in primes])
 
 
-def _nonzero(colmap: dict) -> dict:
-    """colmap without its zero entries."""
-    return {row: val for row, val in colmap.items() if val != 0}
+@functools.lru_cache(maxsize=None)
+def _generator(gen: str, weights: tuple[int, ...], m: int, sites=None) -> SparseOperator:
+    """sum_{k in sites} X^(k) (every site for None) from V_m to the adjacent degree, cached.
 
-
-def _exact_operator(domain: WeightSpace, step: int, src: np.ndarray, coef) -> SparseOperator:
-    """The exact operator from domain V_m to V_{m+step}: row r adds coef[h][r] times column src[h, r].
-
-    src has shape (terms, rows) and coef one sequence of Python ints (from
-    .tolist()) or Fractions per term; the sentinel column domain.dim is skipped.
+    The one builder of the generators: E and F take one gather term per site
+    from _raising_gathers and _lowering_map, and H one diagonal term.
     """
-    op = SparseOperator.zero(domain, _space(domain.weights, domain.m + step))
-    for cols, values in zip(src.tolist(), coef):
-        for row, (col, value) in enumerate(zip(cols, values)):
-            if col != domain.dim:
-                op.add_term(row, col, value)
-    return op
-
-
-def _generator_on_sites(gen: str, sites, weights: tuple[int, ...], m: int) -> SparseOperator:
-    """Matrix of sum_{i in sites} X^(i) from V_m to the adjacent degree; sites is a list or a slice."""
-    space = enumerate_weight_space(weights, m)
+    picked = slice(None) if sites is None else list(sites)
+    dim = enumerate_weight_space(weights, m).dim
     if gen == "F":
-        src = _lowering_map(weights, m).T[sites]
-        return _exact_operator(space, 1, src, [[1] * src.shape[1]] * len(src))
-    if gen == "E":
+        src = _lowering_map(weights, m).T[picked]
+        coef = np.ones_like(src)
+    elif gen == "E":
         src, coef = _raising_gathers(weights, m)
-        return _exact_operator(space, -1, src[sites], coef[sites, :, 0].tolist())
-    if gen == "H":
-        diag = np.sum(np.array(weights)[sites] - 2 * np.array(space.states)[:, sites], axis=1)
-        return _exact_operator(space, 0, np.arange(space.dim)[None], [diag.tolist()])
-    raise ValueError(f"unknown generator {gen!r}")
+        src, coef = src[picked], coef[picked, :, 0]
+    elif gen == "H":
+        coef = np.sum(np.array(weights)[picked] - 2 * np.array(_space(weights, m).states)[:, picked], axis=1)[None]
+        src = np.arange(dim)[None]
+    else:
+        raise ValueError(f"unknown generator {gen!r}")
+    return SparseOperator(src[:, None], coef[:, None], dim)
 
 
 def build_site_operator(gen: str, site: int, spec_or_weights, m: int) -> SparseOperator:
-    """Matrix of the single-site generator X^(site) restricted to V_m."""
-    return _generator_on_sites(gen, [site], _weights_of(spec_or_weights), m)
+    """The single-site generator X^(site) on V_m, X one of E, F and H."""
+    return _generator(gen, _weights_of(spec_or_weights), m, (site,))
 
 
 def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
-    """Matrix of sum_i X^(i) on V_m.
+    """sum_i X^(i) on V_m.
 
     E maps V_m -> V_{m-1}, F maps V_m -> V_{m+1}, H is diagonal with constant
     entry sum(weights) - 2m.  At the boundary degrees (E on V_0, F on the top
-    subspace) the codomain is the zero space and the map is the zero map.
+    subspace) the codomain is the zero space: the matrix has no rows.
     """
-    return _generator_on_sites(gen, slice(None), _weights_of(spec_or_weights), m)
+    return _generator(gen, _weights_of(spec_or_weights), m)

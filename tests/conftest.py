@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaudin import ModelSpec
+from gaudin import ModelSpec, build_site_operator
 
 
 def random_spec(rng, n_min=2, n_max=5, lam_max=4) -> ModelSpec:
@@ -16,6 +16,12 @@ def random_spec(rng, n_min=2, n_max=5, lam_max=4) -> ModelSpec:
         if cand not in zs:
             zs.append(cand)
     return ModelSpec(weights, tuple(zs))
+
+
+def lowering_field_exact(spec, w, m):
+    """Dense exact F(w) = sum_k F^(k) / (w - z_k) from V_m to V_{m+1}, Fractions, for rational w off the poles."""
+    w = Fraction(w)
+    return sum(build_site_operator("F", k, spec, m).to_array(object) / (w - zk) for k, zk in enumerate(spec.z))
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from gaudin import (
     build_total_generator,
     diagonalize_singular,
     enumerate_weight_space,
-    lowering_field_exact,
     singular_basis_gordan,
     singular_basis_kernel,
     singular_dimension,
@@ -30,7 +29,7 @@ from gaudin import (
 from gaudin.cli import main as cli_main
 from gaudin.rational_linalg import rank
 
-from conftest import random_spec
+from conftest import lowering_field_exact, random_spec
 
 
 def _make_specs(count=20, seed=20010801):
@@ -210,37 +209,33 @@ def test_criterion_7_operator_identities_at_rational_points():
                     if any(w2 == zk for zk in spec.z):
                         w2 = w1 + Fraction(1, 97)
 
+                # dense exact matrices of Fractions: @, + and - are exact
+                def site(gen, k, m, w):
+                    return build_site_operator(gen, k, spec, m).to_array(object) / (w - spec.z[k])
+
                 def x_op(i, w, m):
                     fw = lowering_field_exact(spec, w, m)
                     return (
-                        build_hamiltonian(spec, i, m + 1) @ fw
-                        - fw @ build_hamiltonian(spec, i, m)
+                        build_hamiltonian(spec, i, m + 1).to_array(object) @ fw
+                        - fw @ build_hamiltonian(spec, i, m).to_array(object)
                     )
 
                 m = 0
-                h_sum = None
-                for k in range(spec.n_sites):
-                    term = build_site_operator("H", k, spec, m).scaled(
-                        1 / (w1 - spec.z[k])
-                    )
-                    h_sum = term if h_sum is None else h_sum + term
+                h_sum = sum(site("H", k, m, w1) for k in range(spec.n_sites))
                 fw1 = lowering_field_exact(spec, w1, m)
                 for i in range(spec.n_sites):
-                    hi = build_site_operator("H", i, spec, m).scaled(1 / (w1 - spec.z[i]))
-                    fi = build_site_operator("F", i, spec, m).scaled(1 / (w1 - spec.z[i]))
-                    assert (x_op(i, w1, m) - (fw1 @ hi - fi @ h_sum)).is_zero()
+                    hi, fi = site("H", i, m, w1), site("F", i, m, w1)
+                    assert not (x_op(i, w1, m) - (fw1 @ hi - fi @ h_sum)).any()
 
                 f2_m = lowering_field_exact(spec, w2, m)
                 f1_m = lowering_field_exact(spec, w1, m)
                 f2_up = lowering_field_exact(spec, w2, m + 1)
                 for i in range(spec.n_sites):
                     lhs = x_op(i, w1, m + 1) @ f2_m - f2_up @ x_op(i, w1, m)
-                    fi_up = build_site_operator("F", i, spec, m + 1)
                     rhs = (
-                        fi_up.scaled(1 / (w1 - spec.z[i])) @ f2_m
-                        - fi_up.scaled(1 / (w2 - spec.z[i])) @ f1_m
-                    ).scaled(Fraction(2) / (w1 - w2))
-                    assert (lhs - rhs).is_zero()
+                        site("F", i, m + 1, w1) @ f2_m - site("F", i, m + 1, w2) @ f1_m
+                    ) * (Fraction(2) / (w1 - w2))
+                    assert not (lhs - rhs).any()
 
     _report(7, "lowering-field commutator identities exact at random rational points", check)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gaudin.cli
-from gaudin import ModelSpec, verify_family
+from gaudin import ModelSpec, build_hamiltonian, verify_family
 from gaudin.bethe import BetheSolution
 from gaudin.cli import main
 
@@ -128,6 +128,16 @@ class TestVerify:
             [1, 0, "-1"],
             [1, 1, "1/2"],
         ]
+
+    def test_emitted_matrices_are_the_public_hamiltonians(self, spec_file, capsys):
+        # the CLI and build_hamiltonian read one operator: the triplets of (m, i + 1) are its entries
+        spec = ModelSpec.from_json(SPEC_1234)
+        code, payload = run_json(["verify", "--spec", spec_file(SPEC_1234), "--emit-matrices"], capsys)
+        assert code == 0
+        assert len(payload["matrices"]) == spec.n_sites * (spec.total_weight + 1)
+        for entry in payload["matrices"]:
+            triplets = [(row, col, Fraction(value)) for row, col, value in entry["triplets"]]
+            assert triplets == build_hamiltonian(spec, entry["i"] - 1, entry["m"]).entries()
 
     @pytest.mark.parametrize("shifted", [None, "bottom", "top"])
     @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3, 3, 4)])

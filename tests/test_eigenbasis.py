@@ -123,7 +123,7 @@ class TestDiagonalizeSingular:
         def refuse(*args):
             raise AssertionError("total E built for a level with no singular vectors")
 
-        monkeypatch.setattr(eigenbasis, "_generator_rows", refuse)
+        monkeypatch.setattr(eigenbasis, "_generator", refuse)
         spec = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
         for m in (2, 3):
             assert diagonalize_singular(spec, m) == []
@@ -174,8 +174,8 @@ class TestRestriction:
             (vector,) = singular_basis_kernel(spec, m).vectors
             (found,) = diagonalize_singular(spec, m)
             for i, value in enumerate(found.exact_eigenvalues):
-                image = build_hamiltonian(spec, i, m).apply(list(vector))
-                assert image == [value * x for x in vector]
+                image = build_hamiltonian(spec, i, m).apply(vector)
+                assert list(image) == [value * x for x in vector]
         (found,) = diagonalize_singular(ladder_spec((1, 1, 3)), 2)
         assert found.exact_eigenvalues == (Fraction(1, 3), Fraction(51, 7), Fraction(-160, 21))
         found = diagonalize_singular(ladder_spec((1, 2, 3)), 2)

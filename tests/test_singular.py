@@ -45,7 +45,7 @@ def coefficients_by_recurrence(m, lam1, lam2):
 
 def annihilated_exactly(weights, m, vector):
     raise_e = build_total_generator("E", weights, m)
-    return all(x == 0 for x in raise_e.apply(list(vector)))
+    return not raise_e.apply(vector).any()
 
 
 class TestPochhammer:
@@ -388,7 +388,7 @@ class TestExtremalProjector:
                     assert math.gcd(*vec) == 1
                     assert vec[space.index[state]] > 0
                     assert not any(raise_e.apply(list(vec)))
-                expected = reference_kernel(raise_e.rows(), space.dim)
+                expected = reference_kernel(raise_e.to_array(object).tolist(), space.dim)
                 rows = [list(v) for v in basis.vectors]
                 assert rank(rows) == len(expected) == rank(rows + expected)
 
@@ -402,7 +402,7 @@ class TestExtremalProjector:
         def refuse(*args):
             raise AssertionError("sparse operator built by the kernel route")
 
-        monkeypatch.setattr(SparseOperator, "add_term", refuse)
+        monkeypatch.setattr(SparseOperator, "__init__", refuse)
         assert singular_basis_kernel((2, 3, 3, 4), 3).count == singular_dimension((2, 3, 3, 4), 3)
         assert singular_basis_kernel((1,) * 5, 2).count == 5
 
@@ -458,7 +458,7 @@ class TestExactBlocks:
             dtypes.clear()
             basis = singular_basis_kernel(weights, m)
             assert [dtype for _, dtype in dtypes] == [object] and exact_types(basis)
-            expected = reference_kernel(build_total_generator("E", weights, m).rows(),
+            expected = reference_kernel(build_total_generator("E", weights, m).to_array(object).tolist(),
                                         enumerate_weight_space(weights, m).dim)
             rows = [list(v) for v in basis.vectors]
             assert rank(rows) == len(expected) == rank(rows + expected)
