@@ -218,8 +218,11 @@ def _gate(residuals, what: str) -> None:
 
 
 def _traces(family) -> list:
-    """tr D_i H_i for each site, from the diagonal term 0 of an _exact_family (no hop reaches the diagonal)."""
-    return family.coef[0].sum(axis=1).tolist()
+    """tr D_i H_i for each site, from the diagonal term 0 of an _exact_family (no hop reaches the diagonal).
+
+    The sum is taken in Python ints: dim entries below 2^62 of an int64 family may exceed int64.
+    """
+    return [sum(row) for row in family.coef[0].tolist()]
 
 
 def _level_family(spec: ModelSpec, m: int):

@@ -12,27 +12,30 @@ builders read it.
 Each site i gets its own scale D_i = 2 lcm over j != i of numerator(z_i - z_j),
 so every D_i / (z_i - z_j) is an even integer, and _integer_gathers, the one
 exact builder, writes the integer matrices D_i H_i in the gather form of
-_pair_map with Python-int coefficients.  Every exact matrix here is an
-sl2.SparseOperator of that form: the family (_exact_family) that the
-identity checks, the emitted matrices and independent_count read, and
+_pair_map: in int64 when a proven bound keeps every partial row sum below
+2^62, in Python ints otherwise; only the dtype differs.  Every exact matrix
+here is an sl2.SparseOperator of that form: the family (_exact_family) that
+the identity checks, the emitted matrices and independent_count read, and
 build_hamiltonian, one site's pairs over the denominator D_i.
 
 The identities [H_i, H_j] = 0, sum_i (D / D_i) D_i H_i = 0 (D = lcm of the
 D_i) and the intertwinings X_i E = E H_i, X_i F = F H_i with the family X_i
 on the adjacent level are homogeneous in each H_i, so they are decided on
-the integer matrices: each is a sum of products c A B of integer matrices,
-in the sparse rows of SparseOperator, that must vanish.  _vanishing decides
-them multi-modularly (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008).  A Python-int
-bound B on every entry of the sum comes first: |(A B)[t, c]| is at most the
-largest row sum of |A| times that of |B|.  The moduli are the fewest primes
-below 2^31 (_prime) whose product M exceeds 2 B, and every entry of the sum
-is formed in int64 residues modulo each of them: a residue below 2^31
-squared stays below 2^62, and each product is reduced before it is summed.
-An entry e with |e| <= B < M / 2 that vanishes modulo every prime is a
-multiple of M, hence 0; one nonzero residue proves e != 0.  So the decision
-is exact with no tolerance, and a fault changes the bound it is checked
-against.  The total H is the scalar sum(weights) - 2m on V_m, so it needs
-no check.
+the integer matrices: each is a group of products c A B of integer matrices,
+in the sparse rows of SparseOperator, whose sum must vanish.  _vanishing
+decides the groups multi-modularly (Dumas, Giorgi and Pernet, ACM TOMS 35,
+2008).  A Python-int bound B_g on every entry of group g's sum comes first:
+|(A B)[t, c]| is at most the largest row sum of |A| times that of |B|.  The
+group's moduli are the fewest primes below 2^31 (_prime) whose product M_g
+exceeds 2 B_g, and every entry of its sum is formed in int64 residues modulo
+each of them: a residue below 2^31 squared stays below 2^62, and each product
+is reduced before it is summed.  An entry e with |e| <= B_g < M_g / 2 that
+vanishes modulo every prime is a multiple of M_g, hence 0; one nonzero
+residue proves e != 0.  So each decision is exact with no tolerance, and a
+fault changes the bound its own group is checked against.  The products are
+sorted by target entry once per batch, and every prime sums its residues in
+that shared order.  The total H is the scalar sum(weights) - 2m on V_m, so
+it needs no check.
 
 For float or complex z, _gather_forms writes every H_i as 2N - 1 gathers
 (the diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j),
@@ -57,6 +60,7 @@ from .sl2 import (
     ModelSpec,
     SparseOperator,
     enumerate_weight_space,
+    _exact_dtype,
     _generator,
     _lowering_map,
     _raising_gathers,
@@ -95,7 +99,7 @@ def _pair_map(weights: tuple[int, ...], m: int):
     return src, k
 
 
-_BATCH = 1 << 13  # the products of single entries one step of _vanishing holds
+_BATCH = 1 << 13  # the most products of single entries one batch of _vanishing holds, unless one row holds more
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,14 +123,19 @@ def _integer_gathers(spec: ModelSpec, m: int, sites=None):
 
     sites selects the H_i (default all) and only their pairs are read: row t
     of the s-th one holds coef[h, s, t] in column src[h, s, t], with src from
-    _pair_map (the sentinel dim V_m marks an absent hop).  coef holds Python
-    ints (dtype object): an Omega_ij entry k / 2 becomes k h_ij, with h_ij =
-    _pair_scales(spec.z), and the diagonal sums these over j != i.
+    _pair_map (the sentinel dim V_m marks an absent hop).  An Omega_ij entry
+    k / 2 becomes k h_ij, with h_ij = _pair_scales(spec.z), and the diagonal
+    sums these over j != i.  No partial sum of a row of any H_i exceeds
+    max |h_ij| times the largest sum of |k| over a row, so coef is int64 when
+    that bound is below 2^62 and Python ints (dtype object) otherwise.
     """
     src, k = _pair_map(spec.weights, m)
+    h = _pair_scales(spec.z)
+    widest = int(np.abs(k).sum(axis=(0, 2)).max(initial=0))
+    dtype = _exact_dtype(max(map(abs, h.flat)) * widest)
     sites = slice(None) if sites is None else np.asarray(sites)
-    h = _pair_scales(spec.z)[:, sites, None]
-    coef = np.empty(src[:, sites].shape, dtype=object)
+    h = h[:, sites, None].astype(dtype)
+    coef = np.empty(src[:, sites].shape, dtype=dtype)
     coef[0] = np.sum(k[:, sites, 0] * h, axis=0)
     coef[1::2], coef[2::2] = k[:, sites, 1] * h, k[:, sites, 2] * h
     return src[:, sites], coef
@@ -174,6 +183,18 @@ def _expand(starts: np.ndarray, counts: np.ndarray):
     return owner, np.arange(owner.size) + (starts - np.cumsum(counts) + counts)[owner]
 
 
+def _reduced(x: np.ndarray, prime: int) -> np.ndarray:
+    """x modulo prime in place, for int64 x >= 0.
+
+    Written as x - (x // prime) prime: NumPy divides an int64 array by one
+    number several times faster than it takes remainders.
+    """
+    quotient = x // prime
+    quotient *= prime
+    x -= quotient
+    return x
+
+
 def _bounds(items) -> list:
     """For each group of _vanishing's items, a Python-int bound on every entry of its sum.
 
@@ -191,64 +212,101 @@ def _vanishing(items) -> np.ndarray:
 
     An item (c, A, a, B, b, group) is c A_a B_b, with A and B integer
     sl2.SparseOperators and c a Python int; the items of a group map between
-    the same spaces.  The largest of _bounds sets the moduli.  For each
-    prime the items are expanded, row by row, into their products of single
-    entries in residues, and these are summed by target entry (group, row,
-    column): the key goes into the high bits of an int64 above the 31-bit
-    residue, one np.sort brings equal keys together and np.add.reduceat sums
-    each run.  Batches of (group, row) pairs hold about _BATCH products and
-    keep every key below 2^32; a run sums fewer than 2^32 residues below
-    2^31, so it stays below 2^63.  No float is used.
+    the same spaces.  Each group is decided modulo its own primes, the fewest
+    whose product exceeds twice its entry of _bounds.  The groups are ranked
+    by that count, most first, so that prime q serves a prefix of the ranks,
+    and an operand is reduced modulo the primes of the first rank it meets.
+    The items are expanded, row by row, into their products of single
+    entries, keyed by target entry (rank, row, column).  Once per batch the
+    key goes into the high bits of an int64 above the index of its product,
+    and one np.sort brings equal keys together.  Each prime then gathers the
+    residues of its prefix of the products in that shared order, and
+    np.add.reduceat sums each run.  A batch is a run of consecutive (rank,
+    row) pairs whose products, bounded by the entries of each row of A_a
+    times the widest row of B_b, number at most _BATCH (more only when one
+    pair does); it keeps every key below 2^32.  While no pair holds more than
+    2^31 products, a key and its index fit in 63 bits, and a run, at most
+    2^31 products reduced below 2^31, sums below 2^62.  No float is used.
     """
-    items = sorted(items, key=lambda item: item[5])
-    primes = _moduli(max(_bounds(items)))
-    # one pool of the operands' rows: each operand's first row and first entry in it
+    bounds = _bounds(items)
+    counts = [len(_moduli(bound)) for bound in bounds]
+    # rank r is the group order[r]: the groups by their prime counts, most first
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    rank, need = np.argsort(order).tolist(), [counts[g] for g in order]
+    primes = _moduli(max(bounds))
+    # one pool of the operands' rows: each operand's first row and first entry in it, and the primes of the
+    # first rank it comes in, the most it meets; per item: its rank, the pool rows of A_a and of B_b, the
+    # rows of A, the widest row of B_b and c
     first, operands, rows, entries = {}, [], 0, 0
-    for op in (op for item in items for op in item[1:5:2]):
-        if id(op) not in first:
-            first[id(op)] = rows
-            operands.append((op, entries))
-            rows, entries = rows + op.start.size - 1, entries + op.cols.size
-    start = np.concatenate([op.start[:-1] + e for op, e in operands] + [[entries]])
-    cols = np.concatenate([op.cols for op, _ in operands])
-    residues = np.concatenate([op.residues(primes) for op, _ in operands], axis=1)
-    # per item: its group, the pool rows of A_a and of B_b, the rows of A, and c modulo each prime
-    group = np.array([g for *_, g in items])
-    a_row = np.array([first[id(x)] + a * x.rows for _, x, a, *_ in items])
-    b_row = np.array([first[id(y)] + b * y.rows for *_, y, b, _ in items])
-    n_rows = np.array([x.rows for _, x, *_ in items])
-    scale = np.array([[c % q for c, *_ in items] for q in primes], dtype=np.int64)
-    per_row = [0.0] * (items[-1][5] + 1)  # estimated products per row of each group
-    for _, x, a, y, b, g in items:
-        per_row[g] += x.sizes[a] * y.sizes[b] / max(x.rows * y.rows, 1)
-    width, height = int(n_rows.max()), max(y.dim for *_, y, _, _ in items)
-    step = max(1, min(int(_BATCH // (max(per_row) + 1)), (1 << 32) // max(height, 1)))
-    rows_per, groups_per = min(width, step), max(1, step // width)
-    ok = np.ones(len(per_row), dtype=bool)
-    for g0 in range(0, ok.size, groups_per):
-        lo, hi = np.searchsorted(group, [g0, g0 + groups_per])
-        for t0 in range(0, width, rows_per):
-            item, rows = _expand(a_row[lo:hi] + t0, np.minimum(np.maximum(n_rows[lo:hi] - t0, 0), rows_per))
-            item += lo
-            head = ((group[item] - g0) * rows_per + rows - a_row[item] - t0) * height  # the key of column 0
-            unit, ea = _expand(start[rows], start[rows + 1] - start[rows])
-            item, b_rows = item[unit], b_row[item[unit]] + cols[ea]
-            owner, eb = _expand(start[b_rows], start[b_rows + 1] - start[b_rows])
-            if not owner.size:
-                continue
-            keys = (head[unit][owner] + cols[eb]) << 31
-            for q, prime in enumerate(primes):
-                packed = (residues[q, ea] * scale[q, item] % prime)[owner]
-                packed *= residues[q, eb]
-                packed %= prime
-                packed |= keys
-                packed.sort()
-                key = packed >> 31
-                runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-                packed &= 0x7FFFFFFF
-                wrong = np.add.reduceat(packed, runs) % prime != 0
-                ok[key[runs[wrong]] // (rows_per * height) + g0] = False
-    return ok
+    table, factors, height = [], [], 1
+    for c, x, a, y, b, g in sorted(items, key=lambda item: rank[item[5]]):
+        g = rank[g]
+        for op in (x, y):
+            if op not in first:
+                first[op] = rows
+                operands.append((op, entries, need[g]))
+                rows, entries = rows + op.start.size - 1, entries + op.cols.size
+        table.append((g, first[x] + a * x.rows, first[y] + b * y.rows, x.rows, y.widths[b]))
+        factors.append(c)
+        height = max(height, y.dim)
+    start = np.concatenate([op.start[:-1] + e for op, e, _ in operands] + [[entries]])
+    cols = np.concatenate([op.cols for op, *_ in operands])
+    # residues[q]: the entries modulo prime q of the operands that need it, a prefix of the pool (the
+    # operands come in rank order, most primes first)
+    residues = [op.residues(primes[:n]) for op, _, n in operands]
+    residues = [np.concatenate([r[q] for r in residues if len(r) > q]) for q in range(len(primes))]
+    group, a_row, b_row, n_rows, b_width = np.array(table).T
+    scale = np.array([[c % q for c in factors] for q in primes], dtype=np.int64)
+    # the target rows of all ranks as one sequence of pairs (rank, row), rank r's from offset[r] on;
+    # load[p] bounds the products of the pairs before p: row t of A_a adds its entries times the widest
+    # row of B_b to pair offset[rank] + t
+    offset = np.zeros(len(order) + 1, dtype=np.int64)
+    offset[group + 1] = n_rows  # the items of a rank share its rows
+    offset = np.cumsum(offset)
+    item, rows = _expand(a_row, n_rows)
+    load = np.zeros(offset[-1] + 1, dtype=np.int64)
+    np.add.at(load, offset[group[item]] + rows - a_row[item] + 1, (start[rows + 1] - start[rows]) * b_width[item])
+    load = np.cumsum(load)
+    served = [sum(n > q for n in need) for q in range(len(primes))]  # prime q serves the ranks below served[q]
+    ok = np.ones(len(bounds), dtype=bool)
+    p0 = 0
+    while p0 < offset[-1]:
+        # a batch: the most pairs from p0 on that load bounds by _BATCH products, at least one, and the
+        # rows of each item of their ranks that it holds
+        p1 = int(np.searchsorted(load, load[p0] + _BATCH, side="right")) - 1
+        p1 = min(max(p1, p0 + 1), p0 + (1 << 32) // height)
+        lo, hi = np.searchsorted(group, np.searchsorted(offset, [p0, p1], side="right") - [1, 0])
+        base = offset[group[lo:hi]]
+        low, high = np.maximum(p0 - base, 0), np.minimum(p1 - base, n_rows[lo:hi])
+        item, rows = _expand(a_row[lo:hi] + low, np.maximum(high - low, 0))
+        item += lo
+        head = offset[group[item]] + rows - a_row[item] - p0
+        unit, ea = _expand(start[rows], start[rows + 1] - start[rows])
+        head = (head * height)[unit]  # the key of column 0
+        batch = item[unit]
+        b_rows = b_row[batch] + cols[ea]
+        owner, eb = _expand(start[b_rows], start[b_rows + 1] - start[b_rows])
+        if owner.size:
+            bits = (owner.size - 1).bit_length()
+            packed = (head[owner] + cols[eb]) << bits
+            packed |= np.arange(owner.size)
+            packed.sort()
+            mask = (1 << bits) - 1
+            owner, eb = owner[packed & mask], eb[packed & mask]  # in key order
+            key = np.right_shift(packed, bits, out=packed)  # in place: the batch holds one array fewer
+            runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            most = need[np.searchsorted(offset, p0, side="right") - 1]  # the primes of the batch's first rank
+            for q, prime in enumerate(primes[:most]):
+                stop = np.searchsorted(key, (offset[served[q]] - p0) * height)
+                starts = runs[: np.searchsorted(runs, stop)]
+                cut = np.searchsorted(group[batch], served[q])  # the units of those ranks come first
+                product = _reduced(residues[q][ea[:cut]] * scale[q, batch[:cut]], prime)[owner[:stop]]
+                product *= residues[q][eb[:stop]]
+                _reduced(product, prime)
+                wrong = _reduced(np.add.reduceat(product, starts), prime) != 0
+                ok[np.searchsorted(offset, key[starts[wrong]] // height + p0, side="right") - 1] = False
+        p0 = p1
+    return ok[rank]
 
 
 def _gather_forms(weights, diffs: np.ndarray, m: int):

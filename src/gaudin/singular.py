@@ -34,6 +34,7 @@ from .rational_linalg import _cleared
 from .sl2 import (
     _appended,
     _bounded_compositions,
+    _exact_dtype,
     _gather_sum,
     _lower,
     _lowering_map,
@@ -109,11 +110,6 @@ def gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
         num = pochhammer(m - k - l2, k)
         coeffs.append(Fraction((-1) ** k * math.comb(m, k)) * num / pochhammer(-l1, k))
     return GordanCoefficients(m, l1, l2, tuple(coeffs))
-
-
-def _exact_dtype(bound: int):
-    """np.int64 for blocks whose entries and partial sums a Python-int bound keeps below 2^62, else object."""
-    return np.int64 if bound < 2**62 else object
 
 
 def _adjoin(weights: tuple, degree: int, block: np.ndarray, ks) -> list:

@@ -189,6 +189,11 @@ def _raising_gathers(weights: tuple[int, ...], m: int):
     return src, coef
 
 
+def _exact_dtype(bound: int):
+    """np.int64 for exact arrays whose entries and partial sums a Python-int bound keeps below 2^62, else object."""
+    return np.int64 if bound < 2**62 else object
+
+
 def _pad(psi: np.ndarray) -> np.ndarray:
     """A block of column vectors psi, shape (dim, S), with a zero row appended at index dim."""
     return np.concatenate([psi, np.zeros((1, psi.shape[1]), dtype=psi.dtype)])
@@ -254,10 +259,11 @@ class SparseOperator:
     holds Python ints (dtype object) or int64, and the positive int
     denominator is 1 for integer operators.  Row t of denominator X_b has
     the entries start[b * rows + t] up to start[b * rows + t + 1] of cols
-    and values; sizes[b] counts them over X_b, and rowsums[b], the largest
-    sum of |coef| over a row, bounds its row sums.  residues(primes) holds
-    the values modulo each prime as int32, each reduced once: the exact
-    checks of hamiltonians._vanishing read these integer parts only.
+    and values; widths[b], the most entries a row of X_b has, bounds its
+    row lengths, and rowsums[b], the largest sum of |coef| over a row, its
+    row sums.  residues(primes) holds the values modulo each prime as
+    int32, each reduced once: the exact checks of hamiltonians._vanishing
+    read these integer parts only.
     """
 
     def __init__(self, src: np.ndarray, coef: np.ndarray, dim: int, denominator: int = 1):
@@ -267,7 +273,7 @@ class SparseOperator:
         self.cols = src.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
         self.values = coef.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
         self.start = np.concatenate([[0], np.cumsum(lengths)])
-        self.sizes = lengths.sum(axis=1).tolist()
+        self.widths = lengths.max(axis=1, initial=0).tolist()
         sums = np.sum(np.abs(np.where(present, coef, 0)), axis=0)
         self.rowsums = [int(x) for x in np.max(sums, axis=1, initial=0)]
         self._residues = {}

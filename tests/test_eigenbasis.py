@@ -182,6 +182,23 @@ class TestRestriction:
         assert len(found) > 1
         assert all(v.exact_eigenvalues is None for v in found)
 
+    def test_exact_eigenvalues_of_an_int64_family_past_the_int64_traces(self):
+        # z_1 - z_0 = (q - 1) / q gives h_01 = -q: every row of D_i H_i stays below 2^62, so the family is
+        # int64, but its diagonal on V_6 sums to -112 q < -2^63, past what an int64 sum can hold
+        q = (5 << 54) + 1
+        spec = ModelSpec((6, 6), (Fraction(0), Fraction(q - 1, q)))
+        for m in (5, 6):
+            family = hamiltonians._exact_family(spec, m)
+            assert family.coef.dtype == np.int64
+            assert max(family.rowsums) * family.dim > 1 << 62
+        (found,) = diagonalize_singular(spec, 6)
+
+        def trace(i, m):
+            return sum(v for r, c, v in build_hamiltonian(spec, i, m).entries() if r == c)
+
+        assert abs(trace(0, 6)) * hamiltonians._site_scales(spec.z)[0] > 1 << 63
+        assert found.exact_eigenvalues == tuple(trace(i, 6) - trace(i, 5) for i in range(2))
+
     def test_non_invariant_operator_raises(self, monkeypatch):
         # one changed entry of one D_i H_i breaks E H_i = H_i E, which the level checks exactly
         spec = ladder_spec((1, 2, 3))

@@ -28,6 +28,7 @@ from gaudin.hamiltonians import (
     _level_report,
     _moduli,
     _pair_map,
+    _pair_scales,
     _prime,
     _site_scales,
     _vanishing,
@@ -443,6 +444,31 @@ class TestIntegerScaling:
                     exact = build_hamiltonian(spec, i, m)
                     assert [(r, c, Fraction(v, scale)) for r, c, v in entries] == exact.entries()
 
+    @pytest.mark.parametrize("weights, seed, int64", [((4,) * 5, 1729, True), ((3,) * 7, 1729, True),
+                                                       ((3,) * 7, 555, False)])
+    def test_dtype_follows_the_row_bound(self, weights, seed, int64):
+        # int64 exactly when max |h_ij| times the largest sum of |k| over a row is below 2^62; at seed 555
+        # the (3,)*7 row sums reach 70 bits, so that family stays in Python ints.  Either way the row sums
+        # are the Python-int ones, and entries, dense arrays and images hold Python ints and Fractions only
+        spec, m = bench_ladder(weights, seed), 3
+        k = _pair_map(spec.weights, m)[1]
+        bound = max(abs(h) for h in _pair_scales(spec.z).flat) * int(np.abs(k).sum(axis=(0, 2)).max())
+        assert (bound < 1 << 62) is int64
+        family = _exact_family(spec, m)
+        assert (max(family.rowsums) < 1 << 62) is int64
+        vec = list(range(1, family.dim + 1))
+        for op in [family] + [build_hamiltonian(spec, i, m) for i in range(spec.n_sites)]:
+            assert op.coef.dtype == (np.int64 if int64 else object)
+            src, coef = op.src.tolist(), op.coef.tolist()
+            sites, terms = range(len(src[0])), range(len(src))
+            assert op.rowsums == [
+                max(sum(abs(coef[h][b][t]) for h in terms if src[h][b][t] != op.dim) for t in range(op.rows))
+                for b in sites]
+            for b in sites:
+                values = [v for *_, v in op.entries(b)] + list(op.to_array(object, b).ravel())
+                values += list(op.apply(vec, b))
+                assert {type(v) for v in values} == ({int} if op.denominator == 1 else {Fraction})
+
     def test_one_site_is_built_from_its_pairs(self, rng):
         # build_hamiltonian reads site i alone; its entries are the family's
         for _ in range(3):
@@ -629,6 +655,44 @@ class TestVanishing:
                                                 (1, a, k, b, k, 1)])) == [True, not (a.to_array(object, k) @ b.to_array(object, k)).any()]
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("batch", [None, 1 << 6, 1 << 4])
+    def test_each_group_is_decided_modulo_its_own_primes(self, rng, monkeypatch, batch):
+        # groups of small entries (one or two primes) beside groups of 2^70-sized ones (three or more) in
+        # one call: every decision is the Python-int one, an operand that only small groups meet is
+        # reduced modulo one prime, and a fault equal to _prime(0), which vanishes modulo that prime, is
+        # still found, because it raises its own group's bound; with all groups in one batch, a few rows
+        # per batch, or one
+        if batch is not None:
+            monkeypatch.setattr(hamiltonians, "_BATCH", batch)
+        dim = enumerate_weight_space((2, 2, 1), 2).dim
+        small = [SparseOperator(*random_gathers(rng, 1, dim, dim, 3), dim) for _ in range(2)]
+        big = [SparseOperator(*random_gathers(rng, 1, dim, dim, 3, big=True), dim) for _ in range(2)]
+        identity = hamiltonians._identity_rows(dim)
+        coef = small[0].coef.copy()
+        h, t = next((h, t) for t in range(dim) for h in range(3) if small[0].src[h, 0, t] != dim)
+        coef[h, 0, t] += _prime(0)
+        faulty = SparseOperator(small[0].src, coef, dim)
+        items = [(1, faulty, 0, identity, 0, 0), (-1, small[0], 0, identity, 0, 0),
+                 (1, big[0], 0, big[1], 0, 1), (-1, big[0], 0, big[1], 0, 1),
+                 (1, small[1], 0, small[0], 0, 2), (-1, small[1], 0, small[0], 0, 2),
+                 (1, small[1], 0, identity, 0, 3),
+                 (1, big[1], 0, big[0], 0, 4)]
+        counts = [len(_moduli(bound)) for bound in _bounds(items)]
+        assert counts[0] == 2 and counts[2] == counts[3] == 1 and min(counts[1], counts[4]) >= 3
+        requested = {}
+        residues = SparseOperator.residues
+
+        def spy(op, primes):
+            requested.setdefault(id(op), set()).add(len(primes))
+            return residues(op, primes)
+
+        monkeypatch.setattr(SparseOperator, "residues", spy)
+        want = [0] * len(counts)
+        for c, x, a, y, b, g in items:
+            want[g] = want[g] + c * (x.to_array(object, a) @ y.to_array(object, b))
+        assert list(_vanishing(items)) == [not total.any() for total in want] == [False, True, True, False, False]
+        assert requested[id(small[1])] == {1} and max(requested[id(big[0])]) == max(counts)
+
     def test_every_level_of_random_specs(self, rng):
         for _ in range(100):
             spec = random_spec(rng, n_max=5, lam_max=4)
@@ -683,6 +747,49 @@ class TestVanishing:
             assert clean_moduli == 1
             assert max(len(_moduli(max(_bounds(items)))) for items in calls) > 1
 
+    def test_reports_across_batch_boundaries(self, rng, monkeypatch):
+        # with _BATCH at 64 products every call spans many batches; the seed-555 ladder needs several
+        # primes, and its groups fewer or more of them
+        monkeypatch.setattr(hamiltonians, "_BATCH", 1 << 6)
+        calls = capture_items(monkeypatch)
+        batches = []
+        expand = hamiltonians._expand
+
+        def counted(starts, counts):
+            batches.append(starts.size)
+            return expand(starts, counts)
+
+        monkeypatch.setattr(hamiltonians, "_expand", counted)
+        for _ in range(4):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            for m in range(spec.total_weight + 1):
+                assert verify_family(spec, m) == reference_report(spec, m)
+        calls.clear()
+        batches.clear()
+        spec = bench_ladder((3,) * 7, 555)
+        report = verify_family(spec, 3)
+        assert report == reference_report(spec, 3) and report.all_ok
+        (items,) = calls
+        counts = {len(_moduli(bound)) for bound in _bounds(items)}
+        assert len(counts) > 1 and max(counts) >= 3
+        assert len(batches) > 2 * 100  # _vanishing expands twice per batch
+        # a fault equal to _prime(0) in the last row of D_5 H_5 makes every check of it a multiple of that
+        # prime: only the second prime of each group it reaches, in a late batch, finds it
+        original = hamiltonians._integer_gathers
+
+        def faulty(spec, m, sites=None):
+            src, coef = original(spec, m, sites)
+            if m == 3 and sites is None:
+                hop = int(np.flatnonzero(src[1:, 5, -1] != src.shape[2])[0]) + 1
+                coef[hop, 5, -1] += _prime(0)
+            return src, coef
+
+        monkeypatch.setattr(hamiltonians, "_integer_gathers", faulty)
+        reports = [verify_family(spec, m) for m in (2, 3, 4)]
+        assert reports == [reference_report(spec, m) for m in (2, 3, 4)]
+        assert reports[1] == VerifyReport(False, False, False)
+        assert not reports[0].symmetry_commute and not reports[2].symmetry_commute
+
     def test_no_sparse_operator_is_built(self, monkeypatch, tmp_path, capsys):
         # the checks build their integer families and generators directly, never by a public builder
         import gaudin
@@ -708,7 +815,10 @@ class TestVanishing:
     def test_bound_covers_every_entry(self, rng, monkeypatch):
         # the proven bound is at least the largest |entry| of each group's sum, in Python ints, and of
         # each item alone (the sums of verify_family's groups vanish); the residue sums stay in int64:
-        # at most (products per entry) * 2^31 < 2^63
+        # at most (products per entry) * 2^31 < 2^63; and a sorted key, below 2^32 above the index of
+        # its product in a batch of at most max(_BATCH, the bound on the products of a target row: the
+        # entries of that row of A_a times the widest row of B_b, over the group's items) products, fits
+        # 63 bits
         calls = capture_items(monkeypatch)
         for _ in range(12):
             spec = random_spec(rng, n_max=4, lam_max=3)
@@ -722,12 +832,22 @@ class TestVanishing:
         assert len(calls) > 20
         for items in calls:
             bounds = _bounds(items)
-            sums = {}
+            sums, row_products, row_bound = {}, {}, {}
             for c, x, a, y, b, g in items:
                 product = c * (x.to_array(object, a) @ y.to_array(object, b))
                 assert max((abs(v) for v in np.ravel(product)), default=0) <= _bounds([(c, x, a, y, b, 0)])[0]
                 sums[g] = sums.get(g, 0) + product
                 widest = max(np.diff(x.start).max(initial=0), 1) * max(np.diff(y.start).max(initial=0), 1)
                 assert len(items) * widest * 2**31 < 2**63
+                # the products of row t: one per entry of B_b row s, for each entry s of A_a row t
+                first = x.start[a * x.rows : (a + 1) * x.rows + 1]
+                per_entry = np.diff(y.start)[b * y.rows + x.cols[first[0] : first[-1]]]
+                row_products[g] = row_products.get(g, 0) + np.array(
+                    [per_entry[lo - first[0] : hi - first[0]].sum() for lo, hi in zip(first[:-1], first[1:])])
+                row_bound[g] = row_bound.get(g, 0) + np.diff(first) * y.widths[b]
             for g, total in sums.items():
                 assert max((abs(v) for v in np.ravel(total)), default=0) <= bounds[g]
+                assert np.all(row_products[g] <= row_bound[g])
+            widest = max(hamiltonians._BATCH, *(np.max(r, initial=0) for r in row_bound.values()))
+            index_bits = (widest - 1).bit_length()
+            assert 32 + index_bits < 63
