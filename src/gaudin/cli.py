@@ -138,10 +138,10 @@ def cmd_singular(args) -> int:
     if m <= spec.min_weight:
         basis = singular_basis_gordan(spec, m)
         method = "gordan"
-        stacked = [list(v) for v in basis.vectors] + [list(v) for v in kernel.vectors]
+        gordan_rows = [list(v) for v in basis.vectors]
         span_ok = (
-            rank([list(v) for v in basis.vectors])
-            == rank(stacked)
+            rank(gordan_rows)
+            == rank(gordan_rows + [list(v) for v in kernel.vectors])
             == len(kernel.vectors)
             == basis.count
         )

@@ -2,19 +2,25 @@
 
 Matrices are plain lists of row lists of ints or Fractions.  Each row is
 cleared of denominators (multiplied by the lcm of its entries' denominators)
-and elimination runs fraction-free on Python ints: a row is eliminated by
-integer cross-multiplication with the pivot row, and every row is kept
-primitive (divided by the gcd of its entries), which keeps the integers
-small (Bareiss, Math. Comp. 22, 1968, divides by the previous pivot
-instead).  `rank` counts the pivots of this forward pass to echelon form;
-no back-substitution is needed, since no kernel is solved for here (the
-singular module reads kernels off the extremal projector).
-Desk-scale only: no pivot-size heuristics, no sparsity tricks.
+and elimination runs fraction-free on one NumPy array: all rows below the
+pivot with a nonzero in its column are eliminated at once by integer
+cross-multiplication with the pivot row, and every row is kept primitive
+(divided by the gcd of its entries), which keeps the integers small
+(Bareiss, Math. Comp. 22, 1968, divides by the previous pivot instead).
+The array is int64 while a Python-int bound keeps every entry formed below
+2^62 (checked at the start and before each update), and dtype object
+(Python ints) from the first update it does not cover on.  `rank` counts
+the pivots of this forward pass to echelon form; no kernel is solved for
+here (the singular module reads kernels off the extremal projector).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from .sl2 import _exact_dtype
 
 
 def _cleared(row):
@@ -23,35 +29,42 @@ def _cleared(row):
     return lcm, [x.numerator * (lcm // x.denominator) for x in row]
 
 
-def _primitive(row: list) -> list:
-    """The int row divided by the gcd of its entries (a zero row stays zero)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _echelon(rows):
-    """Fraction-free forward pass to echelon form.  Returns (int_rows, pivot_columns)."""
-    mat = [_primitive(_cleared(row)[1]) for row in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][c]
-        for i in range(r + 1, n_rows):
-            f = mat[i][c]
-            if f != 0:
-                mat[i] = _primitive([p * a - f * b for a, b in zip(mat[i], mat[r])])
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+def _primitive(a: np.ndarray) -> np.ndarray:
+    """The int rows of a divided by the gcd of their entries (a zero row stays zero)."""
+    return a // np.maximum(np.gcd.reduce(a, axis=1, keepdims=True), 1)
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows)[1])
+    ints = [_cleared(row)[1] for row in rows]
+    if not ints or not ints[0]:
+        return 0
+    try:
+        a = np.array(ints, dtype=np.int64)
+        a = a.astype(_exact_dtype(max(int(a.max()), -int(a.min()))), copy=False)
+    except OverflowError:  # an entry past int64
+        a = np.array(ints, dtype=object)
+    a = _primitive(a)
+    n_rows, r = len(ints), 0
+    while r < n_rows:
+        # the columns left of the last pivot are zero from row r down, so the
+        # next pivot column is the first with a nonzero there, found in one step
+        mag = np.abs(a[r:])
+        peak = mag.max(axis=0)
+        c = (peak != 0).argmax()
+        hit = mag[:, c].nonzero()[0] + r
+        if not hit.size:
+            break
+        if hit[0] != r:
+            a[[r, hit[0]]] = a[[hit[0], r]]
+        below = hit[1:]  # the old row r is zero in column c and needs no update
+        if below.size:
+            sub, pivot = a[below], a[r]
+            p, f = pivot[c], sub[:, c]
+            # a new entry is at most |p| max|sub| + max|f| max|pivot| <= 2 max|a[r:]|^2
+            if a.dtype != object and 2 * int(peak.max()) ** 2 >= 2**62 and (
+                    abs(int(p)) * int(np.abs(sub).max()) + int(np.abs(f).max()) * int(np.abs(pivot).max()) >= 2**62):
+                a, sub, pivot = a.astype(object), sub.astype(object), pivot.astype(object)
+                p, f = pivot[c], sub[:, c]
+            a[below] = _primitive(sub * p - np.multiply.outer(f, pivot))
+        r += 1
+    return r

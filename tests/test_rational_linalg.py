@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gaudin import ModelSpec, singular_basis_gordan, singular_basis_kernel
+from gaudin import ModelSpec, rational_linalg, singular_basis_gordan, singular_basis_kernel
 from gaudin.rational_linalg import rank
 
 
@@ -168,3 +168,66 @@ class TestRankForwardPass:
         stacked += [list(v) for v in singular_basis_kernel(spec, 4).vectors]
         assert len(stacked) > rank(stacked) == 35
         assert_rank_consistent(stacked)
+
+    def test_stacked_gordan_and_kernel_rows_seven_sites(self):
+        # z_k = (k^2+1)/(k+2) shifted by multiples of 1/97, as at benchmark seed 555
+        shifts = (-1, 1, -2, -2, -3, -2, 1)
+        spec = ModelSpec((3,) * 7, tuple(Fraction(k * k + 1, k + 2) + Fraction(s, 97) for k, s in enumerate(shifts)))
+        gordan = [list(v) for v in singular_basis_gordan(spec, 3).vectors]
+        stacked = gordan + [list(v) for v in singular_basis_kernel(spec, 3).vectors]
+        assert len(stacked) == 112 and len(stacked[0]) == 84
+        assert rank(gordan) == rank(stacked) == 56
+        assert rank(stacked) == len(reference_rref(stacked)[1])
+
+    def test_empty_and_zero_width(self):
+        assert rank([]) == rank([[]]) == rank([[], []]) == 0
+
+
+def traced_dtypes(monkeypatch):
+    """The dtype of every array rank makes primitive, in order."""
+    seen = []
+    primitive = rational_linalg._primitive
+
+    def spy(a):
+        seen.append(a.dtype)
+        return primitive(a)
+
+    monkeypatch.setattr(rational_linalg, "_primitive", spy)
+    return seen
+
+
+def combined_rows(rng, base, n_extra):
+    """base followed by n_extra small integer combinations of its rows, shuffled."""
+    rows = [list(r) for r in base]
+    for _ in range(n_extra):
+        coeffs = [int(x) for x in rng.integers(-2, 3, size=len(base))]
+        rows.append([sum(k * r[j] for k, r in zip(coeffs, base)) for j in range(len(base[0]))])
+    return [rows[int(i)] for i in rng.permutation(len(rows))]
+
+
+class TestRankDtypes:
+    """rank on int64 under its bound and on Python ints past it, against reference_rref."""
+
+    def test_entries_past_2_62_from_the_start(self, rng, monkeypatch):
+        seen = traced_dtypes(monkeypatch)
+        for _ in range(10):
+            n_cols = int(rng.integers(2, 7))
+            n_rows = int(rng.integers(1, n_cols + 1))
+            base = [[int(x) * 2**70 + int(y) for x, y in rng.integers(-5, 6, size=(n_cols, 2))]
+                    for _ in range(n_rows)]
+            rows = combined_rows(rng, base, 3)
+            rows[0] = [Fraction(x, 3) for x in rows[0]]
+            assert rank(rows) == len(reference_rref(rows)[1])
+        assert seen and all(d == object for d in seen)
+
+    def test_switch_to_python_ints_mid_pass(self, rng, monkeypatch):
+        # entries below 2^25 keep the first update below 2^52, and the rows it
+        # forms (about 2^50) cross-multiply past 2^62 at the next pivot
+        seen = traced_dtypes(monkeypatch)
+        for _ in range(10):
+            n_cols = int(rng.integers(4, 8))
+            base = [[int(x) for x in rng.integers(-2**25, 2**25, size=n_cols)] for _ in range(n_cols - 1)]
+            rows = combined_rows(rng, base, 3)
+            seen.clear()
+            assert rank(rows) == len(reference_rref(rows)[1]) == n_cols - 1
+            assert seen[:2] == [np.int64, np.int64] and seen[-1] == object
