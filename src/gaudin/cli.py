@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .rational_linalg import rank
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
+    _exact_dtype,
     _gather_sum,
     _pad,
     _raising_gathers,
@@ -49,20 +49,55 @@ def _complex_pair(value) -> list:
     return [float(value.real), float(value.imag)]
 
 
-def _ratio(value: int, scale: int) -> str:
-    """str(Fraction(value, scale)) for scale > 0, without building the Fraction."""
-    g = math.gcd(value, scale)
-    return str(value // g) if g == scale else f"{value // g}/{scale // g}"
-
-
 def _load_spec(path: str) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return ModelSpec.from_json(handle.read())
 
 
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json_text(payload) -> str:
+    r"""json.dumps(payload, indent=2, sort_keys=True) + "\n", laid out from the C encoder's compact text.
+
+    The compact text is ASCII without control bytes (ensure_ascii escapes
+    them), and every backslash in it starts an escape: with each \\ and then
+    each \" replaced by two neutral bytes, the quotes left delimit the strings.
+    Outside them each [ { , is followed by a gap of a newline and two spaces
+    per depth after it, each ] } is preceded by one, none inside [] or {}, and
+    each : is followed by one space.
+    """
+    raw = _COMPACT.encode(payload).encode("ascii")
+    masked = np.frombuffer(raw.replace(b"\\\\", b"__").replace(b'\\"', b"__"), np.uint8)
+    raw = np.frombuffer(raw, np.uint8)
+    outside = ~np.logical_xor.accumulate(masked == ord('"'))
+    # with bit 0x20 set, [ and ] read as { and }, and only control bytes read as , or :
+    low = masked | 0x20
+    pos = np.flatnonzero(outside & ((low == ord("{")) | (low == ord("}")) | (low == ord(",")) | (low == ord(":"))))
+    char = low[pos]
+    opens, closes, colons = char == ord("{"), char == ord("}"), char == ord(":")
+    # the bytes of each gap: a newline and two spaces per depth after the character
+    size = 1 + 2 * np.cumsum(opens.view(np.int8) - closes.view(np.int8), dtype=np.int32)
+    empty = opens[:-1] & closes[1:] & (np.diff(pos) == 1)
+    size[:-1][empty] = size[1:][empty] = 0
+    size[colons] = 1
+    # each gap goes before the byte at point, and the byte at j of raw to dest[j] of the output
+    point = pos + ~closes
+    dest = np.ones(raw.size, np.int32)
+    dest[0] = 0
+    dest[point] = 1 + size
+    np.cumsum(dest, out=dest)
+    gap = dest[point] - size
+    out = np.full(int(dest[-1]) + 2, ord(" "), np.uint8)
+    out[gap] = out[-1] = ord("\n")
+    out[gap[colons]] = ord(" ")
+    out[dest] = raw  # last: an empty pair's gaps of size 0 start at bytes of raw
+    return str(out, "ascii")
+
+
 def _emit(payload: dict, csv_rows, args) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     else:
         header, rows = csv_rows
         buf = io.StringIO()
@@ -96,6 +131,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.emit_matrices and args.format == "csv":
+        print("error: --emit-matrices needs --format json: the CSV report has no place for matrices", file=sys.stderr)
+        return EXIT_INPUT
     spec = _load_spec(args.spec)
     scales = _site_scales(spec.z)
     per_m = []
@@ -113,13 +151,13 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and report.all_ok
         if args.emit_matrices:
             for i, scale in enumerate(scales):
-                matrices.append(
-                    {
-                        "m": m,
-                        "i": i + 1,  # 1-based site label on the wire
-                        "triplets": [[row, col, _ratio(val, scale)] for row, col, val in family.entries(i)],
-                    }
-                )
+                # H_i is D_i H_i over D_i, in lowest terms; a D_i past int64 makes the reduction Python ints
+                rows, cols, values = family.summed(i)
+                scale = np.array(scale, dtype=_exact_dtype(scale))
+                common = np.gcd(values, scale)
+                fractions = zip(rows.tolist(), cols.tolist(), (values // common).tolist(), (scale // common).tolist())
+                triplets = [[row, col, f"{num}/{den}" if den != 1 else str(num)] for row, col, num, den in fractions]
+                matrices.append({"m": m, "i": i + 1, "triplets": triplets})  # 1-based site label on the wire
     payload = {"per_m": per_m, "all_ok": all_ok}
     if args.emit_matrices:
         payload["matrices"] = matrices

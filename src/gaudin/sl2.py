@@ -286,23 +286,27 @@ class SparseOperator:
             return out
         return out * Fraction(1, self.denominator) if out.dtype == object else out / self.denominator
 
-    def entries(self, b: int = 0) -> list:
-        """(row, col, value) of X_b sorted by (row, col), entries at one position summed and zero sums dropped.
+    def summed(self, b: int = 0) -> tuple:
+        """Arrays (rows, cols, values) of X_b sorted by (row, col), entries at one position summed and zero sums dropped.
 
-        The values are ints, or Fractions over the denominator.
+        The values are the numerators over the denominator, of the dtype of coef.
         """
         lo, hi = self.start[b * self.rows], self.start[(b + 1) * self.rows]
         lengths = np.diff(self.start[b * self.rows : (b + 1) * self.rows + 1])
         keys = np.repeat(np.arange(self.rows) * self.dim, lengths) + self.cols[lo:hi]
         if not keys.size:
-            return []
+            return keys, keys, self.values[:0]
         order = np.argsort(keys)
         keys = keys[order]
         first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         sums = np.add.reduceat(self.values[lo:hi][order], first)
         keep = sums != 0
-        rows, cols = divmod(keys[first][keep], self.dim)
-        values = sums[keep].tolist()
+        return (*divmod(keys[first][keep], self.dim), sums[keep])
+
+    def entries(self, b: int = 0) -> list:
+        """(row, col, value) of summed(b) as Python numbers: ints, or Fractions over the denominator."""
+        rows, cols, values = self.summed(b)
+        values = values.tolist()
         if self.denominator != 1:
             values = [Fraction(v, self.denominator) for v in values]
         return list(zip(rows.tolist(), cols.tolist(), values))

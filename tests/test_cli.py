@@ -129,6 +129,14 @@ class TestVerify:
             [1, 1, "1/2"],
         ]
 
+    def test_emit_matrices_with_csv_exits_2(self, spec_file, capsys):
+        # the CSV report holds the per-m rows only: asking for matrices in it is an input error
+        path = spec_file('{"weights": [1, 2], "z": ["0", "1"]}')
+        assert main(["verify", "--spec", path, "--emit-matrices", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--emit-matrices needs --format json" in captured.err
+
     def test_emitted_matrices_are_the_public_hamiltonians(self, spec_file, capsys):
         # the CLI and build_hamiltonian read one operator: the triplets of (m, i + 1) are its entries
         spec = ModelSpec.from_json(SPEC_1234)
@@ -138,6 +146,17 @@ class TestVerify:
         for entry in payload["matrices"]:
             triplets = [(row, col, Fraction(value)) for row, col, value in entry["triplets"]]
             assert triplets == build_hamiltonian(spec, entry["i"] - 1, entry["m"]).entries()
+
+    def test_triplets_when_a_site_scale_passes_int64(self, spec_file, capsys):
+        # z_2 - z_1 = 10^20: D_i = 2 * 10^20 is past int64 while the entries of D_i H_i stay int64
+        text = '{"weights": [1, 2], "z": ["0", "100000000000000000000"]}'
+        spec = ModelSpec.from_json(text)
+        code, payload = run_json(["verify", "--spec", spec_file(text), "--emit-matrices"], capsys)
+        assert code == 0
+        for entry in payload["matrices"]:
+            triplets = [(row, col, Fraction(value)) for row, col, value in entry["triplets"]]
+            assert triplets == build_hamiltonian(spec, entry["i"] - 1, entry["m"]).entries()
+        assert [1, 0, "-1/50000000000000000000"] in payload["matrices"][4]["triplets"]
 
     @pytest.mark.parametrize("shifted", [None, "bottom", "top"])
     @pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3, 3, 4)])
@@ -366,3 +385,47 @@ class TestGoldenExactOutput:
         if args[0] == "singular":
             assert json.loads(out)["method"] == ("gordan" if args[-1] == "2" else "kernel")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[args]
+
+
+# strings that a JSON writer must keep intact: escapes, brackets, separators, non-ASCII and a newline
+TRICKY_STRINGS = ["\\", '"', '\\"', '\\\\"', "[", "]", "{", "}", ",", ":", '"]', '\\"}', "é", "\u2028", "𝄞", "a\nb", ""]
+
+
+class TestJsonText:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"strings": TRICKY_STRINGS, **{key: [key, {key: key}] for key in TRICKY_STRINGS}},
+            {"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": {"g": []}}, "h": [[], {}, [[{}]]]},
+            {"tuple": (1, (2, 3), ()), "nested": ((), [()])},
+            [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 5e-324, 2**63, -(2**70), 10**40],
+            {"t": True, "f": False, "n": None, "np": np.float64(-2.5), "list": [np.float64(1 / 3), None]},
+            [], {}, "x", 7, None,
+        ],
+        ids=["strings", "empty", "tuples", "numbers", "constants", "list", "dict", "str", "int", "null"],
+    )
+    def test_matches_the_indenting_encoder(self, payload):
+        assert gaudin.cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("decompose",),
+            ("verify",),
+            ("verify", "--emit-matrices"),
+            ("singular", "--m", "2"),
+            ("singular", "--m", "3"),
+            ("eigenbasis",),
+            ("bethe", "--m", "2"),
+        ],
+        ids=" ".join,
+    )
+    def test_every_command_writes_the_canonical_layout(self, args, spec_file, tmp_path, capsys):
+        # eigenbasis and bethe print floats, which no golden pin covers; --out writes the same bytes
+        argv = [args[0], "--spec", spec_file(SPEC_LADDER), *args[1:]]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        target = tmp_path / "report.json"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
