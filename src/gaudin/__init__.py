@@ -41,6 +41,7 @@ from .eigenbasis import (
     CompletenessError,
     DiagonalizationError,
     EigenBasis,
+    InvarianceError,
     EigenVector,
     build_eigenbasis,
     diagonalize_singular,
@@ -89,6 +90,7 @@ __all__ = [
     "CompletenessError",
     "DiagonalizationError",
     "EigenBasis",
+    "InvarianceError",
     "EigenVector",
     "build_eigenbasis",
     "diagonalize_singular",

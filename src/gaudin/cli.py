@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bethe import solve_bethe
-from .eigenbasis import DEFAULT_TOL, CompletenessError, DiagonalizationError, build_eigenbasis
+from .eigenbasis import DEFAULT_TOL, CompletenessError, DiagonalizationError, InvarianceError, build_eigenbasis
 from .hamiltonians import _site_scales, _verified_levels
 from .singular import (
     singular_basis_gordan,
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvarianceError as exc:  # a ValueError, but a failed exact check, not bad input
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (OSError, json.JSONDecodeError, KeyError, ValueError, ZeroDivisionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

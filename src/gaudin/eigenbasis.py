@@ -65,6 +65,10 @@ class CompletenessError(RuntimeError):
     """The assembled level does not span its weight subspace."""
 
 
+class InvarianceError(ValueError):
+    """An exact check failed: some H_i does not preserve the kernel of E (a verification failure)."""
+
+
 @dataclass
 class EigenVector:
     """One common eigenvector, in coordinates over the weight space basis.
@@ -236,8 +240,9 @@ def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
     The frame of _singular_frame is checked exactly to be invariant under
-    every H_i (E D_i H_i = D_i H_i E, decided by hamiltonians._vanishing); the symmetric
-    restrictions are jointly diagonalized (seed draws the combination).
+    every H_i (E D_i H_i = D_i H_i E, decided by hamiltonians._vanishing;
+    InvarianceError otherwise); the symmetric restrictions are jointly
+    diagonalized (seed draws the combination).
     Eigenvectors are returned in V_m coordinates with unit norm, their
     singular residuals max|E v| / max|v| and eigenvector residuals gated by
     DEFAULT_TOL.  A one-vector subspace gets the exact eigenvalues
@@ -263,7 +268,7 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
         items = [(1, raise_e, 0, ints, i, i) for i in range(spec.n_sites)]
         items += [(-1, below, i, raise_e, 0, i) for i in range(spec.n_sites)]
         if not _vanishing(items).all():
-            raise ValueError("operator does not preserve the kernel of the raising operator")
+            raise InvarianceError("operator does not preserve the kernel of the raising operator")
     root, basis, vecs, eigs = _singular_eigen(spec.weights, m, count, gathers, seed)
     coords = (basis @ vecs) / root[:, None]
     exact = None

@@ -26,16 +26,19 @@ in the sparse rows of SparseOperator, whose sum must vanish.  _vanishing
 decides the groups multi-modularly (Dumas, Giorgi and Pernet, ACM TOMS 35,
 2008).  A Python-int bound B_g on every entry of group g's sum comes first:
 |(A B)[t, c]| is at most the largest row sum of |A| times that of |B|.  The
-group's moduli are the fewest primes below 2^31 (_prime) whose product M_g
-exceeds 2 B_g, and every entry of its sum is formed in int64 residues modulo
-each of them: a residue below 2^31 squared stays below 2^62, and each product
-is reduced before it is summed.  An entry e with |e| <= B_g < M_g / 2 that
-vanishes modulo every prime is a multiple of M_g, hence 0; one nonzero
-residue proves e != 0.  So each decision is exact with no tolerance, and a
-fault changes the bound its own group is checked against.  The products are
-sorted by target entry once per batch, and every prime sums its residues in
-that shared order.  The total H is the scalar sum(weights) - 2m on V_m, so
-it needs no check.
+group's moduli (_moduli) are 2^64 and then the fewest primes below 2^31
+(_prime) whose product with it, M_g, exceeds 2 B_g; a group with B_g < 2^63
+needs no prime.  Modulo 2^64 every entry of the sum is formed in uint64,
+where products and sums wrap: the residues of int64 entries are their own
+bits.  Modulo a prime it is formed in int64 residues: a residue below 2^31
+squared stays below 2^62, and each product is reduced before it is summed.
+An entry e with |e| <= B_g < M_g / 2 that vanishes modulo every modulus is
+a multiple of M_g, hence 0; one nonzero residue proves e != 0.  So each
+decision is exact with no tolerance, and a fault changes the bound its own
+group is checked against.  Each modulus adds its products by target entry
+into one accumulator with np.add.at, and only the entries it touches are
+zeroed and read.  The total H is the scalar sum(weights) - 2m on V_m, so it
+needs no check.
 
 For float or complex z, _gather_forms writes every H_i as 2N - 1 gathers
 (the diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j),
@@ -100,6 +103,7 @@ def _pair_map(weights: tuple[int, ...], m: int):
 
 
 _BATCH = 1 << 13  # the most products of single entries one batch of _vanishing holds, unless one row holds more
+_SPAN = 1 << 20  # the most target entries (row, column) one batch of _vanishing spans, unless one row spans more
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,12 +173,12 @@ def _prime(k: int) -> int:
 
 
 def _moduli(bound: int) -> list:
-    """The fewest of _prime(0), _prime(1), ... (at least one) whose product exceeds 2 bound."""
-    primes, product = [], 1
-    while not primes or product <= 2 * bound:
-        primes.append(_prime(len(primes)))
-        product *= primes[-1]
-    return primes
+    """2^64, then the fewest of _prime(0), _prime(1), ... whose product with 2^64 exceeds 2 bound."""
+    moduli, product = [2**64], 2**64
+    while product <= 2 * bound:
+        moduli.append(_prime(len(moduli) - 1))
+        product *= moduli[-1]
+    return moduli
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray):
@@ -184,11 +188,13 @@ def _expand(starts: np.ndarray, counts: np.ndarray):
 
 
 def _reduced(x: np.ndarray, prime: int) -> np.ndarray:
-    """x modulo prime in place, for int64 x >= 0.
+    """x modulo prime in place, for int64 x >= 0; x itself for prime = 2^64, where uint64 arithmetic wraps.
 
     Written as x - (x // prime) prime: NumPy divides an int64 array by one
     number several times faster than it takes remainders.
     """
+    if prime == 2**64:
+        return x
     quotient = x // prime
     quotient *= prime
     x -= quotient
@@ -212,28 +218,28 @@ def _vanishing(items) -> np.ndarray:
 
     An item (c, A, a, B, b, group) is c A_a B_b, with A and B integer
     sl2.SparseOperators and c a Python int; the items of a group map between
-    the same spaces.  Each group is decided modulo its own primes, the fewest
-    whose product exceeds twice its entry of _bounds.  The groups are ranked
-    by that count, most first, so that prime q serves a prefix of the ranks,
+    the same spaces.  Each group is decided modulo the _moduli of its entry
+    of _bounds: 2^64, on the uint64 SparseOperator.wrapped, then its primes,
+    on int64 residues below 2^31.  The groups are ranked by their prime
+    counts, most first, so that each modulus serves a prefix of the ranks,
     and an operand is reduced modulo the primes of the first rank it meets.
-    The items are expanded, row by row, into their products of single
-    entries, keyed by target entry (rank, row, column).  Once per batch the
-    key goes into the high bits of an int64 above the index of its product,
-    and one np.sort brings equal keys together.  Each prime then gathers the
-    residues of its prefix of the products in that shared order, and
-    np.add.reduceat sums each run.  A batch is a run of consecutive (rank,
-    row) pairs whose products, bounded by the entries of each row of A_a
-    times the widest row of B_b, number at most _BATCH (more only when one
-    pair does); it keeps every key below 2^32.  While no pair holds more than
-    2^31 products, a key and its index fit in 63 bits, and a run, at most
-    2^31 products reduced below 2^31, sums below 2^62.  No float is used.
+    The items are expanded, row by row and in rank order, into their
+    products of single entries, so a modulus serves a prefix of them too.
+    A batch is a run of consecutive (rank, row) pairs whose products,
+    bounded by the entries of each row of A_a times the widest row of B_b,
+    number at most _BATCH, and whose target entries span at most _SPAN (more
+    only when one pair does).  Each modulus zeroes one accumulator at the
+    batch-local keys (pair - p0) height + column of its products' target
+    entries, adds the products there by np.add.at and reads the sums back:
+    the cost is linear in the products.  While no target entry gathers 2^32
+    products, a sum of prime residues stays below 2^63.  No float is used.
     """
     bounds = _bounds(items)
-    counts = [len(_moduli(bound)) for bound in bounds]
+    counts = [len(_moduli(bound)) - 1 for bound in bounds]  # the primes of each group
     # rank r is the group order[r]: the groups by their prime counts, most first
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     rank, need = np.argsort(order).tolist(), [counts[g] for g in order]
-    primes = _moduli(max(bounds))
+    moduli = _moduli(max(bounds))
     # one pool of the operands' rows: each operand's first row and first entry in it, and the primes of the
     # first rank it comes in, the most it meets; per item: its rank, the pool rows of A_a and of B_b, the
     # rows of A, the widest row of B_b and c
@@ -251,12 +257,13 @@ def _vanishing(items) -> np.ndarray:
         height = max(height, y.dim)
     start = np.concatenate([op.start[:-1] + e for op, e, _ in operands] + [[entries]])
     cols = np.concatenate([op.cols for op, *_ in operands])
-    # residues[q]: the entries modulo prime q of the operands that need it, a prefix of the pool (the
-    # operands come in rank order, most primes first)
-    residues = [op.residues(primes[:n]) for op, _, n in operands]
-    residues = [np.concatenate([r[q] for r in residues if len(r) > q]) for q in range(len(primes))]
+    # residues[q]: the entries modulo moduli[q] of the operands that need it, a prefix of the pool (the
+    # operands come in rank order, most primes first); scale[q]: each c modulo moduli[q]
+    primed = [op.residues(moduli[1 : n + 1]) for op, _, n in operands if n]
+    residues = [np.concatenate([op.wrapped for op, *_ in operands])]
+    residues += [np.concatenate([r[q] for r in primed if len(r) > q]) for q in range(len(moduli) - 1)]
+    scale = [np.array([c % q for c in factors], dtype=np.uint64 if q == 2**64 else np.int64) for q in moduli]
     group, a_row, b_row, n_rows, b_width = np.array(table).T
-    scale = np.array([[c % q for c in factors] for q in primes], dtype=np.int64)
     # the target rows of all ranks as one sequence of pairs (rank, row), rank r's from offset[r] on;
     # load[p] bounds the products of the pairs before p: row t of A_a adds its entries times the widest
     # row of B_b to pair offset[rank] + t
@@ -267,44 +274,38 @@ def _vanishing(items) -> np.ndarray:
     load = np.zeros(offset[-1] + 1, dtype=np.int64)
     np.add.at(load, offset[group[item]] + rows - a_row[item] + 1, (start[rows + 1] - start[rows]) * b_width[item])
     load = np.cumsum(load)
-    served = [sum(n > q for n in need) for q in range(len(primes))]  # prime q serves the ranks below served[q]
+    served = [sum(n >= q for n in need) for q in range(len(moduli))]  # moduli[q] serves the ranks below served[q]
+    acc = np.empty(0, dtype=np.int64)
     ok = np.ones(len(bounds), dtype=bool)
     p0 = 0
     while p0 < offset[-1]:
-        # a batch: the most pairs from p0 on that load bounds by _BATCH products, at least one, and the
-        # rows of each item of their ranks that it holds
+        # a batch: the most pairs from p0 on that load bounds by _BATCH products and that span at most _SPAN
+        # target entries, at least one, and the rows of each item of their ranks that it holds
         p1 = int(np.searchsorted(load, load[p0] + _BATCH, side="right")) - 1
-        p1 = min(max(p1, p0 + 1), p0 + (1 << 32) // height)
+        p1 = max(min(p1, p0 + _SPAN // height), p0 + 1)
+        if acc.size < (p1 - p0) * height:  # one accumulator: int64 for the primes, viewed as uint64 for 2^64
+            acc = np.empty((p1 - p0) * height, dtype=np.int64)
         lo, hi = np.searchsorted(group, np.searchsorted(offset, [p0, p1], side="right") - [1, 0])
         base = offset[group[lo:hi]]
         low, high = np.maximum(p0 - base, 0), np.minimum(p1 - base, n_rows[lo:hi])
         item, rows = _expand(a_row[lo:hi] + low, np.maximum(high - low, 0))
         item += lo
-        head = offset[group[item]] + rows - a_row[item] - p0
+        head = (offset[group[item]] + rows - a_row[item] - p0) * height  # the key of column 0
         unit, ea = _expand(start[rows], start[rows + 1] - start[rows])
-        head = (head * height)[unit]  # the key of column 0
         batch = item[unit]
         b_rows = b_row[batch] + cols[ea]
         owner, eb = _expand(start[b_rows], start[b_rows + 1] - start[b_rows])
-        if owner.size:
-            bits = (owner.size - 1).bit_length()
-            packed = (head[owner] + cols[eb]) << bits
-            packed |= np.arange(owner.size)
-            packed.sort()
-            mask = (1 << bits) - 1
-            owner, eb = owner[packed & mask], eb[packed & mask]  # in key order
-            key = np.right_shift(packed, bits, out=packed)  # in place: the batch holds one array fewer
-            runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            most = need[np.searchsorted(offset, p0, side="right") - 1]  # the primes of the batch's first rank
-            for q, prime in enumerate(primes[:most]):
-                stop = np.searchsorted(key, (offset[served[q]] - p0) * height)
-                starts = runs[: np.searchsorted(runs, stop)]
-                cut = np.searchsorted(group[batch], served[q])  # the units of those ranks come first
-                product = _reduced(residues[q][ea[:cut]] * scale[q, batch[:cut]], prime)[owner[:stop]]
-                product *= residues[q][eb[:stop]]
-                _reduced(product, prime)
-                wrong = _reduced(np.add.reduceat(product, starts), prime) != 0
-                ok[np.searchsorted(offset, key[starts[wrong]] // height + p0, side="right") - 1] = False
+        key = head[unit][owner] + cols[eb]
+        most = need[np.searchsorted(offset, p0, side="right") - 1] + 1  # the moduli of the batch's first rank
+        for q, modulus in enumerate(moduli[:most]):
+            cut = np.searchsorted(group[batch], served[q])  # the units of those ranks come first
+            stop = np.searchsorted(owner, cut)
+            product = _reduced(residues[q][ea[:cut]] * scale[q][batch[:cut]], modulus)[owner[:stop]]
+            product *= residues[q][eb[:stop]]
+            at, total = key[:stop], acc if q else acc.view(np.uint64)
+            total[at] = 0
+            np.add.at(total, at, _reduced(product, modulus))
+            ok[group[batch[owner[:stop][_reduced(total[at], modulus) != 0]]]] = False
         p0 = p1
     return ok[rank]
 

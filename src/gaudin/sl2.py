@@ -261,9 +261,10 @@ class SparseOperator:
     the entries start[b * rows + t] up to start[b * rows + t + 1] of cols
     and values; widths[b], the most entries a row of X_b has, bounds its
     row lengths, and rowsums[b], the largest sum of |coef| over a row, its
-    row sums.  residues(primes) holds the values modulo each prime as
-    int32, each reduced once: the exact checks of hamiltonians._vanishing
-    read these integer parts only.
+    row sums.  The exact checks of hamiltonians._vanishing read these
+    integer parts only, and the values modulo their moduli: wrapped, the
+    values modulo 2^64 as uint64 (a view of int64 values), and
+    residues(primes), modulo each prime as int32; each is reduced once.
     """
 
     def __init__(self, src: np.ndarray, coef: np.ndarray, dim: int, denominator: int = 1):
@@ -274,7 +275,10 @@ class SparseOperator:
         self.values = coef.transpose(1, 2, 0)[present.transpose(1, 2, 0)]
         self.start = np.concatenate([[0], np.cumsum(lengths)])
         self.widths = lengths.max(axis=1, initial=0).tolist()
-        sums = np.sum(np.abs(np.where(present, coef, 0)), axis=0)
+        terms = np.where(present, coef, 0)
+        if coef.dtype != object and coef.size and src.shape[0] * max(int(coef.max()), -int(coef.min())) >= 2**63:
+            terms = terms.astype(object)  # int64 row sums could wrap
+        sums = np.sum(np.abs(terms), axis=0)
         self.rowsums = [int(x) for x in np.max(sums, axis=1, initial=0)]
         self._residues = {}
         for array in (src, coef, self.cols, self.values, self.start):
@@ -323,6 +327,13 @@ class SparseOperator:
         """Dense X_b, shape (rows, dim); dtype=object gives exact ints, or Fractions over the denominator."""
         arr = self._over(_scatter(self.src[:, b], self.coef[:, b, :, None], self.dim, object))
         return arr if dtype is object else arr.astype(dtype)
+
+    @functools.cached_property
+    def wrapped(self) -> np.ndarray:
+        """The values modulo 2^64 as uint64."""
+        if self.values.dtype == object:
+            return (self.values % 2**64).astype(np.uint64)
+        return self.values.view(np.uint64)
 
     def residues(self, primes) -> np.ndarray:
         """The values modulo each of primes, one int32 row per prime."""

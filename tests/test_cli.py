@@ -222,6 +222,17 @@ class TestNumericFailureExit:
         assert payload["all_ok"] is False
         assert payload["per_m"][0]["commuting"] is False
 
+    def test_failed_invariance_check_maps_to_1(self, spec_file, monkeypatch, capsys):
+        # E D_i H_i = D_i H_i E failing exactly is a verification failure, not an input error
+        from gaudin import eigenbasis
+
+        monkeypatch.setattr(eigenbasis, "_vanishing", lambda items: np.zeros(len(items), dtype=bool))
+        code = main(["eigenbasis", "--spec", spec_file(SPEC_222), "--m-max", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verification failure: operator does not preserve the kernel" in captured.err
+
 
 class TestSingular:
     def test_three_site_level_two_count(self, spec_file, capsys):

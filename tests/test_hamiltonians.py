@@ -112,6 +112,49 @@ def reference_report(spec, m):
     return VerifyReport(commuting, not total.any(), symmetry)
 
 
+def dense(op, b=0):
+    """(X_b of the integer SparseOperator op as a dense matrix, the largest row sum of its |entries|, the
+    largest |entry|), in int64 when the row sums of |coef|, summed in floats, are below 2^62 (so surely
+    below 2^63), and in Python ints otherwise."""
+    int64 = op.coef.dtype == np.int64 and np.abs(op.coef[:, b]).astype(float).sum(axis=0).max(initial=0) < 2**62
+    mat = _scatter(op.src[:, b], op.coef[:, b, :, None], op.dim, np.int64 if int64 else object)
+    absolute = np.abs(mat)
+    return mat, int(absolute.sum(axis=1).max(initial=0)), int(absolute.max(initial=0))
+
+
+def exact_product(a, b):
+    """x @ y for dense(x) and dense(y), exact: row t sums x[t, s] y[s] over the nonzero x[t, s], in int64
+    only when the widest row of x times the largest entry of y is below 2^63, in Python ints otherwise."""
+    (x, widest, _), (y, _, largest) = a, b
+    if not (widest * largest < 2**63 and x.dtype == y.dtype == np.int64):
+        x, y = x.astype(object), y.astype(object)
+    rows, cols = np.nonzero(x)
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=x.dtype)
+    if rows.size:
+        first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        out[rows[first]] = np.add.reduceat(x[rows, cols, None] * y[cols], first)
+    return out
+
+
+def dense_report(spec, m):
+    """verify_family's report from dense exact products of the same integer matrices."""
+    family = {k: _exact_family(spec, k) for k in (m - 1, m, m + 1) if 0 <= k <= spec.total_weight}
+    family = {k: [dense(op, i) for i in range(spec.n_sites)] for k, op in family.items()}
+    scales = _site_scales(spec.z)
+    whole = math.lcm(*scales)
+    here = family[m]
+    total = sum(op.astype(object) * (whole // d) for (op, *_), d in zip(here, scales))
+    commuting = all(np.array_equal(exact_product(a, b), exact_product(b, a))
+                    for k, a in enumerate(here) for b in here[k + 1 :])
+    symmetry = True
+    for k, gen in ((m - 1, "E"), (m + 1, "F")):
+        if k in family:
+            g = dense(build_total_generator(gen, spec, m))
+            symmetry = symmetry and all(np.array_equal(exact_product(x, g), exact_product(g, h))
+                                        for x, h in zip(family[k], here))
+    return VerifyReport(commuting, not total.any(), symmetry)
+
+
 def bench_ladder(weights, seed):
     """The benchmark's ladder specs: z_k = (k^2 + 1)/(k + 2), shifted by a seeded nonzero k/97 unless seed is 1729."""
     import random
@@ -611,6 +654,37 @@ def capture_items(monkeypatch):
     return calls
 
 
+def row_operator(rows, dim, dtype=np.int64):
+    """An integer SparseOperator X_0 whose row t holds the (column, value) pairs rows[t], a column possibly repeated."""
+    src = np.full((max(map(len, rows), default=0) or 1, 1, len(rows)), dim)
+    coef = np.zeros(src.shape, dtype=dtype)
+    for t, row in enumerate(rows):
+        for h, (col, value) in enumerate(row):
+            src[h, 0, t], coef[h, 0, t] = col, value
+    return SparseOperator(src, coef, dim)
+
+
+def reference_vanishing(items) -> list:
+    """_vanishing's answer by dense products of Python ints."""
+    sums = {}
+    for c, x, a, y, b, g in items:
+        sums[g] = sums.get(g, 0) + c * (x.to_array(object, a) @ y.to_array(object, b))
+    return [not np.any(sums[g]) for g in range(max(sums) + 1)]
+
+
+def spy_residues(monkeypatch) -> dict:
+    """Record, by id of operator, the counts of primes SparseOperator.residues is asked for."""
+    requested = {}
+    residues = SparseOperator.residues
+
+    def spy(op, primes):
+        requested.setdefault(id(op), set()).add(len(primes))
+        return residues(op, primes)
+
+    monkeypatch.setattr(SparseOperator, "residues", spy)
+    return requested
+
+
 class TestVanishing:
     """The residue check against the Python-int reference route."""
 
@@ -627,10 +701,13 @@ class TestVanishing:
             assert not any(odd_prime(n) for n in range(lo + 2, hi, 2))
 
     def test_moduli_are_the_fewest_above_twice_the_bound(self):
-        for bound in (0, 1, 2**30, 2**31, 2**61, 2**62 - 1, 2**100, 3**70):
-            primes = _moduli(bound)
-            assert math.prod(primes) > 2 * bound
-            assert len(primes) == 1 or math.prod(primes[:-1]) <= 2 * bound
+        # 2^64 first, then primes only while the product does not exceed twice the bound
+        for bound in (0, 1, 2**30, 2**31, 2**61, 2**62 - 1, 2**63 - 1, 2**63, 2**94, 2**100, 3**70):
+            moduli = _moduli(bound)
+            assert moduli[0] == 2**64 and moduli[1:] == [_prime(k) for k in range(len(moduli) - 1)]
+            assert math.prod(moduli) > 2 * bound
+            assert len(moduli) == 1 or math.prod(moduli[:-1]) <= 2 * bound
+        assert len(_moduli(2**63 - 1)) == 1 and len(_moduli(2**63)) == 2
 
     @pytest.mark.parametrize("big", [False, True])
     def test_agrees_with_the_reference_on_random_gather_forms(self, rng, big):
@@ -657,11 +734,11 @@ class TestVanishing:
 
     @pytest.mark.parametrize("batch", [None, 1 << 6, 1 << 4])
     def test_each_group_is_decided_modulo_its_own_primes(self, rng, monkeypatch, batch):
-        # groups of small entries (one or two primes) beside groups of 2^70-sized ones (three or more) in
-        # one call: every decision is the Python-int one, an operand that only small groups meet is
-        # reduced modulo one prime, and a fault equal to _prime(0), which vanishes modulo that prime, is
-        # still found, because it raises its own group's bound; with all groups in one batch, a few rows
-        # per batch, or one
+        # groups of small entries (2^64 alone, or with one prime) beside groups of 2^70-sized ones (three
+        # primes or more) in one call: every decision is the Python-int one, an operand that only groups
+        # bounded below 2^63 meet is never reduced modulo a prime, and a fault of 2^64, which vanishes
+        # modulo the first modulus, is still found, because it raises its own group's bound; with all
+        # groups in one batch, a few rows per batch, or one
         if batch is not None:
             monkeypatch.setattr(hamiltonians, "_BATCH", batch)
         dim = enumerate_weight_space((2, 2, 1), 2).dim
@@ -670,35 +747,28 @@ class TestVanishing:
         identity = hamiltonians._identity_rows(dim)
         coef = small[0].coef.copy()
         h, t = next((h, t) for t in range(dim) for h in range(3) if small[0].src[h, 0, t] != dim)
-        coef[h, 0, t] += _prime(0)
+        coef[h, 0, t] += 2**64
         faulty = SparseOperator(small[0].src, coef, dim)
         items = [(1, faulty, 0, identity, 0, 0), (-1, small[0], 0, identity, 0, 0),
                  (1, big[0], 0, big[1], 0, 1), (-1, big[0], 0, big[1], 0, 1),
                  (1, small[1], 0, small[0], 0, 2), (-1, small[1], 0, small[0], 0, 2),
                  (1, small[1], 0, identity, 0, 3),
                  (1, big[1], 0, big[0], 0, 4)]
-        counts = [len(_moduli(bound)) for bound in _bounds(items)]
-        assert counts[0] == 2 and counts[2] == counts[3] == 1 and min(counts[1], counts[4]) >= 3
-        requested = {}
-        residues = SparseOperator.residues
-
-        def spy(op, primes):
-            requested.setdefault(id(op), set()).add(len(primes))
-            return residues(op, primes)
-
-        monkeypatch.setattr(SparseOperator, "residues", spy)
-        want = [0] * len(counts)
-        for c, x, a, y, b, g in items:
-            want[g] = want[g] + c * (x.to_array(object, a) @ y.to_array(object, b))
-        assert list(_vanishing(items)) == [not total.any() for total in want] == [False, True, True, False, False]
-        assert requested[id(small[1])] == {1} and max(requested[id(big[0])]) == max(counts)
+        counts = [len(_moduli(bound)) - 1 for bound in _bounds(items)]  # the primes of each group
+        assert counts[0] == 1 and counts[2] == counts[3] == 0 and min(counts[1], counts[4]) >= 3
+        requested = spy_residues(monkeypatch)
+        assert list(_vanishing(items)) == reference_vanishing(items) == [False, True, True, False, False]
+        assert id(small[1]) not in requested and max(requested[id(big[0])]) == max(counts)
 
     def test_every_level_of_random_specs(self, rng):
-        for _ in range(100):
+        # against dense products, which the column walk of reference_report cross-checks on the first specs
+        for k in range(100):
             spec = random_spec(rng, n_max=5, lam_max=4)
             for m in range(spec.total_weight + 1):
                 report = verify_family(spec, m)
-                assert report == reference_report(spec, m)
+                assert report == dense_report(spec, m)
+                if k < 10:
+                    assert report == reference_report(spec, m)
                 assert report.all_ok
 
     @pytest.mark.parametrize("seed", [1729, 555])
@@ -711,8 +781,9 @@ class TestVanishing:
                 report = verify_family(spec, m)
                 assert report == reference_report(spec, m)
                 assert report.all_ok
+        # both ladders still need primes past 2^64, the seed-555 one (Python-int families) several
         moduli = max(len(_moduli(max(_bounds(items)))) for items in calls)
-        assert moduli >= 3
+        assert moduli >= (3 if seed == 555 else 2)
 
     @pytest.mark.parametrize("fault", ["one", "prime", "identity"])
     def test_injected_faults(self, fault, monkeypatch):
@@ -730,7 +801,11 @@ class TestVanishing:
                     coef[0, 1] += 5 * _site_scales(spec.z)[1]
                 else:
                     hop = int(np.flatnonzero(src[1:, 1, 7] != src.shape[2])[0]) + 1  # a present hop of D_1 H_1
-                    coef[hop, 1, 7] += 1 if fault == "one" else _prime(0)
+                    if fault == "one":
+                        coef[hop, 1, 7] += 1
+                    else:  # 2^64, which only a prime finds, on Python ints (the family is int64)
+                        coef = coef.astype(object)
+                        coef[hop, 1, 7] += 2**64
             return src, coef
 
         monkeypatch.setattr(hamiltonians, "_integer_gathers", faulty)
@@ -743,13 +818,13 @@ class TestVanishing:
         assert reports[1].commuting is (fault == "identity")
         assert reports[0].commuting and reports[0].sum_zero and reports[2].commuting and reports[2].sum_zero
         if fault == "prime":
-            # the fault vanishes modulo the first prime: only the larger bound it brings decides it
+            # the fault 2^64 vanishes modulo the first modulus: only the prime its larger bound brings finds it
             assert clean_moduli == 1
             assert max(len(_moduli(max(_bounds(items)))) for items in calls) > 1
 
     def test_reports_across_batch_boundaries(self, rng, monkeypatch):
         # with _BATCH at 64 products every call spans many batches; the seed-555 ladder needs several
-        # primes, and its groups fewer or more of them
+        # primes past 2^64, and its groups fewer or more of them
         monkeypatch.setattr(hamiltonians, "_BATCH", 1 << 6)
         calls = capture_items(monkeypatch)
         batches = []
@@ -772,16 +847,16 @@ class TestVanishing:
         (items,) = calls
         counts = {len(_moduli(bound)) for bound in _bounds(items)}
         assert len(counts) > 1 and max(counts) >= 3
-        assert len(batches) > 2 * 100  # _vanishing expands twice per batch
-        # a fault equal to _prime(0) in the last row of D_5 H_5 makes every check of it a multiple of that
-        # prime: only the second prime of each group it reaches, in a late batch, finds it
+        assert len(batches) > 3 * 100  # _vanishing expands three times per batch (once more per call)
+        # a fault of 2^64 in the last row of D_5 H_5 makes every check of it a multiple of 2^64: only the
+        # first prime of each group it reaches, in a late batch, finds it
         original = hamiltonians._integer_gathers
 
         def faulty(spec, m, sites=None):
             src, coef = original(spec, m, sites)
             if m == 3 and sites is None:
                 hop = int(np.flatnonzero(src[1:, 5, -1] != src.shape[2])[0]) + 1
-                coef[hop, 5, -1] += _prime(0)
+                coef[hop, 5, -1] += 2**64
             return src, coef
 
         monkeypatch.setattr(hamiltonians, "_integer_gathers", faulty)
@@ -814,11 +889,10 @@ class TestVanishing:
 
     def test_bound_covers_every_entry(self, rng, monkeypatch):
         # the proven bound is at least the largest |entry| of each group's sum, in Python ints, and of
-        # each item alone (the sums of verify_family's groups vanish); the residue sums stay in int64:
-        # at most (products per entry) * 2^31 < 2^63; and a sorted key, below 2^32 above the index of
-        # its product in a batch of at most max(_BATCH, the bound on the products of a target row: the
-        # entries of that row of A_a times the widest row of B_b, over the group's items) products, fits
-        # 63 bits
+        # each item alone (the sums of verify_family's groups vanish); the prime residue sums stay in
+        # int64: at most (products per entry) * 2^31 < 2^63; and the products of a target row are at most
+        # the bound the batches are cut by: the entries of that row of A_a times the widest row of B_b,
+        # over the group's items
         calls = capture_items(monkeypatch)
         for _ in range(12):
             spec = random_spec(rng, n_max=4, lam_max=3)
@@ -848,6 +922,98 @@ class TestVanishing:
             for g, total in sums.items():
                 assert max((abs(v) for v in np.ravel(total)), default=0) <= bounds[g]
                 assert np.all(row_products[g] <= row_bound[g])
-            widest = max(hamiltonians._BATCH, *(np.max(r, initial=0) for r in row_bound.values()))
-            index_bits = (widest - 1).bit_length()
-            assert 32 + index_bits < 63
+
+
+class TestVanishingBoundaries:
+    """_vanishing at the edges of its moduli and shapes, against the Python-int reference."""
+
+    # one row [x, y] times a column of ones: group 0's bound is |c| (|x| + |y|), its one entry c (x + y);
+    # group 1 sums (1 + c) (x + y)
+    @pytest.mark.parametrize("c, x, y, primes", [
+        (1, 2**62, 2**62 - 1, 0),  # bound 2^63 - 1: 2^64 alone
+        (1, 2**62, -(2**62 - 1), 0),  # bound 2^63 - 1, entry 1
+        (1, 2**62, 2**62, 1),  # bound 2^63: 2^64 and a prime; the entry 2^63 is not 0 modulo 2^64
+        (1, -(2**62), -(2**62), 1),  # the entry -2^63, 2^63 modulo 2^64
+        (1, -(2**62), 2**62, 1),  # a sum of 0 at bound 2^63
+        (1, -(2**61), 2**61, 0),  # the uint64 sum wraps past 2^64 to 0
+        (1, -3, -4, 0),  # a negative sum: 2^64 - 7 as uint64
+        (-1, -(2**61), 2**61 - 5, 0),
+        (2**64 - 1, 3, -2, 1),  # c = -1 modulo 2^64: group 1, 2^64, vanishes modulo 2^64, and a prime finds it
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_bounds_around_two_to_the_63(self, monkeypatch, c, x, y, primes, dtype):
+        requested = spy_residues(monkeypatch)
+        a = row_operator([[(0, x), (1, y)]], 2, dtype)
+        ones = row_operator([[(0, 1)], [(0, 1)]], 1)
+        assert a.values.dtype == dtype
+        items = [(c, a, 0, ones, 0, 0), (1, a, 0, ones, 0, 1), (c, a, 0, ones, 0, 1)]
+        bounds = _bounds(items)
+        assert bounds[0] == abs(c) * (abs(x) + abs(y))
+        assert len(_moduli(bounds[0])) == 1 + primes
+        assert list(_vanishing(items)) == reference_vanishing(items)
+        assert _vanishing(items[:1]).tolist() == [x + y == 0]
+        assert (id(a) in requested) is (len(_moduli(max(bounds))) > 1)
+
+    def test_several_items_hit_one_target_entry(self):
+        # each item adds several products at the entry (0, 0), and the items of a group cancel there
+        # only together; the others beside them stay unchanged
+        a = row_operator([[(0, 2**62), (1, -7), (0, 5)], [(1, 1)]], 2)
+        b = row_operator([[(0, 3), (0, -(2**60))], [(0, 2), (1, 4)]], 2)
+        a_sum = row_operator([[(0, 2**62 + 5), (1, -7)], [(1, 1)]], 2, object)
+        b_sum = row_operator([[(0, 3 - 2**60)], [(0, 2), (1, 4)]], 2, object)
+        for c in (1, 2**40, 2**64 + 3):
+            items = [(c, a, 0, b, 0, 0), (-c, a_sum, 0, b_sum, 0, 0),
+                     (c, a, 0, b, 0, 1), (c, a, 0, b, 0, 1), (-2 * c, a_sum, 0, b_sum, 0, 1),
+                     (c, a, 0, b, 0, 2), (c, a_sum, 0, b, 0, 2), (-c, a, 0, b_sum, 0, 2),
+                     (c, a, 0, b, 0, 3), (-c - 1, a_sum, 0, b_sum, 0, 3)]
+            assert list(_vanishing(items)) == reference_vanishing(items) == [True, True, False, False]
+            assert list(_vanishing(items[:5])) == [True, True]
+
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_operands_with_zero_rows(self, monkeypatch, batch):
+        # E on V_0 and F on the top level map to the zero space: their groups vanish with no rows to
+        # check, beside groups that do not
+        if batch is not None:
+            monkeypatch.setattr(hamiltonians, "_BATCH", batch)
+        spec = ladder_spec((1, 2, 2))
+        top = spec.total_weight
+        e, f = hamiltonians._generator("E", spec.weights, 0), hamiltonians._generator("F", spec.weights, top)
+        assert e.rows == f.rows == 0
+        low, high = _exact_family(spec, 0), _exact_family(spec, top)
+        faulty = with_entries(_exact_family(spec, 1), 0, [0], [0], [1])
+        here = _exact_family(spec, 1)
+        for items in ([(1, e, 0, low, 1, 0)], [(1, e, 0, low, 1, 0), (-3, f, 0, high, 2, 1)],
+                      [(1, e, 0, low, 0, 0), (1, faulty, 0, here, 1, 1), (-1, here, 1, faulty, 0, 1),
+                       (1, f, 0, high, 2, 2), (2**70, e, 0, low, 2, 3), (1, here, 0, here, 1, 4),
+                       (-1, here, 1, here, 0, 4)]):
+            assert list(_vanishing(items)) == reference_vanishing(items)
+        assert list(_vanishing(items)) == [True, False, True, True, True]
+
+    @pytest.mark.parametrize("span", [1, 40])
+    def test_span_caps_the_batches(self, rng, monkeypatch, span):
+        # with _SPAN at one target entry every batch holds one target row, and at 40 as many rows of
+        # dim V_m columns as fit: the batches are cut by the span of their target entries
+        monkeypatch.setattr(hamiltonians, "_SPAN", span)
+        batches = []
+        expand = hamiltonians._expand
+
+        def counted(starts, counts):
+            batches.append(starts.size)
+            return expand(starts, counts)
+
+        monkeypatch.setattr(hamiltonians, "_expand", counted)
+        for _ in range(3):
+            spec = random_spec(rng, n_max=4, lam_max=3)
+            n = spec.n_sites
+            for m in range(spec.total_weight + 1):
+                batches.clear()
+                assert verify_family(spec, m) == dense_report(spec, m)
+                dim = [enumerate_weight_space(spec, k).dim if 0 <= k <= spec.total_weight else 0
+                       for k in (m - 1, m, m + 1)]
+                # the target rows: dim V_m per commutator and for the sum, dim V_m-1 and dim V_m+1 per site
+                rows = (n * (n - 1) // 2 + 1) * dim[1] + n * (dim[0] + dim[2])
+                # one _expand for the load, then three per batch
+                assert (len(batches) - 1) % 3 == 0
+                assert (len(batches) - 1) // 3 >= rows / max(1, span // dim[1])
+                if span == 1:
+                    assert len(batches) == 1 + 3 * rows

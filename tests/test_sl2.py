@@ -335,3 +335,16 @@ class TestSparseOperator:
         # the checks read the integer parts: row sums and residues ignore the denominator
         assert op.rowsums == [3, 5]
         assert op.residues([7, 5]).tolist() == [[1, 2, 3, 5], [1, 2, 3, 0]]
+        assert op.wrapped.tolist() == [1, 2, 3, 5]
+
+    @pytest.mark.parametrize("values, wrapped, dtype", [
+        ((2**62, 2**62), (2**62, 2**62), np.int64),
+        ((-1, -(2**63)), (2**64 - 1, 2**63), np.int64),
+        ((2**70 - 1, -(2**64) - 5), (2**64 - 1, 2**64 - 5), object),
+    ])
+    def test_wrapped_values_and_row_sums_past_int64(self, values, wrapped, dtype):
+        # the values modulo 2^64 are the bits of int64 values read as uint64, or Python ints reduced; a
+        # row sum of |values| at 2^63 or more is taken in Python ints, not wrapped
+        op = SparseOperator(np.array([[[0]], [[1]]]), np.array(values, dtype=dtype).reshape(2, 1, 1), 2)
+        assert op.wrapped.dtype == np.uint64 and op.wrapped.tolist() == list(wrapped)
+        assert op.rowsums == [sum(map(abs, values))]
