@@ -359,6 +359,7 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     """
     if m < 1 or m != int(m):
         raise ValueError("m must be an integer of at least 1")
+    m = int(m)
     z = np.asarray(z, dtype=complex)
     weights = _checked_sites(weights, z)
     if not np.all(np.isfinite(z)):

@@ -8,14 +8,14 @@ at once by the index-map gathers of sl2._lower).
 The singular eigenvectors come from the Shapovalov form S, diagonal on the
 basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
 symmetric for S (Mukhin, Tarasov and Varchenko, Ann. of Math. 170, 2009), so
-for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  An SVD of the
-scaled total raising operator, scattered from sl2._raising_gathers, gives an
-orthonormal frame of the scaled singular subspace, and the exact
-intertwining E H_i = H_i E makes it invariant; the restricted Hamiltonians
-are jointly diagonalized by eigh of one seeded random combination
-(_singular_eigen, whose eigenvalues the Bethe layer shares).  Every
-eigenvector is verified by its singular and eigenvector residuals in V_m
-coordinates.  No dense Hamiltonian is built: the H_i act by the gathers of
+for real z the scaled S^1/2 H_i S^-1/2 is real symmetric.  One thin QR of
+the exact basis of ker E from the extremal projector (singular._projected),
+scaled by S^1/2, gives an orthonormal frame of the scaled singular subspace,
+and the exact intertwining E H_i = H_i E makes it invariant.  The restricted
+Hamiltonians are jointly diagonalized by eigh of one seeded random
+combination (_singular_eigen, whose eigenvalues the Bethe layer shares).
+Every eigenvector is verified by its singular and eigenvector residuals in
+V_m coordinates.  No dense operator is built: the H_i act by the gathers of
 hamiltonians._gather_forms, from the correctly rounded floats of the exact
 differences z_i - z_j.
 """
@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hamiltonians import _exact_family, _gather_forms, _site_scales, _vanishing
-from .singular import singular_dimension
+from .singular import _projected, singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
     ModelSpec,
@@ -38,7 +38,6 @@ from .sl2 import (
     _lowering_map,
     _pad,
     _raising_gathers,
-    _scatter,
     _shapovalov_norms,
     enumerate_weight_space,
 )
@@ -101,33 +100,23 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def _shapovalov_root(weights, m: int) -> np.ndarray:
-    """The diagonal of S^1/2 on V_m, as floats."""
-    return np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
-
-
 def _singular_frame(weights, m: int, count: int):
     """(root, basis): the diagonal of S_m^1/2 and an orthonormal frame of S_m^1/2 ker E.
 
-    count is the exact singular_dimension.  The dense total E from V_m to
-    V_{m-1} is scattered from sl2._raising_gathers, and basis holds the last
-    count right singular vectors of S_{m-1}^1/2 E S_m^-1/2 as columns.  The
-    squares of that matrix's singular values, the eigenvalues of F E on V_m,
-    are k (sum(weights) - 2m + k + 1) with multiplicity
-    singular_dimension(m - k), k = 1..m, all at least 2; a relative error
-    above DEFAULT_TOL raises DiagonalizationError.
+    count is the exact singular_dimension.  The columns of singular._projected,
+    an exact basis of ker E, are scaled by root and normalized, and basis is
+    the Q of their thin QR.  A block without count columns, or with some
+    |R_jj| at or below DEFAULT_TOL_RANK, raises DiagonalizationError.
     """
-    root = _shapovalov_root(weights, m)
-    raise_e = _scatter(*_raising_gathers(weights, m), len(root), float)
-    scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
-    _, values, vt = np.linalg.svd(scaled)
-    counts = [singular_dimension(weights, m - k) for k in range(1, m + 1)]
-    k = np.arange(1, m + 1)  # the squares ascend in k
-    expected = np.repeat(k * (sum(weights) - 2 * m + k + 1.0), counts)
-    error = np.max(np.abs(np.sort(values**2) - expected) / expected, initial=0.0)
-    if error > DEFAULT_TOL:
-        raise DiagonalizationError(f"frame singular values off by {error:.3e} relative", error)
-    return root, vt[-count:].T
+    root = np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
+    block = _projected(weights, m)
+    # each column over its largest entry before the float conversion: Python-int columns may pass the float range
+    block = root[:, None] * (block / np.max(np.abs(block), axis=0)).astype(float)
+    basis, upper = np.linalg.qr(block / np.linalg.norm(block, axis=0))
+    worst = float(np.min(np.abs(np.diag(upper)), initial=np.inf))
+    if block.shape[1] != count or worst <= DEFAULT_TOL_RANK:
+        raise DiagonalizationError(f"frame of {block.shape[1]} of {count} columns has min |R_jj| {worst:.3e}", worst)
+    return root, basis
 
 
 def _eig(mat: np.ndarray, real: bool):
@@ -185,10 +174,10 @@ def _singular_eigen(weights, m: int, count: int, hams, seed):
     """(root, basis, vecs, eigs): the joint eigenvectors of the H_i on the singular subspace of V_m.
 
     hams is the family gather form of the H_i.  Their restrictions
-    basis^T S^1/2 H_i S^-1/2 basis to the frame of _singular_frame are
-    jointly diagonalized: column j of vecs is an eigenvector in frame
-    coordinates, (basis @ vecs) / root[:, None] in V_m coordinates, and
-    eigs[i, j] the eigenvalue of H_i on it.
+    basis^T S^1/2 H_i S^-1/2 basis to the QR frame of the projector block
+    (_singular_frame) are jointly diagonalized: column j of vecs is an
+    eigenvector in frame coordinates, (basis @ vecs) / root[:, None] in V_m
+    coordinates, and eigs[i, j] the eigenvalue of H_i on it.
     """
     root, basis = _singular_frame(weights, m, count)
     chunks = _images(hams, basis / root[:, None])  # columns S^-1/2 basis[:, s]
@@ -239,10 +228,10 @@ def _level_family(spec: ModelSpec, m: int):
 def diagonalize_singular(spec: ModelSpec, m: int, seed=DEFAULT_SEED):
     """Common eigenvectors of all Hamiltonians on the singular subspace of V_m.
 
-    The frame of _singular_frame is checked exactly to be invariant under
-    every H_i (E D_i H_i = D_i H_i E, decided by hamiltonians._vanishing;
-    InvarianceError otherwise); the symmetric restrictions are jointly
-    diagonalized (seed draws the combination).
+    ker E is checked exactly to be invariant under every H_i (E D_i H_i =
+    D_i H_i E, decided by hamiltonians._vanishing; InvarianceError
+    otherwise); the symmetric restrictions to the frame of _singular_frame
+    are jointly diagonalized (seed draws the combination).
     Eigenvectors are returned in V_m coordinates with unit norm, their
     singular residuals max|E v| / max|v| and eigenvector residuals gated by
     DEFAULT_TOL.  A one-vector subspace gets the exact eigenvalues

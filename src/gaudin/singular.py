@@ -16,9 +16,9 @@ cross-check, applies the sl2 extremal projector prod_k (1 - F E / c_k)
 (Asherova, Smirnov and Tolstoy, Theor. Math. Phys. 8, 1971) to the ballot
 states of V_m, the highest-weight states of the crystal (Kashiwara's
 signature rule), through the same index maps.  It is valid for every m,
-including the truncated regime m > min(weights) where the Gordan route is
-not offered.  Both routes run on NumPy int64 blocks while a Python-int bound
-on every entry they form stays below 2^62, and on Python ints above it.
+the truncated regime m > min(weights) included, and its block gives the
+eigenbasis layer its frame.  Both routes run on NumPy int64 blocks while a
+bound on every entry they form stays below 2^62, and on Python ints above it.
 """
 
 from __future__ import annotations
@@ -222,19 +222,13 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
     return SingularBasis(m, tuple(labels[i] for i in order), vectors)
 
 
-def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
-    """The extremal projector applied to the ballot states of V_m, as primitive int vectors.
+def _projected(weights: tuple, m: int) -> np.ndarray:
+    """The extremal projector times an integer on each ballot state of V_m: an exact basis of ker E.
 
-    The ballot states n have n_k <= sum_{j<k} (lam_j - 2 n_j) at every site k,
-    so n_0 = 0: the highest-weight states of the crystal, singular_dimension
-    of them.  They complement F V_{m-1}, the kernel of the projector; for
-    m <= min(weights) they are the Gordan labels with 0 prepended, and the
-    Gordan basis is unitriangular on them.  The projector prod_k (1 - F E / c_k), c_k = k (sum(weights) - 2m + k + 1),
-    over the k with Sing V_{m-k} nonzero, is applied as v <- c_k v - F E v.
-    It is orthogonal for the Shapovalov form, so each vector is positive at its
-    own state; the vectors follow the enumeration order of their states.
+    The ballot states n, n_k <= sum_{j<k} (lam_j - 2 n_j) at every site k, are the highest-weight states of
+    the crystal and complement F V_{m-1}, the kernel of prod_k (1 - F E / c_k) over the k with Sing V_{m-k}
+    nonzero, c_k = k (sum(weights) - 2m + k + 1), applied as v <- c_k v - F E v.  An int64 or object block.
     """
-    weights = _weights_of(spec_or_weights)
     space = enumerate_weight_space(weights, m)
     states = np.array(space.states).reshape(space.dim, len(weights))
     step = np.array(weights) - 2 * states
@@ -251,5 +245,15 @@ def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
     unit = np.ones((len(weights), 1), dtype=dtype)
     for c in scales:
         vecs = c * vecs - _lower(_gather_sum(_pad(vecs), src, coef), lower, unit)
+    return vecs
+
+
+def singular_basis_kernel(spec_or_weights, m: int) -> SingularBasis:
+    """The columns of _projected over their gcds: primitive int vectors, in the order of their states.
+
+    For m <= min(weights) the ballot states are the Gordan labels with 0 prepended, and the Gordan basis is
+    unitriangular on them.  The projector is Shapovalov-orthogonal, so each vector is positive at its own state.
+    """
+    vecs = _projected(_weights_of(spec_or_weights), m)
     vecs //= np.gcd.reduce(vecs, axis=0)
     return SingularBasis(m, None, tuple(map(tuple, vecs.T.tolist())))

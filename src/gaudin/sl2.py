@@ -75,9 +75,14 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
-        """Parse {"weights": [...], "z": ["p/q", ...]} with exact rational z."""
+        """Parse {"weights": [...], "z": ["p/q", ...]} with exact rational z; ValueError on any other shape."""
         data = json.loads(text)
-        return cls(tuple(data["weights"]), tuple(Fraction(s) for s in data["z"]))
+        try:  # TypeError or KeyError: not an object of two lists, or an entry no int or Fraction reads
+            if not isinstance(data["weights"], list) or not isinstance(data["z"], list):
+                raise TypeError('"weights" and "z" must be lists')
+            return cls(tuple(data["weights"]), tuple(Fraction(s) for s in data["z"]))
+        except (TypeError, KeyError, OverflowError) as exc:  # OverflowError: an infinite z
+            raise ValueError(f"malformed spec: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps({"weights": list(self.weights), "z": [str(x) for x in self.z]})

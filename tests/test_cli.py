@@ -46,9 +46,26 @@ class TestDecompose:
         assert code == 0
         assert payload["dims"][2] == {"m": 2, "dim": 6, "binomial": 6, "truncated": False}
 
-    def test_malformed_rational_exits_2(self, spec_file, capsys):
-        path = spec_file('{"weights": [1, 1], "z": ["1//2", "0"]}')
-        assert main(["decompose", "--spec", path]) == 2
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"weights": [1, 1], "z": ["1//2", "0"]}',
+            "[1, 2]",
+            '{"weights": 3, "z": ["0", "1"]}',
+            '{"weights": [1, 1], "z": [null, "1"]}',
+            '{"weights": [1, 1], "z": "01"}',
+            '{"weights": [1, null], "z": ["0", "1"]}',
+            '{"weights": [1, 1], "z": [Infinity, "1"]}',
+            '{"weights": [1, 1]}',
+        ],
+        ids=["bad-rational", "not-an-object", "scalar-weights", "null-z", "string-z", "null-weight", "infinite-z",
+             "missing-z"],
+    )
+    def test_malformed_rational_exits_2(self, spec_file, capsys, text):
+        # every malformed spec is an input error (exit 2), not a verification failure with a traceback
+        with pytest.raises(ValueError):
+            ModelSpec.from_json(text)
+        assert main(["decompose", "--spec", spec_file(text)]) == 2
         assert "input error" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):

@@ -21,8 +21,8 @@ from gaudin import (
     verify_nonsingularity,
 )
 from gaudin import bethe, eigenbasis, hamiltonians
-from gaudin.eigenbasis import _joint_eigen, _shapovalov_root, _singular_eigen, _singular_frame
-from gaudin.sl2 import DEFAULT_SEED
+from gaudin.eigenbasis import _joint_eigen, _singular_eigen, _singular_frame
+from gaudin.sl2 import DEFAULT_SEED, _shapovalov_norms
 
 from conftest import random_spec
 
@@ -39,6 +39,22 @@ def angle_between(a, b):
 
 def joint_residual(mats, vecs, eigs):
     return max(np.max(np.abs(mat @ vecs - vecs * e)) for mat, e in zip(mats, eigs))
+
+
+def shapovalov_root(weights, m):
+    """The diagonal of S^1/2 on V_m, as floats."""
+    return np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
+
+
+def scaled_raising(weights, m):
+    """S_{m-1}^1/2 E S_m^-1/2 from the dense total E: F E on V_m has the squares of its singular values."""
+    raise_e = build_total_generator("E", weights, m).to_array(float)
+    return shapovalov_root(weights, m - 1)[:, None] * raise_e / shapovalov_root(weights, m)
+
+
+def svd_frame(weights, m, count):
+    """The reference frame of S^1/2 ker E: the last count right singular vectors of scaled_raising."""
+    return np.linalg.svd(scaled_raising(weights, m))[2][-count:].T
 
 
 def near_degenerate_family(seed, gap):
@@ -218,11 +234,11 @@ class TestRestriction:
     def test_non_singular_frame_fails_the_gate(self, monkeypatch):
         # an orthonormal frame of the complement of the kernel: its lowered
         # vacuum is a joint eigenvector, but not a singular one
+        original = eigenbasis._singular_frame
+
         def complement(weights, m, count):
-            raise_e = build_total_generator("E", weights, m).to_array(float)
-            root = _shapovalov_root(weights, m)
-            scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / root
-            return root, np.linalg.svd(scaled)[2][:count].T
+            root, basis = original(weights, m, count)
+            return root, np.linalg.qr(basis, mode="complete")[0][:, count:]
 
         monkeypatch.setattr(eigenbasis, "_singular_frame", complement)
         with pytest.raises(DiagonalizationError, match="singular residual") as err:
@@ -230,16 +246,15 @@ class TestRestriction:
         assert err.value.worst_residual > 1e-9
 
 
+FRAME_CASES = [((3,) * 7, 3), ((4,) * 5, 4), ((2, 3, 3, 4), 2), ((1, 1, 3), 2)]
+
+
 class TestSingularFrame:
-    @pytest.mark.parametrize(
-        "weights, m", [((3,) * 7, 3), ((4,) * 5, 4), ((2, 3, 3, 4), 2), ((1, 1, 3), 2)]
-    )
+    @pytest.mark.parametrize("weights, m", FRAME_CASES)
     def test_squared_singular_values_are_known_exactly(self, weights, m):
         # E's Shapovalov adjoint is F, so the squares are the eigenvalues of F E
         # on V_m: k (sum - 2m + k + 1) with multiplicity singular_dimension(m - k)
-        raise_e = build_total_generator("E", weights, m).to_array(float)
-        scaled = _shapovalov_root(weights, m - 1)[:, None] * raise_e / _shapovalov_root(weights, m)
-        computed = np.sort(np.linalg.svd(scaled, compute_uv=False) ** 2)
+        computed = np.sort(np.linalg.svd(scaled_raising(weights, m), compute_uv=False) ** 2)
         expected = np.sort([
             float(k * (sum(weights) - 2 * m + k + 1))
             for k in range(1, m + 1)
@@ -249,22 +264,30 @@ class TestSingularFrame:
         assert np.max(np.abs(computed - expected) / expected) <= 1e-12
         assert expected[0] == sum(weights) - 2 * m + 2
 
-    def test_perturbed_total_e_fails_the_frame_gate(self, monkeypatch):
-        # one entry of E moved by 1e-6 of the largest: the squared singular
-        # values leave the exact multiset, in both layers of the shared routine
-        weights, m = (2, 2, 2, 2), 2
+    @pytest.mark.parametrize("weights, m", FRAME_CASES + [((2, 3, 3, 4), 0), ((1, 1, 3), 0)])
+    def test_projector_frame_spans_the_svd_frame(self, weights, m):
+        # (1, 1, 3) at m = 2 is truncated; the principal cosines of two
+        # orthonormal frames are the singular values of their overlap
         count = singular_dimension(weights, m)
-        raise_e = build_total_generator("E", weights, m).to_array(float)
-        _singular_frame(weights, m, count)
-        perturbed = raise_e.copy()
-        perturbed[0, 0] += 1e-6 * np.max(raise_e)
-        # the frame scatters its dense E from the index maps
-        monkeypatch.setattr(eigenbasis, "_scatter", lambda *args: perturbed)
-        with pytest.raises(DiagonalizationError, match="frame singular values") as err:
-            _singular_frame(weights, m, count)
-        assert err.value.worst_residual > eigenbasis.DEFAULT_TOL
-        with pytest.raises(DiagonalizationError, match="frame singular values"):
-            solve_bethe(ladder_spec(weights), m)
+        root, basis = _singular_frame(weights, m, count)
+        assert np.array_equal(root, shapovalov_root(weights, m))
+        assert basis.shape == (len(root), count)
+        assert np.max(np.abs(basis.T @ basis - np.eye(count))) <= 1e-13
+        cosines = np.linalg.svd(basis.T @ svd_frame(weights, m, count), compute_uv=False)
+        assert np.min(cosines) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("columns", [[0, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5]])
+    def test_deficient_block_fails_the_frame_gate(self, monkeypatch, columns):
+        # a repeated column leaves its |R_jj| at rounding level, a missing one
+        # the wrong count, in both layers of the shared routine
+        spec = ladder_spec((2, 2, 2, 2))
+        original = eigenbasis._projected
+        monkeypatch.setattr(eigenbasis, "_projected", lambda *args: original(*args)[:, columns])
+        with pytest.raises(DiagonalizationError, match=f"frame of {len(columns)} of 6 columns") as err:
+            diagonalize_singular(spec, 2)
+        assert (err.value.worst_residual <= eigenbasis.DEFAULT_TOL_RANK) == (len(columns) == 6)
+        with pytest.raises(DiagonalizationError, match="frame of"):
+            solve_bethe(spec, 2)
 
 
 class TestSharedRoutine:
