@@ -16,15 +16,15 @@ eigenvector, y(x) = prod_k (x - w_k) solves
 so P and V are built from one array of cofactors.  V interpolates
 V(z_i) = P(z_i) Lambda_i with Lambda_i = sum_k 1/(z_i - w_k), of degree N - 2
 as sum_i E_i = sum_i E_i^vac.  At m = 1 this reads V (x - w) = P, so the
-roots are those of P.  So y is the null vector of a linear map on
-polynomials of degree m, and each of the singular_dimension eigenvectors
-gives one root set: no random starts and no duplicates.  The maps of all
-eigenvectors share R y'' - P y' and go through one batched SVD.  The
-eigenvectors come from the routine of the eigenbasis layer,
-eigenbasis._singular_eigen (with S the diagonal Shapovalov norms,
-S^1/2 H_i S^-1/2 is real symmetric for real z, complex symmetric
-otherwise).  Every root set is polished by one batched Newton on f_k with
-its analytic Jacobian and reported only when its residual reaches
+roots are those of P.  The map y -> R y'' - P y' + V y is triangular on the
+monomials, so the monic y follows by back-substitution with known positive
+pivots, for all eigenvectors at once, and each of the singular_dimension
+eigenvectors gives one root set: no random starts, no duplicates and no
+general-purpose solver.  The eigenvectors come from the routine of the
+eigenbasis layer, eigenbasis._singular_eigen (with S the diagonal
+Shapovalov norms, S^1/2 H_i S^-1/2 is real symmetric for real z, complex
+symmetric otherwise).  Every root set is polished by one batched Newton on
+f_k with its analytic Jacobian and reported only when its residual reaches
 DEFAULT_TOL_ROOT.
 
 No exact operator and no dense Hamiltonian is built.  Each solve or
@@ -259,31 +259,24 @@ def _diagnostics(weights, z: np.ndarray, roots: np.ndarray, hams, vacuum):
     return _singular_residual(weights, roots.shape[1], psi), eigenvalues, _residual(hams, psi, eigenvalues.T)
 
 
-def _heine_stieltjes_matrices(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
-    """Matrices of y -> R y'' - P y' + V y on polynomials of degree <= m, one per column of v_coeffs.
+def _heine_stieltjes_polynomials(p_coeffs, r_coeffs, v_coeffs, m: int) -> np.ndarray:
+    """Monic y of degree m with R y'' - P y' + V y = 0, one row per column of v_coeffs, x^d at index d.
 
-    Column d of each matrix is the image d(d-1) R x^(d-2) - d P x^(d-1) + V x^d
-    of x^d, highest coefficient first, written by slicing; the rows are those
-    of the polymul route, which pads columns 0 and 1 to len(R).
-    tests/test_bethe.py checks the matrices against polymul bit for bit.
+    The image of x^e has degree e + N - 2, so the x^(d+N-2) coefficient of the
+    map holds y_d..y_m only, y_d with the pivot (m - d)(sum(lam) - m - d + 1),
+    positive for d < m <= sum(lam) / 2; sum(lam) leads P.
     """
-    size = max(len(r_coeffs) + max(m - 1, 1) - 1, len(p_coeffs) + max(m, 1) - 1)
-    mats = np.zeros((v_coeffs.shape[1], size, m + 1), dtype=complex)
-    for d in range(m + 1):
-        low = size - d  # one row below x^d
-        if d >= 2:
-            mats[:, low + 2 - len(r_coeffs) : low + 2, d] = d * (d - 1) * r_coeffs
-        if d >= 1:
-            mats[:, low + 1 - len(p_coeffs) : low + 1, d] -= d * p_coeffs
-        mats[:, low - len(v_coeffs) : low, d] += v_coeffs.T
-    return mats
-
-
-def _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m: int) -> list:
-    """Roots of the null vector y of each map of _heine_stieltjes_matrices, from one batched SVD."""
-    mats = _heine_stieltjes_matrices(p_coeffs, r_coeffs, v_coeffs, m)
-    # coefficient of x^d at index d of each null vector
-    return [np.roots(y[::-1]) for y in np.linalg.svd(mats)[2][:, -1].conj()]
+    n = len(r_coeffs) - 1
+    # ascending coefficients behind m + 2 zeros: index k + m + 2 holds x^k, which reads 0 for k < 0
+    r, p, v = (np.concatenate([np.zeros((m + 2,) + c.shape[1:]), c[::-1]]) for c in (r_coeffs, p_coeffs, v_coeffs))
+    y = np.zeros((v_coeffs.shape[1], m + 1), dtype=complex)
+    y[:, m] = 1
+    for d in range(m - 1, -1, -1):
+        e = np.arange(d + 1, m + 1)
+        k = d + n - e + m + 2  # the x^(d+N-e) coefficient of R multiplies y_e
+        terms = e * (e - 1) * r[k] - e * p[k - 1] + v[k - 2].T
+        y[:, d] = -np.sum(terms * y[:, d + 1 :], axis=1) / ((m - d) * (p_coeffs[0] - m - d + 1))
+    return y
 
 
 def _eigenbasis_roots(weights, lam, z, m, count, hams, vacuum, seed) -> np.ndarray:
@@ -291,16 +284,15 @@ def _eigenbasis_roots(weights, lam, z, m, count, hams, vacuum, seed) -> np.ndarr
 
     The eigenvalue tuples come from eigenbasis._singular_eigen, the routine
     of the eigenbasis layer, on the gather forms hams (seeded by seed).  Each
-    tuple gives V from the cofactors that also give P.  The tuples only
-    start the polish, so no residual gate applies to them.
+    tuple gives V from the cofactors that also give P, and V the monic y whose
+    m roots start the polish, so no residual gate applies to the tuples.
     """
     energies = _singular_eigen(weights, m, count, hams, seed)[-1]
     p_coeffs, r_coeffs, cofactors = _site_polynomials(lam, z)
     # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
     v_coeffs = (cofactors.T @ (vacuum[:, None] - energies))[1:]
-    rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
-    w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
-    w, res = _polish(lam, z, w.reshape(-1, m))
+    y = _heine_stieltjes_polynomials(p_coeffs, r_coeffs, v_coeffs, m)
+    w, res = _polish(lam, z, np.array([np.roots(row[::-1]) for row in y], dtype=complex))
     return w[res <= DEFAULT_TOL_ROOT]
 
 

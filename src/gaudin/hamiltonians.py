@@ -63,12 +63,12 @@ from .sl2 import (
     ModelSpec,
     SparseOperator,
     enumerate_weight_space,
+    _checked_sites,
     _exact_dtype,
     _generator,
     _lowering_map,
     _raising_gathers,
     _scatter,
-    _weights_of,
 )
 
 
@@ -334,10 +334,10 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     The entries of _gather_forms are added into a zero matrix: off the
     diagonal each position comes from one hop of one pair, so every entry,
     the sign of a zero part included, is the one a sum over the pairs in
-    ascending order gives.
+    ascending order gives; ValueError unless weights and z follow ModelSpec.
     """
     z = np.asarray(z, dtype=complex)
-    src, coef = _gather_forms(_weights_of(weights), z[:, None] - z, m)
+    src, coef = _gather_forms(_checked_sites(weights, z), z[:, None] - z, m)
     return _scatter(src[:, i], coef[:, i], src.shape[2], complex)
 
 

@@ -42,9 +42,7 @@ def _checked_sites(weights, z) -> tuple[int, ...]:
         raise ValueError("need at least two sites")
     if len(z) != len(weights):
         raise ValueError("weights and z must have the same length")
-    ints = tuple(int(w) for w in weights)
-    if any(w < 1 or w != given for w, given in zip(ints, weights)):
-        raise ValueError("weights must be positive integers")
+    ints = _weights_of(weights)
     if len(set(z)) != len(z):
         raise ValueError("site parameters z must be pairwise distinct")
     return ints
@@ -75,13 +73,15 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
-        """Parse {"weights": [...], "z": ["p/q", ...]} with exact rational z; ValueError on any other shape."""
+        """Parse {"weights": [ints], "z": ["p/q" or int, ...]} with exact rational z; ValueError on any other shape."""
         data = json.loads(text)
-        try:  # TypeError or KeyError: not an object of two lists, or an entry no int or Fraction reads
+        try:  # TypeError or KeyError: not an object of two lists, or an entry of another JSON type
             if not isinstance(data["weights"], list) or not isinstance(data["z"], list):
                 raise TypeError('"weights" and "z" must be lists')
-            return cls(tuple(data["weights"]), tuple(Fraction(s) for s in data["z"]))
-        except (TypeError, KeyError, OverflowError) as exc:  # OverflowError: an infinite z
+            if any(type(w) is not int for w in data["weights"]) or any(type(x) not in (int, str) for x in data["z"]):
+                raise TypeError('weights must be JSON integers and z JSON integers or "p/q" strings, no float or bool')
+            return cls(tuple(data["weights"]), tuple(Fraction(x) for x in data["z"]))
+        except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed spec: {exc}") from None
 
     def to_json(self) -> str:
@@ -89,9 +89,13 @@ class ModelSpec:
 
 
 def _weights_of(spec_or_weights) -> tuple[int, ...]:
+    """The weights of a ModelSpec, or the given weights as ints once each is an integer >= 1; ValueError otherwise."""
     if isinstance(spec_or_weights, ModelSpec):
         return spec_or_weights.weights
-    return tuple(int(w) for w in spec_or_weights)
+    ints = tuple(int(w) for w in spec_or_weights)
+    if any(w < 1 or w != given for w, given in zip(ints, spec_or_weights)):
+        raise ValueError("weights must be positive integers")
+    return ints
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,8 +30,7 @@ from gaudin.bethe import (
     _cofactors,
     _collapse,
     _diagnostics,
-    _heine_stieltjes_matrices,
-    _heine_stieltjes_roots,
+    _heine_stieltjes_polynomials,
     _jacobian,
     _lowering_map,
     _hamiltonian_gathers,
@@ -42,7 +41,7 @@ from gaudin.bethe import (
     _vacuum,
     _z_scale,
 )
-from gaudin.eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_frame
+from gaudin.eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_eigen, _singular_frame
 from gaudin.hamiltonians import _vacuum_eigenvalue, hamiltonian_array
 from gaudin.sl2 import DEFAULT_SEED, _gather_sum, _pad, _raising_gathers
 
@@ -111,9 +110,8 @@ def vandermonde_root_sets(weights, z, m):
     p_coeffs, r_coeffs, _ = _site_polynomials(lam, z)
     fit = np.polyval(p_coeffs, z)[:, None] * site_sums
     v_coeffs = np.linalg.lstsq(np.vander(z, len(z) - 1), fit, rcond=None)[0]
-    rows = _heine_stieltjes_roots(p_coeffs, r_coeffs, v_coeffs, m)
-    w = np.array([row for row in rows if len(row) == m and np.all(np.isfinite(row))], dtype=complex)
-    w, res = _polish(lam, z, w.reshape(-1, m))
+    y = _heine_stieltjes_polynomials(p_coeffs, r_coeffs, v_coeffs, m)
+    w, res = _polish(lam, z, np.array([np.roots(row[::-1]) for row in y], dtype=complex))
     return [roots for roots, _, _ in _collapse(lam, z, w[res <= gaudin.bethe.DEFAULT_TOL_ROOT])]
 
 
@@ -332,6 +330,16 @@ class TestPolish:
         assert res[0] <= 1e-14
         assert np.max(np.abs(w[0] - exact)) < 1e-14
         assert res[0] == np.max(np.abs(_residuals(lam, z, w)))
+
+    def test_singular_jacobian_keeps_the_start(self, monkeypatch):
+        # a step that cannot be solved for ends the polish: every row keeps its start and its residual
+        lam = np.array([2.0, 2.0])
+        z = np.array([0.0 + 0j, 1.0 + 0j])
+        start = np.array([[0.5 - 0.3j, 0.5 + 0.3j], [0.2 + 0.1j, 0.7 - 0.2j]])
+        monkeypatch.setattr(gaudin.bethe, "_jacobian", lambda lam, z, w: np.zeros(w.shape + w.shape[-1:], complex))
+        w, res = _polish(lam, z, start.copy())
+        assert np.array_equal(w, start)
+        assert np.array_equal(res, np.max(np.abs(_residuals(lam, z, start)), axis=-1))
 
     def test_sorted_roots_match_the_scalar_key(self):
         # real parts near the 9-decimal rounding boundary and conjugate pairs
@@ -644,27 +652,51 @@ class TestSpans:
 class TestBatchedLayer:
     """The batched float routines against the one-at-a-time routines they replaced."""
 
-    def test_stacked_heine_stieltjes_matrices_match_polymul(self):
-        rng = np.random.default_rng(808)
-        for n in range(2, 9):
-            lam = rng.integers(1, 4, n).astype(float)
-            real_z = np.arange(n) + rng.uniform(0, 0.5, n) + 0j
-            site_polys = _site_polynomials(lam, real_z)[:2]  # R comes out real for real z
-            for m in range(1, 6):
-                random_polys = (
-                    rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                    rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1),
-                )
-                v = rng.standard_normal((n - 1, 4)) + 1j * rng.standard_normal((n - 1, 4))
-                for p, r in (random_polys, site_polys):
-                    stacked = _heine_stieltjes_matrices(p, r, v, m)
-                    rows = _heine_stieltjes_roots(p, r, v, m)
-                    assert stacked.shape[0] == len(rows) == 4
-                    for s in range(4):
-                        reference = heine_stieltjes_matrix_reference(p, r, v[:, s], m)
-                        assert np.array_equal(stacked[s], reference)
-                        y = np.linalg.svd(reference)[2][-1].conj()
-                        assert np.array_equal(rows[s], np.roots(y[::-1]))
+    @pytest.mark.parametrize(
+        "weights, m, z",
+        [(weights, m, z) for weights, m in (((3,) * 7, 3), ((2, 3, 3, 4), 2), ((4,) * 5, 4), ((2,) * 8, 4), ((1,) * 10, 5))
+         for z in ("real", "complex")]
+        + [((1, 1, 1), 1, "equilateral")],
+    )
+    def test_back_substitution_solves_the_map_of_each_singular_eigenvector(self, weights, m, z):
+        n = len(weights)
+        ladder = np.array([(k * k + 1) / (k + 2) for k in range(n)], dtype=complex)
+        z = {
+            "real": ladder,
+            "complex": ladder + 0.25j * (np.arange(n) % 3),
+            "equilateral": np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)]),  # a double root at m = 1
+        }[z]
+        lam = np.array(weights, dtype=float)
+        count = singular_dimension(weights, m)
+        energies = _singular_eigen(weights, m, count, _hamiltonian_gathers(weights, z, m), DEFAULT_SEED)[-1]
+        p, r, cofactors = _site_polynomials(lam, z)
+        v = (cofactors.T @ (_vacuum(weights, z)[:, None] - energies))[1:]
+        y = _heine_stieltjes_polynomials(p, r, v, m)
+        assert y.shape == (count, m + 1) and np.all(y[:, m] == 1)
+        svd_rows = []
+        for s in range(count):
+            reference = heine_stieltjes_matrix_reference(p, r, v[:, s], m)
+            # every row, the top one and the N - 2 lowest that the recurrence never
+            # reads included, against the sizes of its R, P and V terms
+            high = y[s][::-1]
+            terms = [np.polymul(r, np.polyder(high, 2)), np.polymul(p, np.polyder(high)), np.polymul(v[:, s], high)]
+            sizes = sum(np.abs(np.pad(term, (len(reference) - len(term), 0))) for term in terms)
+            assert np.all(np.abs(reference @ y[s]) <= 1e-9 * sizes)
+            null = np.linalg.svd(reference)[2][-1].conj()
+            svd_rows.append(np.roots(null[::-1]))
+        routes = []
+        for rows in ([np.roots(row[::-1]) for row in y], svd_rows):
+            w, res = _polish(lam, z, np.array(rows, dtype=complex))
+            routes.append(_collapse(lam, z, w[res <= gaudin.bethe.DEFAULT_TOL_ROOT]))
+        ours, remaining = routes
+        assert len(ours) == len(remaining) and sum(mult for _, _, mult in ours) == count
+        for roots, _, mult in ours:
+            gaps = _multiset_gaps(roots, np.array([other for other, _, _ in remaining]))
+            j = int(np.argmin(gaps))
+            # a double root polishes only to about sqrt(machine epsilon), so a
+            # cluster's mean is compared at the collapse width
+            assert gaps[j] <= (1e-12 if mult == 1 else 1e-7) * _z_scale(z) and remaining[j][2] == mult
+            remaining.pop(j)
 
     def test_cofactors_times_their_factor_give_r(self):
         rng = np.random.default_rng(17)

@@ -57,9 +57,12 @@ class TestDecompose:
             '{"weights": [1, null], "z": ["0", "1"]}',
             '{"weights": [1, 1], "z": [Infinity, "1"]}',
             '{"weights": [1, 1]}',
+            '{"weights": [true, 2], "z": ["0", "1"]}',
+            '{"weights": [1, 2], "z": [false, true]}',
+            '{"weights": [1, 2], "z": [0.1, 1]}',
         ],
         ids=["bad-rational", "not-an-object", "scalar-weights", "null-z", "string-z", "null-weight", "infinite-z",
-             "missing-z"],
+             "missing-z", "bool-weight", "bool-z", "float-z"],
     )
     def test_malformed_rational_exits_2(self, spec_file, capsys, text):
         # every malformed spec is an input error (exit 2), not a verification failure with a traceback

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaudin import (
+    CompletenessError,
     DiagonalizationError,
     ModelSpec,
     build_eigenbasis,
@@ -28,6 +29,7 @@ from conftest import random_spec
 
 
 SPEC2 = ModelSpec((1, 1), (Fraction(0), Fraction(1)))
+SPEC3 = ModelSpec((1, 1, 1), (Fraction(0), Fraction(1), Fraction(2)))
 
 
 def angle_between(a, b):
@@ -400,6 +402,47 @@ class TestBuildEigenbasis:
             build_eigenbasis(SPEC2, 2)
 
 
+class TestCompletenessFailures:
+    """The completeness checks of build_eigenbasis, each driven by one faulty step."""
+
+    def test_annihilated_lowered_vector_raises(self, monkeypatch):
+        original = eigenbasis._lower
+
+        def first_image_zero(psi, src, coef):
+            out = original(psi, src, coef)
+            out[:, 0] = 0
+            return out
+
+        monkeypatch.setattr(eigenbasis, "_lower", first_image_zero)
+        with pytest.raises(CompletenessError, match="lowering annihilated an eigenvector at level 1"):
+            build_eigenbasis(SPEC2, 1)
+
+    @pytest.mark.parametrize("edit", ["drop", "duplicate"])
+    def test_miscounted_level_raises(self, monkeypatch, edit):
+        original = eigenbasis._diagonalize_level
+
+        def miscounted(spec, m, *args):
+            level = original(spec, m, *args)
+            return level if m == 0 else (level[1:] if edit == "drop" else level + level[:1])
+
+        monkeypatch.setattr(eigenbasis, "_diagonalize_level", miscounted)
+        count = 2 if edit == "drop" else 4  # one lowered vector and two singular ones, less or more one
+        with pytest.raises(CompletenessError, match=f"level 1 has {count} vectors but dim V_m = 3"):
+            build_eigenbasis(SPEC3, 1)
+
+    def test_dependent_level_fails_the_rank_check(self, monkeypatch):
+        # the count holds, but one singular vector stands twice
+        original = eigenbasis._diagonalize_level
+
+        def repeated(spec, m, *args):
+            level = original(spec, m, *args)
+            return level if m == 0 else level[:1] * len(level)
+
+        monkeypatch.setattr(eigenbasis, "_diagonalize_level", repeated)
+        with pytest.raises(CompletenessError, match="level 1 stacked matrix min singular value"):
+            build_eigenbasis(SPEC3, 1)
+
+
 class TestVerifyNonsingularity:
     def test_first_level_scalar_is_total_weight(self):
         # E (F v_0) = (sum of weights) v_0
@@ -425,6 +468,15 @@ class TestVerifyNonsingularity:
                         spec.total_weight - 2 * (m - 1) + k
                     )
                     assert check.scalar > 0
+
+    def test_wrong_lowering_norm_fails_the_report(self):
+        basis = build_eigenbasis(ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3, 2))), 2)
+        vec = basis.nonsingular_at(2)[0]
+        vec.lowering_norm *= 1 + 1e-6
+        report = verify_nonsingularity(basis, 2)
+        assert not report.ok
+        assert report.worst_relative_error > eigenbasis.DEFAULT_TOL
+        assert sum(check.relative_error > eigenbasis.DEFAULT_TOL for check in report.checks) == 1
 
     def test_lowered_vectors_not_annihilated(self, rng):
         spec = random_spec(rng, n_max=4, lam_max=2)

@@ -210,6 +210,13 @@ class TestBuildHamiltonian:
             arr = hamiltonian_array(spec.weights, z, i, 1)
             assert np.allclose(exact, arr, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "z", [[0, 1, 5], [1, 1], [0]], ids=["extra-site-point", "repeated-site-point", "missing-site-point"]
+    )
+    def test_complex_array_checks_the_site_points(self, z):
+        with pytest.raises(ValueError):
+            hamiltonian_array((1, 2), z, 0, 1)
+
 
 class TestVerifyFamily:
     def test_valid_spec_passes(self, rng):

@@ -14,6 +14,7 @@ from gaudin import (
     weight_space_dimension_formula,
 )
 from gaudin.rational_linalg import rank
+from gaudin.singular import singular_dimension
 from gaudin.sl2 import _shapovalov_norms, _weights_of
 
 from conftest import random_spec
@@ -73,6 +74,25 @@ class TestModelSpec:
     def test_rejects_repeated_z(self):
         with pytest.raises(ValueError):
             ModelSpec((1, 1), (Fraction(1, 2), Fraction(1, 2)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: singular_dimension((2.5, 3), 1),
+            lambda: enumerate_weight_space((1.7, 2), 1),
+            lambda: enumerate_weight_space((0, 3), 1),
+            lambda: enumerate_weight_space((-1, 2), 1),
+            lambda: _weights_of((1, "2")),
+        ],
+        ids=["fractional-singular-dimension", "fractional-enumerate", "zero-weight", "negative-weight", "string-weight"],
+    )
+    def test_bare_weights_follow_the_spec_rule(self, call):
+        # bare weight tuples are checked as ModelSpec checks its weights, not truncated by int()
+        with pytest.raises(ValueError):
+            call()
+
+    def test_integral_float_weights_read_as_ints(self):
+        assert _weights_of((2.0, 3)) == (2, 3) == ModelSpec((2.0, 3), (0, 1)).weights
 
 
 class TestEnumeration:
