@@ -19,13 +19,13 @@ as sum_i E_i = sum_i E_i^vac.  At m = 1 this reads V (x - w) = P, so the
 roots are those of P.  The map y -> R y'' - P y' + V y is triangular on the
 monomials, so the monic y follows by back-substitution with known positive
 pivots, for all eigenvectors at once, and each of the singular_dimension
-eigenvectors gives one root set: no random starts, no duplicates and no
-general-purpose solver.  The eigenvectors come from the routine of the
-eigenbasis layer, eigenbasis._singular_eigen (with S the diagonal
+eigenvectors gives one root set: no random starts and no duplicates.  The
+eigenvectors come from eigenbasis._singular_eigen (with S the diagonal
 Shapovalov norms, S^1/2 H_i S^-1/2 is real symmetric for real z, complex
-symmetric otherwise).  Every root set is polished by one batched Newton on
-f_k with its analytic Jacobian and reported only when its residual reaches
-DEFAULT_TOL_ROOT.
+symmetric otherwise).  The roots of all y, from one batched eigvals of their
+companion matrices, are polished by one batched Newton on f_k, stopped once
+a step moves no root by over 1e-12 times the site scale, and reported only
+when the residual reaches DEFAULT_TOL_ROOT.
 
 No exact operator and no dense Hamiltonian is built.  Each solve or
 verification builds the family gather form of the H_i once
@@ -176,26 +176,22 @@ def _jacobian(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _polish(lam: np.ndarray, z: np.ndarray, w: np.ndarray):
-    """Newton on f_k for root vectors w of shape (S, m); each row keeps its best iterate.
+    """Batched Newton on root vectors w of shape (S, m); returns w and max_k |f_k| per row.
 
-    Returns the rows and their residuals max_k |f_k|.
+    A singular Jacobian, the 20th step or the first step that moves no root by
+    more than 1e-12 times the site scale ends it: Newton squares the error, so
+    the roots are then at rounding level (a double root converges linearly).
     """
     with np.errstate(all="ignore"):
-        f = _residuals(lam, z, w)
-        res = np.max(np.abs(f), axis=-1)
         for _ in range(20):
             try:
-                step = np.linalg.solve(_jacobian(lam, z, w), f[..., None])[..., 0]
+                step = np.linalg.solve(_jacobian(lam, z, w), _residuals(lam, z, w)[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 break
-            trial = w - step
-            trial_f = _residuals(lam, z, trial)
-            trial_res = np.max(np.abs(trial_f), axis=-1)
-            better = trial_res < res
-            if not better.any():
+            w = w - step
+            if not np.any(np.abs(step) > 1e-12 * _z_scale(z)):
                 break
-            w[better], f[better], res[better] = trial[better], trial_f[better], trial_res[better]
-    return w, res
+        return w, np.max(np.abs(_residuals(lam, z, w)), axis=-1)
 
 
 def _root_keys(roots: np.ndarray) -> np.ndarray:
@@ -285,14 +281,17 @@ def _eigenbasis_roots(weights, lam, z, m, count, hams, vacuum, seed) -> np.ndarr
     The eigenvalue tuples come from eigenbasis._singular_eigen, the routine
     of the eigenbasis layer, on the gather forms hams (seeded by seed).  Each
     tuple gives V from the cofactors that also give P, and V the monic y whose
-    m roots start the polish, so no residual gate applies to the tuples.
+    roots, from one batched eigvals of companion matrices built as np.roots
+    builds them, start the polish, so no residual gate applies to the tuples.
     """
     energies = _singular_eigen(weights, m, count, hams, seed)[-1]
     p_coeffs, r_coeffs, cofactors = _site_polynomials(lam, z)
     # V = sum_i (E_i^vac - E_i) Q_i; its x^(N-1) coefficient, that sum of differences, is 0
     v_coeffs = (cofactors.T @ (vacuum[:, None] - energies))[1:]
     y = _heine_stieltjes_polynomials(p_coeffs, r_coeffs, v_coeffs, m)
-    w, res = _polish(lam, z, np.array([np.roots(row[::-1]) for row in y], dtype=complex))
+    companion = np.tile(np.eye(m, k=-1, dtype=complex), (len(y), 1, 1))
+    companion[:, 0] = -y[:, m - 1 :: -1] / y[:, m:]
+    w, res = _polish(lam, z, np.linalg.eigvals(companion))
     return w[res <= DEFAULT_TOL_ROOT]
 
 

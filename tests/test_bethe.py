@@ -341,6 +341,76 @@ class TestPolish:
         assert np.array_equal(w, start)
         assert np.array_equal(res, np.max(np.abs(_residuals(lam, z, start)), axis=-1))
 
+    @pytest.mark.parametrize("z", ["real", "complex"])
+    def test_newton_stops_once_no_root_moves(self, monkeypatch, z):
+        # the two Newton solves of the benchmark: a step that moves no root by more
+        # than 1e-12 of the site scale ends the polish, so rounding noise is not chased
+        calls = []
+        original = gaudin.bethe._jacobian
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gaudin.bethe, "_jacobian", spy)
+        if z == "real":
+            sols, count = solve_bethe(ladder_spec((3,) * 7), 3), 56
+        else:
+            z = np.array([(k * k + 1) / (k + 2) + 0.25j * (k % 3) for k in range(6)])
+            sols, count = solve_bethe_numeric((3,) * 6, z, 3), 35
+        assert len(sols) == count and len(calls) <= 3
+
+    @pytest.mark.parametrize(
+        "weights, m, z",
+        [((3,) * 7, 1, "real"), ((3,) * 7, 3, "real"), ((2, 3, 3, 4), 2, "real"), ((1,) * 8, 4, "real"),
+         ((3,) * 6, 1, "complex"), ((3,) * 6, 3, "complex"), ((2, 3, 3, 4), 2, "complex")],
+    )
+    def test_companion_starts_equal_np_roots_of_each_row(self, monkeypatch, weights, m, z):
+        # the back-substituted y of real and complex z, bit for bit, signed zeros included
+        n = len(weights)
+        ladder = np.array([(k * k + 1) / (k + 2) for k in range(n)], dtype=complex)
+        z = ladder if z == "real" else ladder + 0.25j * (np.arange(n) % 3)
+        seen = {}
+        heine_stieltjes, polish = gaudin.bethe._heine_stieltjes_polynomials, gaudin.bethe._polish
+
+        def heine_stieltjes_spy(*args):
+            seen["y"] = heine_stieltjes(*args)
+            return seen["y"]
+
+        def polish_spy(lam, z, w):
+            seen["starts"] = w.copy()
+            return polish(lam, z, w)
+
+        monkeypatch.setattr(gaudin.bethe, "_heine_stieltjes_polynomials", heine_stieltjes_spy)
+        monkeypatch.setattr(gaudin.bethe, "_polish", polish_spy)
+        solve_bethe_numeric(weights, z, m)
+        reference = np.array([np.roots(row[::-1]) for row in seen["y"]], dtype=complex)
+        assert seen["starts"].shape == (singular_dimension(weights, m), m)
+        assert seen["starts"].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_companion_starts_equal_np_roots_of_any_monic_rows(self, monkeypatch, m):
+        # random monic rows in place of y, half of them real: there the division by the
+        # leading 1, as np.roots does it, sets the signed zeros that np.roots returns and
+        # that order a conjugate pair
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((40, m + 1)) + 0j
+        rows[::2] += 1j * rng.standard_normal((20, m + 1))
+        rows[:, m] = 1
+
+        class Captured(Exception):
+            pass
+
+        def polish_spy(lam, z, w):
+            raise Captured(w)
+
+        monkeypatch.setattr(gaudin.bethe, "_heine_stieltjes_polynomials", lambda *args: rows)
+        monkeypatch.setattr(gaudin.bethe, "_polish", polish_spy)
+        with pytest.raises(Captured) as caught:
+            solve_bethe_numeric((m, m), np.array([0.0, 1.0]), m)
+        reference = np.array([np.roots(row[::-1]) for row in rows], dtype=complex)
+        assert caught.value.args[0].tobytes() == reference.tobytes()
+
     def test_sorted_roots_match_the_scalar_key(self):
         # real parts near the 9-decimal rounding boundary and conjugate pairs
         # whose real parts differ in the last bits

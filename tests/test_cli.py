@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +95,20 @@ class TestDecompose:
             main([name, "--spec", spec_file(SPEC_11), flag, "5"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("text", [SPEC_222, '{"weights": [1, 1]}'], ids=["valid", "malformed"])
+    def test_python_m_matches_main(self, spec_file, capsys, text):
+        # python -m gaudin.cli runs main on the process arguments and exits with its code
+        argv = ["decompose", "--spec", spec_file(text)]
+        code = main(argv)
+        out = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(gaudin.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "gaudin.cli", *argv], capture_output=True, env=env)
+        assert proc.returncode == code
+        assert proc.stdout == out.encode()
 
 
 class TestParserReuse:

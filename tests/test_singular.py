@@ -84,6 +84,10 @@ class TestGordanCoefficients:
                     == 0
                 )
 
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            gordan_coefficients(-1, 2, 2)
+
     def test_small_left_weight_rejected(self):
         with pytest.raises(GordanSingularityError):
             gordan_coefficients(3, 2, 5)
