@@ -24,8 +24,9 @@ eigenvectors come from eigenbasis._singular_eigen (with S the diagonal
 Shapovalov norms, S^1/2 H_i S^-1/2 is real symmetric for real z, complex
 symmetric otherwise).  The roots of all y, from one batched eigvals of their
 companion matrices, are polished by one batched Newton on f_k, stopped once
-a step moves no root by over 1e-12 times the site scale, and reported only
-when the residual reaches DEFAULT_TOL_ROOT.
+a step moves no root by over 1e-12 times the site scale (a row stalled at a
+multiple root's rounding floor is frozen), collapsed in one pass over all
+row means, and reported only when the residual reaches DEFAULT_TOL_ROOT.
 
 No exact operator and no dense Hamiltonian is built.  Each solve or
 verification builds the family gather form of the H_i once
@@ -152,8 +153,16 @@ def bethe_residual(spec: ModelSpec, m: int, roots) -> np.ndarray:
 
 
 def _cofactors(z: np.ndarray) -> np.ndarray:
-    """Coefficients (highest first) of Q_j = R / (x - z_j) = prod_{k != j} (x - z_k), one row per site."""
-    return np.array([np.poly(np.delete(z, j)) for j in range(len(z))])
+    """Coefficients (highest first) of Q_j = R / (x - z_j) = prod_{k != j} (x - z_k), one row per site.
+
+    One recurrence multiplies all rows by x - z_k in np.poly's factor order; real z gives np.poly's bits.
+    """
+    z = z if np.any(z.imag) else z.real
+    q = np.zeros((len(z), len(z)), dtype=z.dtype)
+    q[:, 0] = 1
+    for k, rows in enumerate(~np.eye(len(z), dtype=bool)):
+        q[rows, 1:] -= z[k] * q[rows, :-1]
+    return q
 
 
 def _site_polynomials(lam: np.ndarray, z: np.ndarray):
@@ -178,19 +187,27 @@ def _jacobian(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _polish(lam: np.ndarray, z: np.ndarray, w: np.ndarray):
     """Batched Newton on root vectors w of shape (S, m); returns w and max_k |f_k| per row.
 
-    A singular Jacobian, the 20th step or the first step that moves no root by
-    more than 1e-12 times the site scale ends it: Newton squares the error, so
-    the roots are then at rounding level (a double root converges linearly).
+    A singular Jacobian, the 20th step or the first step that moves no unfrozen
+    root by more than 1e-12 times the site scale ends it: Newton squares the
+    error, so the roots are then at rounding level.  A row whose step is within
+    the collapse width 1e-7 times the scale and no smaller than its last is at
+    a multiple root's rounding floor (linear convergence): it is frozen, that
+    step untaken, while the other rows go on.
     """
+    scale = _z_scale(z)
+    moving, last = np.ones(len(w), dtype=bool), np.full(len(w), np.inf)
     with np.errstate(all="ignore"):
         for _ in range(20):
             try:
                 step = np.linalg.solve(_jacobian(lam, z, w), _residuals(lam, z, w)[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 break
-            w = w - step
-            if not np.any(np.abs(step) > 1e-12 * _z_scale(z)):
+            size = np.max(np.abs(step), axis=-1)
+            moving &= ~((size <= 1e-7 * scale) & (size >= last))
+            w = np.where(moving[:, None], w - step, w)
+            if not np.any(np.abs(step[moving]) > 1e-12 * scale):
                 break
+            last = size
         return w, np.max(np.abs(_residuals(lam, z, w)), axis=-1)
 
 
@@ -300,37 +317,38 @@ def _collapse(lam, z, rows: np.ndarray) -> list:
 
     A double root of P splits numerically by about sqrt(machine epsilon), so
     the collapse width is 1e-7 times the site-point scale; genuinely distinct
-    desk-scale roots sit far above it.  Each group is reported as its
-    mean, with multiplicity the group size; a lone root set whose residual
-    exceeds DEFAULT_TOL_ROOT is dropped.  Returns (roots, residual, multiplicity) in
-    canonical order.
+    desk-scale roots sit far above it.  In canonical order a row joins the
+    first group head within the width (_multiset_gaps), tried only for rows
+    with an earlier mean within twice it, or heads a group.  A group is
+    reported as its np.mean, with multiplicity its size; a lone root set whose
+    residual exceeds DEFAULT_TOL_ROOT is dropped.  Returns (roots, residual,
+    multiplicity) in canonical order.
     """
     tol = 1e-7 * _z_scale(z)
-    heads = np.empty(rows.shape, dtype=complex)
-    means = np.empty(len(rows), dtype=complex)
-    groups = []
-    for row in _canonical_order(rows):
-        # any matching's largest gap is at least the distance of the means,
-        # so only heads whose mean is that close are matched
-        mean = np.mean(row)
-        near = np.flatnonzero(np.abs(means[: len(groups)] - mean) <= 2 * tol)
-        if near.size:
-            near = near[_multiset_gaps(row, heads[near]) <= tol]
-        if near.size:
-            groups[near[0]].append(row)
-        else:
-            heads[len(groups)], means[len(groups)] = row, mean
-            groups.append([row])
-    if not groups:
-        return []
-    roots = np.array([np.mean(group, axis=0) for group in groups])
+    rows = _canonical_order(rows)
+    means = np.mean(rows, axis=1)
+    # any matching's largest gap is at least the distance of the means
+    near = np.tril(np.abs(means[:, None] - means) <= 2 * tol, -1)
+    index = np.arange(len(rows))
+    head = index.copy()  # the row heading each row's group
+    for i in np.flatnonzero(near.any(axis=1)):
+        heads = np.flatnonzero(near[i] & (head == index))
+        heads = heads[_multiset_gaps(rows[i], rows[heads]) <= tol]
+        if heads.size:
+            head[i] = heads[0]
+    group = (np.cumsum(head == index) - 1)[head]
+    sizes = np.bincount(group)
+    # np.mean of a one-row group adds the row to +0.0, which turns a -0.0 part into +0.0
+    roots = rows[head == index] + 0.0
+    for g in np.flatnonzero(sizes > 1):
+        roots[g] = np.mean(rows[group == g], axis=0)
     f = _residuals(lam, z, roots)
     # rounded as the scalar abs() of each f_k
     residuals = np.max(np.hypot(f.real, f.imag), axis=1)
     return [
-        (mean, residual, len(group))
-        for mean, residual, group in zip(roots, residuals, groups)
-        if len(group) > 1 or residual <= DEFAULT_TOL_ROOT
+        (mean, residual, size)
+        for mean, residual, size in zip(roots, residuals, sizes.tolist())
+        if size > 1 or residual <= DEFAULT_TOL_ROOT
     ]
 
 
@@ -346,7 +364,7 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     reported once with their multiplicity.  seed draws the random combination
     of Hamiltonians whose eigenvectors separate the singular subspace.
     weights and z follow the rules of ModelSpec, with finite complex z, and
-    m is an integer; ValueError otherwise.
+    m is an integer in 1..sum(weights); ValueError otherwise.
     """
     if m < 1 or m != int(m):
         raise ValueError("m must be an integer of at least 1")
@@ -355,6 +373,7 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     weights = _checked_sites(weights, z)
     if not np.all(np.isfinite(z)):
         raise ValueError("site parameters z must be finite")
+    enumerate_weight_space(weights, m)  # raises for m above sum(weights)
     lam = np.array([float(x) for x in weights])
     count = singular_dimension(weights, m)
     if count == 0:

@@ -153,6 +153,23 @@ def ladder_spec(weights):
     return ModelSpec(weights, tuple(Fraction(k * k + 1, k + 2) for k in range(len(weights))))
 
 
+# equal weights on these sites give P = R' = 3 (x - centroid)^2: a double root at m = 1
+EQUILATERAL = np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)])
+
+
+def jacobian_calls(monkeypatch) -> list:
+    """Patch bethe._jacobian to record the arguments of every call (one per Newton step) in the returned list."""
+    calls = []
+    original = gaudin.bethe._jacobian
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gaudin.bethe, "_jacobian", spy)
+    return calls
+
+
 class TestLoweringField:
     def test_two_site_coefficients(self):
         # F(1/2) v_0 = 2 F^(1) v_0 - 2 F^(2) v_0 in states (0,1), (1,0)
@@ -345,20 +362,41 @@ class TestPolish:
     def test_newton_stops_once_no_root_moves(self, monkeypatch, z):
         # the two Newton solves of the benchmark: a step that moves no root by more
         # than 1e-12 of the site scale ends the polish, so rounding noise is not chased
-        calls = []
-        original = gaudin.bethe._jacobian
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(gaudin.bethe, "_jacobian", spy)
+        calls = jacobian_calls(monkeypatch)
         if z == "real":
             sols, count = solve_bethe(ladder_spec((3,) * 7), 3), 56
         else:
             z = np.array([(k * k + 1) / (k + 2) + 0.25j * (k % 3) for k in range(6)])
             sols, count = solve_bethe_numeric((3,) * 6, z, 3), 35
         assert len(sols) == count and len(calls) <= 3
+
+    def test_double_root_freezes_at_its_rounding_floor(self, monkeypatch):
+        # Newton halves the error of a double root until rounding stalls its steps near
+        # 1e-8 of the site scale: the row freezes there instead of running the 20-step cap
+        calls = jacobian_calls(monkeypatch)
+        sols = solve_bethe_numeric((1, 1, 1), EQUILATERAL, 1)
+        assert [sol.multiplicity for sol in sols] == [2] and len(calls) <= 3
+
+    def test_diverging_row_is_never_frozen(self, monkeypatch):
+        # sites 1e-5 apart: one row's steps do not shrink below the collapse width,
+        # so the polish still runs its 20 steps and finds the same 3 solutions
+        calls = jacobian_calls(monkeypatch)
+        sols = solve_bethe_numeric((2, 2, 2, 2), np.array([0, 1, 1 + 1e-5, 3], dtype=complex), 2)
+        assert len(sols) == 3 and len(calls) == 20
+
+    def test_a_frozen_row_does_not_stop_the_others(self, monkeypatch):
+        # two starts at the double root: the near one freezes after 3 steps, the far
+        # one, still halving its error, goes on; each ends as it does alone
+        lam, centroid = np.ones(3), np.mean(EQUILATERAL)
+        starts = np.array([[centroid + 1e-8], [centroid + 0.1]])
+        calls = jacobian_calls(monkeypatch)
+        w, res = _polish(lam, EQUILATERAL, starts.copy())
+        assert len(calls) == 20
+        for s in range(2):
+            del calls[:]
+            alone = _polish(lam, EQUILATERAL, starts[s : s + 1].copy())
+            assert w[s].tobytes() == alone[0][0].tobytes() and res[s] == alone[1][0]
+            assert len(calls) == (3 if s == 0 else 20)
 
     @pytest.mark.parametrize(
         "weights, m, z",
@@ -498,6 +536,15 @@ class TestSolveBethe:
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
             solve_bethe(SPEC2, 0)
+
+    def test_level_above_the_module_rejected(self):
+        # the range check of enumerate_weight_space: levels up to sum(weights) = 3 exist
+        probe = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
+        for m in (4, 9):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                solve_bethe(probe, m)
+            with pytest.raises(ValueError, match="outside 0..3"):
+                solve_bethe_numeric((1, 2), np.array([0.0, 1.0]), m)
 
     def test_repeat_solve_is_identical(self):
         spec = ModelSpec((2, 2, 2), (Fraction(0), Fraction(1), Fraction(3)))
@@ -778,6 +825,25 @@ class TestBatchedLayer:
                 for row, zj in zip(cofactors, z):
                     assert np.max(np.abs(np.polymul(row, [1, -zj]) - r)) <= 1e-13 * np.max(np.abs(r))
 
+    def test_cofactors_match_the_np_poly_rows(self):
+        # np.poly of the other sites, one call per site, is the oracle: real z bit for
+        # bit; complex z within 1e-15 of the sizes of the terms, the coefficients of
+        # prod_{k != j} (x + |z_k|), the conjugate-closed (i, -i, 0, 2) included
+        def reference(z):
+            return np.array([np.poly(np.delete(z, j)) for j in range(len(z))])
+
+        rng = np.random.default_rng(29)
+        for n in range(2, 11):
+            ladder = np.array([(k * k + 1) / (k + 2) for k in range(n)], dtype=complex)
+            for z in (ladder, ladder - 0.5, rng.uniform(-3, 3, n) + 0j, np.append(0.0, rng.uniform(-3, 3, n - 1)) + 0j):
+                got, want = _cofactors(z), reference(z)
+                assert got.dtype == want.dtype == float and got.tobytes() == want.tobytes()
+            for z in (ladder + 0.25j * (np.arange(n) % 3), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                got = _cofactors(z)
+                assert np.all(np.abs(got - reference(z)) <= 1e-15 * reference(-np.abs(z)))
+        z = np.array([1j, -1j, 0, 2])
+        assert np.all(np.abs(_cofactors(z) - reference(z)) <= 1e-15 * reference(-np.abs(z)))
+
     def test_closed_form_v_matches_the_vandermonde_fit(self):
         for n in range(2, 9):
             weights = (3,) * n
@@ -810,6 +876,13 @@ class TestBatchedLayer:
                     if trial % 2:
                         rows.append(base + 2 * tol)
                 cases.append(rng.permutation(np.array(rows)))
+        # -0.0 parts in one-row groups, which np.mean reports as +0.0
+        cases.append(np.array([[complex(-1.2, -0.0), complex(0.7, -0.0)], [complex(-0.0, 0.4), complex(-2.1, -0.0)],
+                               [complex(0.3, -0.0), complex(1.9, -0.0)], [complex(0.3, -0.0), complex(1.9, -0.0)]]))
+        # about 300 rows, mostly distinct, with 10 pairs within the width
+        many = rng.standard_normal((290, 2)) + 1j * rng.standard_normal((290, 2))
+        near = many[:10] + 0.5 * tol * np.exp(2j * np.pi * rng.uniform(size=(10, 2)))
+        cases.append(rng.permutation(np.concatenate([many, near])))
         # two heads 1.5 tol apart, then a row within tol of both: it joins the first
         x, y = -1.0 + 0.3j, 2.0 - 0.1j
         cases.append(np.array([[y + 1.5 * tol, x], [x, y], [x + 2e-9, y + 0.75 * tol]]))
@@ -823,9 +896,12 @@ class TestBatchedLayer:
                 want = collapse_reference(lam_, z_, rows, tol_root)
                 assert len(got) == len(want)
                 for (a, res_a, mult_a), (b, res_b, mult_b) in zip(got, want):
-                    assert np.array_equal(a, b) and res_a == res_b and mult_a == mult_b
+                    # bit patterns: np.array_equal reads -0.0 and +0.0 as equal
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)) and res_a == res_b and mult_a == mult_b
         monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", np.inf)
         assert [mult for _, _, mult in _collapse(lam, z, cases[-1])] == [2, 1]
+        assert sorted(mult for _, _, mult in _collapse(lam, z, cases[-3])) == [1, 1, 2]
+        assert sorted(mult for _, _, mult in _collapse(lam, z, cases[-2])) == [1] * 280 + [2] * 10
         monkeypatch.setattr(gaudin.bethe, "DEFAULT_TOL_ROOT", 1e-11)
         assert [mult for _, _, mult in _collapse(double_lam, double_z, double)] == [2]
 
@@ -908,7 +984,8 @@ class TestBatchedLayer:
                     want = collapse_reference(lam, z, rows, np.inf)
                     assert len(got) == len(want)
                     for (a, res_a, mult_a), (b, res_b, mult_b) in zip(got, want):
-                        assert np.array_equal(a, b) and res_a == res_b and mult_a == mult_b
+                        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                        assert res_a == res_b and mult_a == mult_b
 
 
 class TestEdgeInputs:

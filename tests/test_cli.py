@@ -336,6 +336,15 @@ class TestBethe:
     def test_requires_m(self, spec_file, capsys):
         assert main(["bethe", "--spec", spec_file(SPEC_11)]) == 2
 
+    def test_level_above_the_module_exits_2(self, spec_file, capsys):
+        # sum(weights) = 3: the levels 2 and 3 have no singular vectors, level 9 does not exist
+        path = spec_file('{"weights": [1, 2], "z": ["0", "1"]}')
+        for m in ("2", "3"):
+            code, payload = run_json(["bethe", "--spec", path, "--m", m], capsys)
+            assert code == 0 and payload["expected_count"] == payload["found"] == 0
+        assert main(["bethe", "--spec", path, "--m", "9"]) == 2
+        assert "outside 0..3" in capsys.readouterr().err
+
     def test_expected_count_is_the_exact_singular_dimension(self, spec_file, capsys):
         # the untruncated binomial C(4, 2) would be 6; weight 1 at site 1 leaves 5
         code, payload = run_json(["bethe", "--spec", spec_file(SPEC_1234), "--m", "2"], capsys)
