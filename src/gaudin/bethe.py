@@ -190,9 +190,10 @@ def _polish(lam: np.ndarray, z: np.ndarray, w: np.ndarray):
     A singular Jacobian, the 20th step or the first step that moves no unfrozen
     root by more than 1e-12 times the site scale ends it: Newton squares the
     error, so the roots are then at rounding level.  A row whose step is within
-    the collapse width 1e-7 times the scale and no smaller than its last is at
-    a multiple root's rounding floor (linear convergence): it is frozen, that
-    step untaken, while the other rows go on.
+    the collapse width 1e-7 times the scale and no smaller than its last is
+    taken to be at a multiple root's rounding floor (linear convergence): it is
+    frozen, that step untaken, while the other rows go on.  Only step sizes are
+    read, so a row whose steps grow is frozen too while they are under the width.
     """
     scale = _z_scale(z)
     moving, last = np.ones(len(w), dtype=bool), np.full(len(w), np.inf)

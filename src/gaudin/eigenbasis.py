@@ -14,7 +14,6 @@ scaled by S^1/2, gives an orthonormal frame of the scaled singular subspace,
 and the exact intertwining E H_i = H_i E makes it invariant.  The restricted
 Hamiltonians are jointly diagonalized by eigh of one seeded random
 combination (_singular_eigen, whose eigenvalues the Bethe layer shares).
-The frame does not depend on z: it is cached read-only per (weights, m).
 Every eigenvector is verified by its singular and eigenvector residuals in
 V_m coordinates.  No dense operator is built: the H_i act by the gathers of
 hamiltonians._gather_forms, from the correctly rounded floats of the exact
@@ -23,7 +22,6 @@ differences z_i - z_j.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,15 +100,13 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-@functools.lru_cache(maxsize=None)
-def _singular_frame(weights: tuple[int, ...], m: int, count: int):
-    """Read-only (root, basis): the diagonal of S_m^1/2 and an orthonormal frame of S_m^1/2 ker E.
+def _singular_frame(weights, m: int, count: int):
+    """(root, basis): the diagonal of S_m^1/2 and an orthonormal frame of S_m^1/2 ker E.
 
     count is the exact singular_dimension.  The columns of singular._projected,
     an exact basis of ker E, are scaled by root and normalized, and basis is
     the Q of their thin QR.  A block without count columns, or with some
-    |R_jj| at or below DEFAULT_TOL_RANK, raises DiagonalizationError.  Cached
-    per (weights, m), as z enters neither (at (1,)^16, m = 8, about 147 MB).
+    |R_jj| at or below DEFAULT_TOL_RANK, raises DiagonalizationError.
     """
     root = np.sqrt(np.array(_shapovalov_norms(weights, m), dtype=float))
     block = _projected(weights, m)
@@ -120,7 +116,6 @@ def _singular_frame(weights: tuple[int, ...], m: int, count: int):
     worst = float(np.min(np.abs(np.diag(upper)), initial=np.inf))
     if block.shape[1] != count or worst <= DEFAULT_TOL_RANK:
         raise DiagonalizationError(f"frame of {block.shape[1]} of {count} columns has min |R_jj| {worst:.3e}", worst)
-    root.flags.writeable = basis.flags.writeable = False
     return root, basis
 
 

@@ -377,26 +377,28 @@ class TestPolish:
         sols = solve_bethe_numeric((1, 1, 1), EQUILATERAL, 1)
         assert [sol.multiplicity for sol in sols] == [2] and len(calls) <= 3
 
-    def test_diverging_row_is_never_frozen(self, monkeypatch):
-        # sites 1e-5 apart: one row's steps do not shrink below the collapse width,
-        # so the polish still runs its 20 steps and finds the same 3 solutions
+    def test_near_coalescence_keeps_its_solutions(self, monkeypatch):
+        # sites 1e-5 apart: one row's steps grow from just above the collapse width, so it
+        # is not frozen; the polish stays within its cap and finds the same 3 solutions
         calls = jacobian_calls(monkeypatch)
         sols = solve_bethe_numeric((2, 2, 2, 2), np.array([0, 1, 1 + 1e-5, 3], dtype=complex), 2)
-        assert len(sols) == 3 and len(calls) == 20
+        assert len(sols) == 3 and len(calls) <= 20
 
     def test_a_frozen_row_does_not_stop_the_others(self, monkeypatch):
-        # two starts at the double root: the near one freezes after 3 steps, the far
-        # one, still halving its error, goes on; each ends as it does alone
+        # two starts at the double root: the near one freezes after at most 3 steps, the
+        # far one, still halving its error, goes on; each ends as it does alone, and the
+        # batch takes as many steps as the far row alone
         lam, centroid = np.ones(3), np.mean(EQUILATERAL)
         starts = np.array([[centroid + 1e-8], [centroid + 0.1]])
         calls = jacobian_calls(monkeypatch)
         w, res = _polish(lam, EQUILATERAL, starts.copy())
-        assert len(calls) == 20
+        steps = [len(calls)]
         for s in range(2):
             del calls[:]
             alone = _polish(lam, EQUILATERAL, starts[s : s + 1].copy())
             assert w[s].tobytes() == alone[0][0].tobytes() and res[s] == alone[1][0]
-            assert len(calls) == (3 if s == 0 else 20)
+            steps.append(len(calls))
+        assert steps[1] <= 3 < steps[2] == steps[0]
 
     @pytest.mark.parametrize(
         "weights, m, z",

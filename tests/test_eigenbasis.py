@@ -278,43 +278,18 @@ class TestSingularFrame:
         cosines = np.linalg.svd(basis.T @ svd_frame(weights, m, count), compute_uv=False)
         assert np.min(cosines) >= 1 - 1e-12
 
-    def test_frame_is_built_once_per_weights_and_level(self, monkeypatch):
-        # the frame does not depend on z: solves at two sets of site points share one
-        # read-only frame, built from one _projected call
-        calls = []
-        original = eigenbasis._projected
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        eigenbasis._singular_frame.cache_clear()
-        monkeypatch.setattr(eigenbasis, "_projected", spy)
-        weights = (2, 3, 3, 4)
-        for z in ([0, 1, 2, 3], [0, 1 + 0.5j, 2.5, -1]):
-            assert len(solve_bethe_numeric(weights, np.array(z, dtype=complex), 2)) == 6
-        assert calls == [(weights, 2)]
-        frame = _singular_frame(weights, 2, 6)
-        assert frame is _singular_frame(weights, 2, 6)
-        assert not any(array.flags.writeable for array in frame)
-
     @pytest.mark.parametrize("columns", [[0, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5]])
     def test_deficient_block_fails_the_frame_gate(self, monkeypatch, columns):
         # a repeated column leaves its |R_jj| at rounding level, a missing one
         # the wrong count, in both layers of the shared routine
         spec = ladder_spec((2, 2, 2, 2))
         original = eigenbasis._projected
-        # a cached frame would not call the patched _projected, nor must the patched one stay cached
-        eigenbasis._singular_frame.cache_clear()
         monkeypatch.setattr(eigenbasis, "_projected", lambda *args: original(*args)[:, columns])
-        try:
-            with pytest.raises(DiagonalizationError, match=f"frame of {len(columns)} of 6 columns") as err:
-                diagonalize_singular(spec, 2)
-            assert (err.value.worst_residual <= eigenbasis.DEFAULT_TOL_RANK) == (len(columns) == 6)
-            with pytest.raises(DiagonalizationError, match="frame of"):
-                solve_bethe(spec, 2)
-        finally:
-            eigenbasis._singular_frame.cache_clear()
+        with pytest.raises(DiagonalizationError, match=f"frame of {len(columns)} of 6 columns") as err:
+            diagonalize_singular(spec, 2)
+        assert (err.value.worst_residual <= eigenbasis.DEFAULT_TOL_RANK) == (len(columns) == 6)
+        with pytest.raises(DiagonalizationError, match="frame of"):
+            solve_bethe(spec, 2)
 
 
 class TestSharedRoutine:
