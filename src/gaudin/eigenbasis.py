@@ -1,9 +1,13 @@
 """Complete common eigenbasis of the Gaudin family, level by level.
 
-On each V_m the basis splits into singular eigenvectors and nonsingular ones
-(images under the total lowering operator of the previous level's
-eigenvectors, which inherit their eigenvalue tuples unchanged, all lowered
-at once by the index-map gathers of sl2._lower).
+On each V_m, m = 0..sum(weights), the basis splits into singular
+eigenvectors and nonsingular ones (images under the total lowering operator
+of the previous level's eigenvectors, which inherit their eigenvalue tuples
+unchanged, all lowered at once by the index-map gathers of sl2._lower).  The
+chain of a singular vector at level a ends after sum(weights) - 2a
+lowerings.  For the rational z of a ModelSpec every level is a real float64
+array, lowered, gated and checked for completeness as such; only the
+EigenVector fields are complex.
 
 The singular eigenvectors come from the Shapovalov form S, diagonal on the
 basis F^n v with integer norms (sl2._shapovalov_norms).  Every H_i is
@@ -94,12 +98,6 @@ class EigenVector:
         return 0 if self.origin == "singular" else int(self.origin.split(":")[1])
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    phase = v[idx] / abs(v[idx])
-    return v / phase
-
-
 def _singular_frame(weights, m: int, count: int):
     """(root, basis): the diagonal of S_m^1/2 and an orthonormal frame of S_m^1/2 ker E.
 
@@ -151,11 +149,11 @@ def _joint_eigen(mats, seed):
         mats = [np.real(mat) for mat in mats]
     vals, vecs = _eig(_combination(mats, rng), real)
     spread = abs(vals[-1] - vals[0]) if len(vals) else 0.0
-    bounds = np.flatnonzero(np.abs(np.diff(vals)) >= _CLUSTER_GAP * spread) + 1
-    for cluster in np.split(np.arange(len(vals)), bounds):
-        if len(cluster) > 1:
-            block = np.linalg.qr(vecs[:, cluster])[0]
-            vecs[:, cluster] = block @ _eig(block.conj().T @ _combination(mats, rng) @ block, real)[1]
+    edges = np.concatenate(([0], np.flatnonzero(np.abs(np.diff(vals)) >= _CLUSTER_GAP * spread) + 1, [len(vals)]))
+    wide = np.flatnonzero(np.diff(edges) > 1)
+    for cluster in map(slice, edges[wide], edges[wide + 1]):
+        block = np.linalg.qr(vecs[:, cluster])[0]
+        vecs[:, cluster] = block @ _eig(block.conj().T @ _combination(mats, rng) @ block, real)[1]
     eigs = np.array([np.sum(vecs.conj() * (mat @ vecs), axis=0) for mat in mats])
     return vecs, eigs
 
@@ -267,16 +265,23 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
         exact = tuple(Fraction(t - s, d) for t, s, d in zip(_traces(ints), lower, scales))
         eigs = np.array([[float(x)] for x in exact])
 
-    units = np.array([_canonical_phase(col / np.linalg.norm(col)) for col in coords.T]).T
+    # the 1-D norm of each column keeps its bits; each column's largest entry is made positive
+    units = coords / np.array([np.linalg.norm(col) for col in coords.T])
+    units *= np.sign(units[np.argmax(np.abs(units), axis=0), np.arange(count)])
     _gate(_singular_residual(spec.weights, m, units), "singular")
     residuals = _residual(gathers, units, eigs)
     _gate(residuals, "singular-subspace eigenvector")
-    out = [
+    order = np.lexsort(eigs[::-1])  # stable, by eigs[0], then eigs[1], ...
+    return [
         EigenVector(m=m, coords=v, eigenvalues=values, origin="singular", residual=res, exact_eigenvalues=exact)
-        for v, values, res in zip(units.T.astype(complex, order="C"), eigs.T.astype(complex), residuals)
+        for v, values, res in zip(units.T[order].astype(complex), eigs.T[order].astype(complex), residuals[order])
     ]
-    out.sort(key=lambda ev: tuple((s.real, s.imag) for s in ev.eigenvalues))
-    return out
+
+
+def _real_rows(vectors, dim: int, n_sites: int):
+    """(coords, eigenvalues): the real parts of the vectors' fields as rows, shapes (S, dim) and (S, n_sites)."""
+    coords = np.array([v.coords.real for v in vectors]).reshape(-1, dim)
+    return coords, np.array([v.eigenvalues.real for v in vectors]).reshape(-1, n_sites)
 
 
 @dataclass
@@ -296,59 +301,60 @@ class EigenBasis:
 def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBasis:
     """Recursive construction of the common eigenbasis through level m_max.
 
-    Level 0 is the singular subspace of V_0, the vacuum, with exact
-    eigenvalues.  Each later level is the union of the normalized images of
-    the previous level under the total lowering operator (eigenvalue tuples
-    copied unchanged) and the singular eigenvectors of the level.  Every
+    m_max runs through sum(weights).  Level 0 is the singular subspace of
+    V_0, the vacuum, with exact eigenvalues.  Each later level is the union
+    of the normalized images under the total lowering operator of the
+    previous level's vectors whose chain goes on (eigenvalue tuples copied
+    unchanged) and the singular eigenvectors of the level.  Every
     vector's residual is gated by DEFAULT_TOL; completeness is verified by
     counting and by the smallest singular value of the stacked coordinate
     matrix against DEFAULT_TOL_RANK.
     """
-    if not 0 <= m_max <= spec.min_weight:
-        raise ValueError(f"m_max must lie in 0..min(weights) = {spec.min_weight}")
+    if not 0 <= m_max <= spec.total_weight:
+        raise ValueError(f"m_max must lie in 0..sum(weights) = {spec.total_weight}")
 
     family = _level_family(spec, 0)
     levels = [_diagonalize_level(spec, 0, None, family, seed)]
+    coords, eigs = _real_rows(levels[0], 1, spec.n_sites)
+    times = np.zeros(1, dtype=int)  # times_lowered of each row
+    unit = np.ones((spec.n_sites, 1))  # the total F: coefficient 1 on every site
 
     for m in range(1, m_max + 1):
         below, family = family[0], _level_family(spec, m)
         parents = levels[m - 1]
-        unit = np.ones((spec.n_sites, 1))  # the total F: coefficient 1 on every site
-        images = _lower(np.array([p.coords for p in parents]).T, _lowering_map(spec.weights, m - 1), unit).T
+        # the chain of a singular vector at level a = m - 1 - times ends after sum(weights) - 2a lowerings
+        keep = np.flatnonzero(times + 1 <= spec.total_weight - 2 * (m - 1 - times))
+        images = _lower(coords[keep].T, _lowering_map(spec.weights, m - 1), unit).T.astype(complex, order="C")
         norms = [float(np.linalg.norm(image)) for image in images]
         if 0.0 in norms:
             raise CompletenessError(f"lowering annihilated an eigenvector at level {m}")
-        # keep the parent's phase: the colinearity E(Fu) = c u of the
-        # lowering chain must survive normalization
-        units = [image / norm for image, norm in zip(images, norms)]
-        eigenvalues = np.array([parent.eigenvalues for parent in parents])
-        residuals = _residual(family[1], np.array(units).T, eigenvalues.T)
+        # keep the parent's phase: the colinearity E(Fu) = c u of the lowering
+        # chain must survive normalization.  A complex row over a float rounds
+        # as a * (1/n), so the division is complex, as in the EigenVector.
+        units = images / np.array(norms)[:, None]
+        coords, eigs, times = units.real, eigs[keep], times[keep] + 1
+        residuals = _residual(family[1], coords.T, eigs.T)
         _gate(residuals, "lowered-vector")
         level = [
-            EigenVector(
-                m=m,
-                coords=v,
-                eigenvalues=values,
-                origin=f"lowered:{parent.times_lowered + 1}",
-                residual=res,
-                exact_eigenvalues=parent.exact_eigenvalues,
-                preimage=idx,
-                lowering_norm=norm,
-            )
-            for idx, (parent, v, values, res, norm) in enumerate(
-                zip(parents, units, eigenvalues, residuals, norms)
+            EigenVector(m=m, coords=v, eigenvalues=values, origin=f"lowered:{k}", residual=res,
+                        exact_eigenvalues=parents[idx].exact_eigenvalues, preimage=idx, lowering_norm=norm)
+            for idx, k, v, values, res, norm in zip(
+                keep.tolist(), times.tolist(), units, eigs.astype(complex), residuals, norms
             )
         ]
 
-        level.extend(_diagonalize_level(spec, m, below, family, seed))
+        singular = _diagonalize_level(spec, m, below, family, seed)
+        level.extend(singular)
 
         dim = enumerate_weight_space(spec, m).dim
         if len(level) != dim:
             raise CompletenessError(
                 f"level {m} has {len(level)} vectors but dim V_m = {dim}"
             )
-        stacked = np.array([v.coords for v in level])
-        min_sv = float(np.linalg.svd(stacked, compute_uv=False)[-1])
+        more_coords, more_eigs = _real_rows(singular, dim, spec.n_sites)
+        coords, eigs = np.concatenate([coords, more_coords]), np.concatenate([eigs, more_eigs])
+        times = np.concatenate([times, np.zeros(len(singular), dtype=int)])
+        min_sv = float(np.linalg.svd(coords, compute_uv=False)[-1])
         if min_sv <= DEFAULT_TOL_RANK:
             raise CompletenessError(
                 f"level {m} stacked matrix min singular value {min_sv:.3e} <= {DEFAULT_TOL_RANK:.1e}"
@@ -383,7 +389,7 @@ def verify_nonsingularity(basis: EigenBasis, m: int) -> NonSingularityReport:
     """
     spec = basis.spec
     level = basis.levels[m]
-    images = _gather_sum(_pad(np.array([v.coords for v in level]).T), *_raising_gathers(spec.weights, m)).T
+    images = _gather_sum(_pad(np.array([v.coords.real for v in level]).T), *_raising_gathers(spec.weights, m)).T
     checks = []
     ok = True
     worst = 0.0
@@ -393,7 +399,7 @@ def verify_nonsingularity(basis: EigenBasis, m: int) -> NonSingularityReport:
         parent = basis.levels[m - 1][vec.preimage]
         k = parent.times_lowered
         scalar = (k + 1) * (spec.total_weight - 2 * (m - 1) + k)
-        predicted = (scalar / vec.lowering_norm) * parent.coords
+        predicted = (scalar / vec.lowering_norm) * parent.coords.real
         scale = max(np.max(np.abs(image)), 1e-300)
         rel = float(np.max(np.abs(image - predicted)) / scale)
         worst = max(worst, rel)

@@ -319,8 +319,15 @@ class TestEigenbasis:
         origins = sorted(v["origin"] for v in level1)
         assert origins == ["lowered:1", "singular"]
 
+    def test_top_level_of_the_module(self, spec_file, capsys):
+        code, payload = run_json(["eigenbasis", "--spec", spec_file(SPEC_11), "--m-max", "2"], capsys)
+        assert code == 0
+        assert [len(level["vectors"]) for level in payload["levels"]] == [1, 2, 1]
+        assert payload["levels"][2]["vectors"][0]["origin"] == "lowered:2"
+
     def test_m_max_beyond_regime_exits_2(self, spec_file, capsys):
-        assert main(["eigenbasis", "--spec", spec_file(SPEC_11), "--m-max", "2"]) == 2
+        # weights (1, 1): the module ends at sum(weights) = 2
+        assert main(["eigenbasis", "--spec", spec_file(SPEC_11), "--m-max", "3"]) == 2
 
 
 class TestBethe:

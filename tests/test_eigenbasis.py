@@ -23,7 +23,7 @@ from gaudin import (
 )
 from gaudin import bethe, eigenbasis, hamiltonians
 from gaudin.eigenbasis import _joint_eigen, _singular_eigen, _singular_frame
-from gaudin.sl2 import DEFAULT_SEED, _shapovalov_norms
+from gaudin.sl2 import DEFAULT_SEED, _gather_sum, _lowering_map, _pad, _raising_gathers, _shapovalov_norms
 
 from conftest import random_spec
 
@@ -398,8 +398,133 @@ class TestBuildEigenbasis:
             assert np.linalg.svd(stacked, compute_uv=False)[-1] > 1e-8
 
     def test_m_max_out_of_regime(self):
-        with pytest.raises(ValueError):
-            build_eigenbasis(SPEC2, 2)
+        # the module ends at sum(weights) = 2
+        with pytest.raises(ValueError, match="m_max must lie in 0..sum"):
+            build_eigenbasis(SPEC2, 3)
+
+
+WHOLE_MODULE = [(1, 2), (1, 1, 3), (2, 2, 2), (2, 3, 3, 4), (3, 3, 3, 3)]
+
+
+class TestWholeModule:
+    """build_eigenbasis through the top level sum(weights), past min(weights)."""
+
+    @pytest.mark.parametrize("weights", WHOLE_MODULE)
+    def test_every_level_is_complete_and_verified(self, weights):
+        spec = ladder_spec(weights)
+        top = spec.total_weight
+        basis = build_eigenbasis(spec, top)
+        assert len(basis.levels) == top + 1
+        for m, level in enumerate(basis.levels):
+            assert len(level) == enumerate_weight_space(spec, m).dim
+            assert max(v.residual for v in level) <= eigenbasis.DEFAULT_TOL
+            assert (len(basis.singular_at(m)) == 0) == (2 * m > top)
+            if m:
+                report = verify_nonsingularity(basis, m)
+                assert report.ok and report.worst_relative_error <= eigenbasis.DEFAULT_TOL
+            for v in basis.nonsingular_at(m):
+                # preimage indexes the full previous level, and the chain from a
+                # singular vector at level a has at most top - 2a lowerings
+                parent = basis.levels[m - 1][v.preimage]
+                assert v.times_lowered == parent.times_lowered + 1 <= top - 2 * (m - v.times_lowered)
+                assert np.array_equal(v.eigenvalues, parent.eigenvalues)
+
+    @pytest.mark.parametrize("weights", WHOLE_MODULE)
+    def test_weyl_symmetry_of_the_eigenvalues(self, weights):
+        # the Weyl element maps V_m onto V_{top - m} and commutes with every H_i
+        spec = ladder_spec(weights)
+        top = spec.total_weight
+        basis = build_eigenbasis(spec, top)
+
+        def tuples(m):
+            return np.array(sorted(tuple(v.eigenvalues.real) for v in basis.levels[m]))
+
+        for m in range(top // 2 + 1):
+            assert np.max(np.abs(tuples(m) - tuples(top - m))) <= 1e-7
+
+    def test_an_ended_chain_is_not_lowered(self):
+        # weights (1, 1): the singular vector of V_1 (a = 1) has 2 - 2 = 0
+        # lowerings, so V_2 is the vacuum lowered twice, from preimage 0 alone
+        basis = build_eigenbasis(SPEC2, 2)
+        (top,) = basis.levels[2]
+        assert basis.levels[1][1].origin == "singular"
+        assert (top.origin, top.preimage) == ("lowered:2", 0)
+        assert top.exact_eigenvalues == basis.levels[0][0].exact_eigenvalues
+
+
+def complex_lowered(spec, basis, m):
+    """The lowered vectors of level m by complex formulas from their parents' complex fields.
+
+    Complex _lower of the stacked parent coords, the norm of each complex row,
+    the row over its norm, and the complex _residual: the real path must give
+    the same bits.
+    """
+    parents = [basis.levels[m - 1][v.preimage] for v in basis.nonsingular_at(m)]
+    unit = np.ones((spec.n_sites, 1))
+    images = eigenbasis._lower(np.array([p.coords for p in parents]).T, _lowering_map(spec.weights, m - 1), unit).T
+    norms = [float(np.linalg.norm(image)) for image in images]
+    units = [image / norm for image, norm in zip(images, norms)]
+    eigenvalues = np.array([p.eigenvalues for p in parents])
+    gathers = eigenbasis._level_family(spec, m)[1]
+    return units, eigenvalues, eigenbasis._residual(gathers, np.array(units).T, eigenvalues.T), norms
+
+
+def complex_nonsingularity(basis, m):
+    """The relative errors of verify_nonsingularity, from E-images of the complex coords."""
+    level = basis.levels[m]
+    raise_e = _raising_gathers(basis.spec.weights, m)
+    images = _gather_sum(_pad(np.array([v.coords for v in level]).T), *raise_e).T
+    errors = []
+    for vec, image in zip(level, images):
+        if vec.origin != "singular":
+            k = vec.times_lowered
+            scalar = k * (basis.spec.total_weight - 2 * (m - 1) + k - 1)
+            predicted = (scalar / vec.lowering_norm) * basis.levels[m - 1][vec.preimage].coords
+            errors.append(float(np.max(np.abs(image - predicted)) / max(np.max(np.abs(image)), 1e-300)))
+    return errors
+
+
+def complex_singular(spec, m, seed):
+    """The singular coords of V_m by per-vector formulas: each column over its norm and over the
+    phase v_k / |v_k| of its largest entry, sorted by their eigenvalue tuples."""
+    count = singular_dimension(spec, m)
+    root, frame, vecs, eigs = _singular_eigen(spec.weights, m, count, eigenbasis._level_family(spec, m)[1], seed)
+    columns = []
+    for col in ((frame @ vecs) / root[:, None]).T:
+        v = col / np.linalg.norm(col)
+        k = np.argmax(np.abs(v))
+        columns.append((tuple(eigs[:, len(columns)]), (v / (v[k] / abs(v[k]))).astype(complex)))
+    return [v for _, v in sorted(columns, key=lambda pair: pair[0])]
+
+
+class TestRealPath:
+    """The levels run on real arrays; every EigenVector field keeps the bits of the complex formulas."""
+
+    @pytest.mark.parametrize("seed", [1729, 555])
+    @pytest.mark.parametrize("weights, m_max", [((2, 3, 3, 4), 2), ((2, 2, 2, 2), 2), ((1, 1, 3), 5)])
+    def test_lowered_levels_match_the_complex_formulas(self, weights, m_max, seed):
+        spec = ladder_spec(weights)
+        basis = build_eigenbasis(spec, m_max, seed=seed)
+        for m in range(1, m_max + 1):
+            lowered = basis.nonsingular_at(m)
+            units, eigenvalues, residuals, norms = complex_lowered(spec, basis, m)
+            for v, coords, values, res, norm in zip(lowered, units, eigenvalues, residuals, norms):
+                assert v.coords.dtype == v.eigenvalues.dtype == np.complex128
+                assert v.coords.tobytes() == coords.tobytes()
+                assert v.eigenvalues.tobytes() == values.tobytes()
+                assert np.float64(v.residual).tobytes() == res.tobytes()
+                assert np.float64(v.lowering_norm).tobytes() == np.float64(norm).tobytes()
+            assert not np.any(np.array([v.coords.imag for v in basis.levels[m]]))
+            singular = basis.singular_at(m)
+            by_tuple = sorted(singular, key=lambda ev: tuple((s.real, s.imag) for s in ev.eigenvalues))
+            assert [id(v) for v in by_tuple] == [id(v) for v in singular]
+            if len(singular) > 1:
+                reference = complex_singular(spec, m, seed)
+                assert [v.coords.tobytes() for v in singular] == [v.tobytes() for v in reference]
+            report = verify_nonsingularity(basis, m)
+            errors = [check.relative_error for check in report.checks]
+            assert np.array(errors).tobytes() == np.array(complex_nonsingularity(basis, m)).tobytes()
+            assert report.worst_relative_error == max(errors)
 
 
 class TestCompletenessFailures:
