@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import _exact_family, _gather_forms, _site_scales, _vanishing
+from .hamiltonians import _exact_family, _gather_forms, _intertwining, _site_scales, _vanishing
 from .singular import _projected, singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
@@ -249,13 +249,9 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
     ints, gathers = family or _level_family(spec, m)
     if below is None and m > 0:
         below = _exact_family(spec, m - 1)
-    if below is not None:
-        # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
-        raise_e = _generator("E", spec.weights, m)
-        items = [(1, raise_e, 0, ints, i, i) for i in range(spec.n_sites)]
-        items += [(-1, below, i, raise_e, 0, i) for i in range(spec.n_sites)]
-        if not _vanishing(items).all():
-            raise InvarianceError("operator does not preserve the kernel of the raising operator")
+    # E H_i^(m) = H_i^(m-1) E gives H_i (ker E) in ker E
+    if below is not None and not _vanishing(_intertwining(below, _generator("E", spec.weights, m), ints)).all():
+        raise InvarianceError("operator does not preserve the kernel of the raising operator")
     root, basis, vecs, eigs = _singular_eigen(spec.weights, m, count, gathers, seed)
     coords = (basis @ vecs) / root[:, None]
     exact = None

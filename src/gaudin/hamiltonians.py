@@ -28,17 +28,16 @@ decides the groups multi-modularly (Dumas, Giorgi and Pernet, ACM TOMS 35,
 |(A B)[t, c]| is at most the largest row sum of |A| times that of |B|.  The
 group's moduli (_moduli) are 2^64 and then the fewest primes below 2^31
 (_prime) whose product with it, M_g, exceeds 2 B_g; a group with B_g < 2^63
-needs no prime.  Modulo 2^64 every entry of the sum is formed in uint64,
-where products and sums wrap: the residues of int64 entries are their own
-bits.  Modulo a prime it is formed in int64 residues: a residue below 2^31
-squared stays below 2^62, and each product is reduced before it is summed.
-An entry e with |e| <= B_g < M_g / 2 that vanishes modulo every modulus is
-a multiple of M_g, hence 0; one nonzero residue proves e != 0.  So each
-decision is exact with no tolerance, and a fault changes the bound its own
-group is checked against.  Each modulus adds its products by target entry
-into one accumulator with np.add.at, and only the entries it touches are
-zeroed and read.  The total H is the scalar sum(weights) - 2m on V_m, so it
-needs no check.
+needs no prime, and the groups with equally many moduli share one pass.
+Modulo 2^64 every entry of the sum is formed in uint64, where products and
+sums wrap: the residues of int64 entries are their own bits.  Modulo a prime
+it is formed in int64 residues: a residue below 2^31 squared stays below
+2^62, and each product is reduced before it is summed.  An entry e with
+|e| <= B_g < M_g / 2 that vanishes modulo every modulus is a multiple of
+M_g, hence 0; one nonzero residue proves e != 0.  So each decision is exact
+with no tolerance, and a fault changes the bound its own group is checked
+against.  The total H is the scalar sum(weights) - 2m on V_m, so it needs no
+check.
 
 For float or complex z, _gather_forms writes every H_i as 2N - 1 gathers
 (the diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j),
@@ -218,69 +217,62 @@ def _vanishing(items) -> np.ndarray:
 
     An item (c, A, a, B, b, group) is c A_a B_b, with A and B integer
     sl2.SparseOperators and c a Python int; the items of a group map between
-    the same spaces.  Each group is decided modulo the _moduli of its entry
-    of _bounds: 2^64, on the uint64 SparseOperator.wrapped, then its primes,
-    on int64 residues below 2^31.  The groups are ranked by their prime
-    counts, most first, so that each modulus serves a prefix of the ranks,
-    and an operand is reduced modulo the primes of the first rank it meets.
-    The items are expanded, row by row and in rank order, into their
-    products of single entries, so a modulus serves a prefix of them too.
-    A batch is a run of consecutive (rank, row) pairs whose products,
-    bounded by the entries of each row of A_a times the widest row of B_b,
-    number at most _BATCH, and whose target entries span at most _SPAN (more
-    only when one pair does).  Each modulus zeroes one accumulator at the
-    batch-local keys (pair - p0) height + column of its products' target
-    entries, adds the products there by np.add.at and reads the sums back:
-    the cost is linear in the products.  While no target entry gathers 2^32
-    products, a sum of prime residues stays below 2^63.  No float is used.
+    the same spaces.  The groups that have items are bucketed by the count
+    of the _moduli of their _bounds, and one _vanishing_modulo pass decides
+    each bucket modulo that count's one moduli list.
     """
-    bounds = _bounds(items)
-    counts = [len(_moduli(bound)) - 1 for bound in bounds]  # the primes of each group
-    # rank r is the group order[r]: the groups by their prime counts, most first
-    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
-    rank, need = np.argsort(order).tolist(), [counts[g] for g in order]
-    moduli = _moduli(max(bounds))
-    # one pool of the operands' rows: each operand's first row and first entry in it, and the primes of the
-    # first rank it comes in, the most it meets; per item: its rank, the pool rows of A_a and of B_b, the
-    # rows of A, the widest row of B_b and c
-    first, operands, rows, entries = {}, [], 0, 0
-    table, factors, height = [], [], 1
-    for c, x, a, y, b, g in sorted(items, key=lambda item: rank[item[5]]):
-        g = rank[g]
+    moduli = [_moduli(bound) for bound in _bounds(items)]
+    passes = [_vanishing_modulo([item for item in items if len(moduli[item[5]]) == count], mods, len(moduli))
+              for count, mods in {len(moduli[g]): moduli[g] for *_, g in items}.items()]
+    return np.all(passes, axis=0)
+
+
+def _vanishing_modulo(items, moduli, groups: int) -> np.ndarray:
+    """One bool per group 0..groups - 1: False where the sum of its items is nonzero modulo one of moduli.
+
+    The items are expanded, row by row in group order, into their products
+    of single entries.  A batch is a run of consecutive (group, row) pairs
+    whose products, bounded by the entries of each row of A_a times the
+    widest row of B_b, number at most _BATCH, and whose target entries span
+    at most _SPAN (more only when one pair does).  Each modulus zeroes one
+    accumulator at the batch-local keys (pair - p0) height + column of its
+    products' target entries, adds the products there by np.add.at and
+    reads the sums back.  While no target entry gathers 2^32 products, a sum
+    of prime residues stays below 2^63.  No float is used.
+    """
+    # one pool of the operands' rows: first[op] is its first row and first entry in the pool; per item: its
+    # group, the pool rows of A_a and of B_b, the rows of A, the widest row of B_b and c
+    first, rows, entries, table, factors, height = {}, 0, 0, [], [], 1
+    for c, x, a, y, b, g in sorted(items, key=lambda item: item[5]):
         for op in (x, y):
             if op not in first:
-                first[op] = rows
-                operands.append((op, entries, need[g]))
+                first[op] = rows, entries
                 rows, entries = rows + op.start.size - 1, entries + op.cols.size
-        table.append((g, first[x] + a * x.rows, first[y] + b * y.rows, x.rows, y.widths[b]))
+        table.append((g, first[x][0] + a * x.rows, first[y][0] + b * y.rows, x.rows, y.widths[b]))
         factors.append(c)
         height = max(height, y.dim)
-    start = np.concatenate([op.start[:-1] + e for op, e, _ in operands] + [[entries]])
-    cols = np.concatenate([op.cols for op, *_ in operands])
-    # residues[q]: the entries modulo moduli[q] of the operands that need it, a prefix of the pool (the
-    # operands come in rank order, most primes first); scale[q]: each c modulo moduli[q]
-    primed = [op.residues(moduli[1 : n + 1]) for op, _, n in operands if n]
-    residues = [np.concatenate([op.wrapped for op, *_ in operands])]
-    residues += [np.concatenate([r[q] for r in primed if len(r) > q]) for q in range(len(moduli) - 1)]
+    start = np.concatenate([op.start[:-1] + e for op, (_, e) in first.items()] + [[entries]])
+    cols = np.concatenate([op.cols for op in first])
+    # residues[q] and scale[q]: the pool's entries (uint64 for 2^64, int32 for a prime) and each c modulo moduli[q]
+    residues = [np.concatenate([op.wrapped for op in first])]
+    if len(moduli) > 1:
+        residues += list(np.concatenate([op.residues(moduli[1:]) for op in first], axis=1))
     scale = [np.array([c % q for c in factors], dtype=np.uint64 if q == 2**64 else np.int64) for q in moduli]
     group, a_row, b_row, n_rows, b_width = np.array(table).T
-    # the target rows of all ranks as one sequence of pairs (rank, row), rank r's from offset[r] on;
+    # the target rows of all groups as one sequence of pairs (group, row), group g's from offset[g] on;
     # load[p] bounds the products of the pairs before p: row t of A_a adds its entries times the widest
-    # row of B_b to pair offset[rank] + t
-    offset = np.zeros(len(order) + 1, dtype=np.int64)
-    offset[group + 1] = n_rows  # the items of a rank share its rows
+    # row of B_b to pair offset[group] + t
+    offset = np.zeros(groups + 1, dtype=np.int64)
+    offset[group + 1] = n_rows  # the items of a group share its rows
     offset = np.cumsum(offset)
     item, rows = _expand(a_row, n_rows)
     load = np.zeros(offset[-1] + 1, dtype=np.int64)
     np.add.at(load, offset[group[item]] + rows - a_row[item] + 1, (start[rows + 1] - start[rows]) * b_width[item])
     load = np.cumsum(load)
-    served = [sum(n >= q for n in need) for q in range(len(moduli))]  # moduli[q] serves the ranks below served[q]
-    acc = np.empty(0, dtype=np.int64)
-    ok = np.ones(len(bounds), dtype=bool)
-    p0 = 0
+    acc, ok, p0 = np.empty(0, dtype=np.int64), np.ones(groups, dtype=bool), 0
     while p0 < offset[-1]:
         # a batch: the most pairs from p0 on that load bounds by _BATCH products and that span at most _SPAN
-        # target entries, at least one, and the rows of each item of their ranks that it holds
+        # target entries, at least one, and the rows of each item of their groups that it holds
         p1 = int(np.searchsorted(load, load[p0] + _BATCH, side="right")) - 1
         p1 = max(min(p1, p0 + _SPAN // height), p0 + 1)
         if acc.size < (p1 - p0) * height:  # one accumulator: int64 for the primes, viewed as uint64 for 2^64
@@ -296,18 +288,15 @@ def _vanishing(items) -> np.ndarray:
         b_rows = b_row[batch] + cols[ea]
         owner, eb = _expand(start[b_rows], start[b_rows + 1] - start[b_rows])
         key = head[unit][owner] + cols[eb]
-        most = need[np.searchsorted(offset, p0, side="right") - 1] + 1  # the moduli of the batch's first rank
-        for q, modulus in enumerate(moduli[:most]):
-            cut = np.searchsorted(group[batch], served[q])  # the units of those ranks come first
-            stop = np.searchsorted(owner, cut)
-            product = _reduced(residues[q][ea[:cut]] * scale[q][batch[:cut]], modulus)[owner[:stop]]
-            product *= residues[q][eb[:stop]]
-            at, total = key[:stop], acc if q else acc.view(np.uint64)
-            total[at] = 0
-            np.add.at(total, at, _reduced(product, modulus))
-            ok[group[batch[owner[:stop][_reduced(total[at], modulus) != 0]]]] = False
+        for q, modulus in enumerate(moduli):
+            product = _reduced(residues[q][ea] * scale[q][batch], modulus)[owner]
+            product *= residues[q][eb]
+            total = acc if q else acc.view(np.uint64)
+            total[key] = 0
+            np.add.at(total, key, _reduced(product, modulus))
+            ok[group[batch[owner[_reduced(total[key], modulus) != 0]]]] = False
         p0 = p1
-    return ok[rank]
+    return ok
 
 
 def _gather_forms(weights, diffs: np.ndarray, m: int):
@@ -390,11 +379,15 @@ def _level_items(spec: ModelSpec, m: int, below, here, above, first: int = 0):
     site = total + 1
     for family, gen in ((below, "E"), (above, "F")):
         if family is not None:
-            g = _generator(gen, spec.weights, m)
-            items += [(1, family, i, g, 0, site + i) for i in range(n)]
-            items += [(-1, g, 0, here, i, site + i) for i in range(n)]
+            items += _intertwining(family, _generator(gen, spec.weights, m), here, site)
             site += n
     return items, (slice(first, total), slice(total, total + 1), slice(total + 1, site))
+
+
+def _intertwining(family, g: SparseOperator, here, first: int = 0) -> list:
+    """The _vanishing items of X_i g - g H_i, group first + i, for the families X_i (family) and H_i (here)."""
+    sites = range(here.src.shape[1])
+    return [(1, family, i, g, 0, first + i) for i in sites] + [(-1, g, 0, here, i, first + i) for i in sites]
 
 
 def _report(ok: np.ndarray, groups) -> VerifyReport:

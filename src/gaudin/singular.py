@@ -36,6 +36,7 @@ from .sl2 import (
     _bounded_compositions,
     _exact_dtype,
     _gather_sum,
+    _level,
     _lower,
     _lowering_map,
     _pad,
@@ -74,7 +75,7 @@ def singular_dimension(spec_or_weights, m: int) -> int:
     Zero when 2m > sum(weights): the total raising operator is then injective
     on V_m.  Equals singular_dimension_formula while m <= min(weights).
     """
-    weights = _weights_of(spec_or_weights)
+    weights, m = _weights_of(spec_or_weights), _level(m)
     if m < 0 or 2 * m > sum(weights):
         return 0
     below = enumerate_weight_space(weights, m - 1).dim if m >= 1 else 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -151,10 +152,18 @@ def enumerate_weight_space(spec_or_weights, m: int) -> WeightSpace:
     occupation bound n_i <= lam_i truncates the enumeration.  Repeated calls
     return the same cached object.
     """
-    weights = _weights_of(spec_or_weights)
+    weights, m = _weights_of(spec_or_weights), _level(m)
     if not 0 <= m <= sum(weights):
         raise ValueError(f"spin deviation m={m} outside 0..{sum(weights)}")
     return _space(weights, m)
+
+
+def _level(m) -> int:
+    """m by operator.index, before a cache keys it (1.0 == 1); ValueError for a float or other non-integer."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise ValueError(f"spin deviation m={m!r} is not an integer") from None
 
 
 @functools.lru_cache(maxsize=None)

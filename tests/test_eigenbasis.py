@@ -14,6 +14,7 @@ from gaudin import (
     build_total_generator,
     diagonalize_singular,
     enumerate_weight_space,
+    hamiltonian_array,
     singular_basis_kernel,
     singular_dimension,
     singular_dimension_formula,
@@ -441,6 +442,20 @@ class TestWholeModule:
 
         for m in range(top // 2 + 1):
             assert np.max(np.abs(tuples(m) - tuples(top - m))) <= 1e-7
+
+    @pytest.mark.parametrize("weights", WHOLE_MODULE)
+    def test_eigenvalues_match_the_dense_spectrum(self, weights):
+        # at every level the values t . E(v) of the basis are the spectrum of sum_i t_i H_i on V_m: levels m
+        # and top - m are built alike, so the Weyl symmetry alone cannot catch a wrong value
+        spec = ladder_spec(weights)
+        top = spec.total_weight
+        basis = build_eigenbasis(spec, top)
+        t = np.random.default_rng(1729).standard_normal(spec.n_sites)
+        for m in range(top + 1):
+            dense = sum(w * hamiltonian_array(spec.weights, spec.z, i, m) for i, w in enumerate(t))
+            want = np.sort(np.linalg.eigvals(dense).real)
+            got = np.sort([t @ v.eigenvalues.real for v in basis.levels[m]])
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
     def test_an_ended_chain_is_not_lowered(self):
         # weights (1, 1): the singular vector of V_1 (a = 1) has 2 - 2 = 0

@@ -792,6 +792,13 @@ class TestVanishing:
         moduli = max(len(_moduli(max(_bounds(items)))) for items in calls)
         assert moduli >= (3 if seed == 555 else 2)
 
+        # and some call holds groups of two moduli counts, which _vanishing decides in one pass per count
+        def counts(items):
+            bounds = _bounds(items)
+            return {len(_moduli(bounds[g])) for *_, g in items}
+
+        assert any(len(counts(items)) > 1 for items in calls)
+
     @pytest.mark.parametrize("fault", ["one", "prime", "identity"])
     def test_injected_faults(self, fault, monkeypatch):
         spec = ladder_spec((2, 3, 3, 4))

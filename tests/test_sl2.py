@@ -10,6 +10,7 @@ from gaudin import (
     SparseOperator,
     build_site_operator,
     build_total_generator,
+    diagonalize_singular,
     enumerate_weight_space,
     weight_space_dimension_formula,
 )
@@ -115,6 +116,19 @@ class TestEnumeration:
             enumerate_weight_space(spec, -1)
         with pytest.raises(ValueError):
             enumerate_weight_space(spec, 3)
+
+    def test_a_float_level_is_refused_also_after_its_integer(self):
+        # the cache keys (weights, 1.0) and (weights, 1) are equal, so m is read by operator.index first
+        space = enumerate_weight_space((1, 2), 1)
+        assert enumerate_weight_space((1, 2), np.int64(1)) is space
+        with pytest.raises(ValueError):
+            enumerate_weight_space((1, 2), 1.0)
+        spec = ModelSpec((2, 3, 3, 4), (0, 1, 2, 3))
+        assert singular_dimension(spec, 2) == 6
+        with pytest.raises(ValueError):
+            diagonalize_singular(spec, 2.0)
+        with pytest.raises(ValueError):
+            singular_dimension(spec, 2.5)
 
     def test_matches_brute_force(self, rng):
         for _ in range(10):
