@@ -52,6 +52,7 @@ from .sl2 import (
     ModelSpec,
     enumerate_weight_space,
     _checked_sites,
+    _level,
     _lower,
     _lowering_map,
     _weights_of,
@@ -143,7 +144,7 @@ def _residuals(lam: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def bethe_residual(spec: ModelSpec, m: int, roots) -> np.ndarray:
     """The m residuals f_k of the Bethe system at the given roots."""
     roots = np.asarray(roots, dtype=complex)
-    if len(roots) != m:
+    if len(roots) != _level(m):
         raise ValueError("number of roots must equal m")
     z = np.array([complex(x) for x in spec.z])
     _check_off_poles(z, roots)
@@ -367,9 +368,9 @@ def solve_bethe_numeric(weights, z, m: int, *, seed=DEFAULT_SEED):
     weights and z follow the rules of ModelSpec, with finite complex z, and
     m is an integer in 1..sum(weights); ValueError otherwise.
     """
-    if m < 1 or m != int(m):
+    m = _level(m)
+    if m < 1:
         raise ValueError("m must be an integer of at least 1")
-    m = int(m)
     z = np.asarray(z, dtype=complex)
     weights = _checked_sites(weights, z)
     if not np.all(np.isfinite(z)):
@@ -417,7 +418,7 @@ def verify_solution(spec: ModelSpec, m: int, sol: BetheSolution) -> SolutionRepo
 
     ok means both residuals are at most DEFAULT_TOL.  sol must hold m roots.
     """
-    roots = np.asarray(sol.roots, dtype=complex)
+    roots, m = np.asarray(sol.roots, dtype=complex), _level(m)
     if len(roots) != m:
         raise ValueError("number of roots must equal m")
     z = np.array([complex(x) for x in spec.z])

@@ -38,6 +38,7 @@ from .sl2 import (
     ModelSpec,
     _gather_sum,
     _generator,
+    _level,
     _lower,
     _lowering_map,
     _pad,
@@ -306,6 +307,7 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     counting and by the smallest singular value of the stacked coordinate
     matrix against DEFAULT_TOL_RANK.
     """
+    m_max = _level(m_max)
     if not 0 <= m_max <= spec.total_weight:
         raise ValueError(f"m_max must lie in 0..sum(weights) = {spec.total_weight}")
 

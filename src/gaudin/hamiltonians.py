@@ -65,6 +65,7 @@ from .sl2 import (
     _checked_sites,
     _exact_dtype,
     _generator,
+    _level,
     _lowering_map,
     _raising_gathers,
     _scatter,
@@ -146,7 +147,7 @@ def _integer_gathers(spec: ModelSpec, m: int, sites=None):
 
 def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
     """Exact matrix of H_i on V_m (site index i is 0-based): D_i H_i over the denominator D_i, Fraction entries."""
-    src, coef = _integer_gathers(spec, m, [i])
+    src, coef = _integer_gathers(spec, _level(m), [i])
     return SparseOperator(src, coef, src.shape[2], _site_scales(spec.z)[i])
 
 
@@ -254,9 +255,7 @@ def _vanishing_modulo(items, moduli, groups: int) -> np.ndarray:
     start = np.concatenate([op.start[:-1] + e for op, (_, e) in first.items()] + [[entries]])
     cols = np.concatenate([op.cols for op in first])
     # residues[q] and scale[q]: the pool's entries (uint64 for 2^64, int32 for a prime) and each c modulo moduli[q]
-    residues = [np.concatenate([op.wrapped for op in first])]
-    if len(moduli) > 1:
-        residues += list(np.concatenate([op.residues(moduli[1:]) for op in first], axis=1))
+    residues = [np.concatenate([op.residue(q) for op in first]) for q in moduli]
     scale = [np.array([c % q for c in factors], dtype=np.uint64 if q == 2**64 else np.int64) for q in moduli]
     group, a_row, b_row, n_rows, b_width = np.array(table).T
     # the target rows of all groups as one sequence of pairs (group, row), group g's from offset[g] on;
@@ -326,7 +325,7 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     ascending order gives; ValueError unless weights and z follow ModelSpec.
     """
     z = np.asarray(z, dtype=complex)
-    src, coef = _gather_forms(_checked_sites(weights, z), z[:, None] - z, m)
+    src, coef = _gather_forms(_checked_sites(weights, z), z[:, None] - z, _level(m))
     return _scatter(src[:, i], coef[:, i], src.shape[2], complex)
 
 
@@ -394,33 +393,30 @@ def _report(ok: np.ndarray, groups) -> VerifyReport:
     return VerifyReport(*(bool(ok[g].all()) for g in groups))
 
 
-def _level_report(spec: ModelSpec, m: int, below, here, above) -> VerifyReport:
-    """verify_family's checks on V_m, given the integer families at m-1, m and m+1 (see _level_items)."""
-    items, groups = _level_items(spec, m, below, here, above)
-    return _report(_vanishing(items), groups)
+def _verified_levels(spec: ModelSpec, first: int = 0, last: int | None = None):
+    """Yield (m, the family D_i H_i on V_m (_exact_family), the VerifyReport of V_m) for m = first..last.
 
-
-def _verified_levels(spec: ModelSpec):
-    """Yield (m, the family D_i H_i on V_m (_exact_family), verify_family's report) for m = 0..sum(weights).
-
-    A sliding window builds each level's family once.  Consecutive levels
-    share one _vanishing call until their families hold 4 _BATCH entries, so
-    that small levels share its fixed cost; the families of one call stay alive
-    until it is made.
+    last defaults to sum(weights); verify_family is the window m..m.  The
+    window slides from the family at first - 1 and builds each level's
+    family once.  Consecutive levels share one _vanishing call until their
+    families hold 4 _BATCH entries, so that small levels share its fixed
+    cost; the families of one call stay alive until it is made.
     """
     top = spec.total_weight
-    pending, items, entries, first = [], [], 0, 0
-    below, here = None, _exact_family(spec, 0)
-    for m in range(top + 1):
+    last = top if last is None else last
+    pending, items, entries, group = [], [], 0, 0
+    here = _exact_family(spec, first)
+    below = _exact_family(spec, first - 1) if first else None
+    for m in range(first, last + 1):
         above = _exact_family(spec, m + 1) if m < top else None
-        level, groups = _level_items(spec, m, below, here, above, first)
+        level, groups = _level_items(spec, m, below, here, above, group)
         pending.append((m, here, groups))
-        items, entries, first = items + level, entries + here.cols.size, groups[-1].stop
-        if entries > 4 * _BATCH or m == top:
+        items, entries, group = items + level, entries + here.cols.size, groups[-1].stop
+        if entries > 4 * _BATCH or m == last:
             ok = _vanishing(items)
             for level_m, family, groups in pending:
                 yield level_m, family, _report(ok, groups)
-            pending, items, entries, first = [], [], 0, 0
+            pending, items, entries, group = [], [], 0, 0
         below, here = here, above
 
 
@@ -441,11 +437,11 @@ def verify_family(spec: ModelSpec, m: int) -> VerifyReport:
                       sum(weights) - 2m on V_m, so it is not checked.
 
     Every identity is decided on the integer matrices D_i H_i by residues
-    (see the module docstring).
+    (see the module docstring), in one _vanishing call: the report is the
+    one _verified_levels yields for the window m..m.
     """
-    below = _exact_family(spec, m - 1) if m >= 1 else None
-    above = _exact_family(spec, m + 1) if m < spec.total_weight else None
-    return _level_report(spec, m, below, _exact_family(spec, m), above)
+    m = _level(m)
+    return next(_verified_levels(spec, m, m))[2]
 
 
 def independent_count(spec: ModelSpec, m: int) -> int:
@@ -453,5 +449,5 @@ def independent_count(spec: ModelSpec, m: int) -> int:
 
     The rank of the integer matrices D_i H_i is the same.
     """
-    family = _exact_family(spec, m)
+    family = _exact_family(spec, _level(m))
     return rank([family.to_array(object, i).ravel().tolist() for i in range(spec.n_sites)])

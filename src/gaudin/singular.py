@@ -198,7 +198,7 @@ def singular_basis_gordan(spec_or_weights, m: int) -> SingularBasis:
     degree) of the prefix tree.  Only valid for m <= min(weights); the
     kernel route covers the truncated regime.
     """
-    weights = _weights_of(spec_or_weights)
+    weights, m = _weights_of(spec_or_weights), _level(m)
     if m > min(weights):
         raise UnsupportedRegimeError(
             f"Gordan construction requires m <= min(weights) = {min(weights)}, got m={m}"

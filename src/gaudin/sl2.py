@@ -280,9 +280,8 @@ class SparseOperator:
     and values; widths[b], the most entries a row of X_b has, bounds its
     row lengths, and rowsums[b], the largest sum of |coef| over a row, its
     row sums.  The exact checks of hamiltonians._vanishing read these
-    integer parts only, and the values modulo their moduli: wrapped, the
-    values modulo 2^64 as uint64 (a view of int64 values), and
-    residues(primes), modulo each prime as int32; each is reduced once.
+    integer parts only, and the values modulo each of their moduli by
+    residue(q), reduced once per q.
     """
 
     def __init__(self, src: np.ndarray, coef: np.ndarray, dim: int, denominator: int = 1):
@@ -346,19 +345,14 @@ class SparseOperator:
         arr = self._over(_scatter(self.src[:, b], self.coef[:, b, :, None], self.dim, object))
         return arr if dtype is object else arr.astype(dtype)
 
-    @functools.cached_property
-    def wrapped(self) -> np.ndarray:
-        """The values modulo 2^64 as uint64."""
-        if self.values.dtype == object:
-            return (self.values % 2**64).astype(np.uint64)
-        return self.values.view(np.uint64)
-
-    def residues(self, primes) -> np.ndarray:
-        """The values modulo each of primes, one int32 row per prime."""
-        for q in primes:
-            if q not in self._residues:
-                self._residues[q] = (self.values % q).astype(np.int32)
-        return np.array([self._residues[q] for q in primes])
+    def residue(self, q: int) -> np.ndarray:
+        """The values modulo q, reduced once: uint64 for q = 2^64 (a view of int64 values), int32 for a prime."""
+        if q not in self._residues:
+            if q == 2**64 and self.values.dtype != object:
+                self._residues[q] = self.values.view(np.uint64)
+            else:
+                self._residues[q] = (self.values % q).astype(np.uint64 if q == 2**64 else np.int32)
+        return self._residues[q]
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,7 +380,7 @@ def _generator(gen: str, weights: tuple[int, ...], m: int, sites=None) -> Sparse
 
 def build_site_operator(gen: str, site: int, spec_or_weights, m: int) -> SparseOperator:
     """The single-site generator X^(site) on V_m, X one of E, F and H."""
-    return _generator(gen, _weights_of(spec_or_weights), m, (site,))
+    return _generator(gen, _weights_of(spec_or_weights), _level(m), (site,))
 
 
 def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
@@ -396,4 +390,4 @@ def build_total_generator(gen: str, spec_or_weights, m: int) -> SparseOperator:
     entry sum(weights) - 2m.  At the boundary degrees (E on V_0, F on the top
     subspace) the codomain is the zero space: the matrix has no rows.
     """
-    return _generator(gen, _weights_of(spec_or_weights), m)
+    return _generator(gen, _weights_of(spec_or_weights), _level(m))

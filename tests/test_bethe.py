@@ -1049,14 +1049,17 @@ class TestEdgeInputs:
         with pytest.raises(ValueError):
             solve_bethe_numeric(weights, np.array(z, dtype=complex), m)
 
-    def test_integral_float_level_reads_as_an_int(self):
-        # 2.0 passes the integer check, as integral float weights do
+    def test_integral_float_weights_read_as_ints_but_a_float_level_is_refused(self):
+        # an integral float weight passes the integer check; a float level m is refused, as by
+        # enumerate_weight_space, also after the same call at the integer level
         z = np.array([0.0, 1.0, 3.0], dtype=complex)
-        a, b = solve_bethe_numeric((2, 2, 2), z, 2), solve_bethe_numeric((2, 2, 2.0), z, 2.0)
+        a, b = solve_bethe_numeric((2, 2, 2), z, 2), solve_bethe_numeric((2, 2, 2.0), z, 2)
         assert len(a) == len(b) == 3
         for x, y in zip(a, b):
             assert np.array_equal(x.roots, y.roots) and np.array_equal(x.eigenvalues, y.eigenvalues)
             assert x.residual_eq == y.residual_eq and x.vector_residual == y.vector_residual
+        with pytest.raises(ValueError):
+            solve_bethe_numeric((2, 2, 2), z, 2.0)
 
     def test_root_on_a_site_point_is_rejected(self):
         with pytest.raises(ValueError):

@@ -25,13 +25,15 @@ from gaudin.hamiltonians import (
     _exact_family,
     _gather_forms,
     _integer_gathers,
-    _level_report,
+    _level_items,
     _moduli,
     _pair_map,
     _pair_scales,
     _prime,
+    _report,
     _site_scales,
     _vanishing,
+    _verified_levels,
 )
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_basis_kernel
@@ -61,7 +63,8 @@ def level_report(spec, m, here):
     """verify_family's checks on V_m with the integer family D_i H_i replaced by the SparseOperator here."""
     below = _exact_family(spec, m - 1) if m >= 1 else None
     above = _exact_family(spec, m + 1) if m < spec.total_weight else None
-    return _level_report(spec, m, below, here, above)
+    items, groups = _level_items(spec, m, below, here, above)
+    return _report(_vanishing(items), groups)
 
 
 def columns(mat):
@@ -123,11 +126,13 @@ def dense(op, b=0):
 
 
 def exact_product(a, b):
-    """x @ y for dense(x) and dense(y), exact: row t sums x[t, s] y[s] over the nonzero x[t, s], in int64
-    only when the widest row of x times the largest entry of y is below 2^63, in Python ints otherwise."""
+    """x @ y for dense(x) and dense(y), exact: in float64 when the widest row of x times the largest entry
+    of y is below 2^53, where every partial sum is an integer that a float holds exactly; otherwise row t
+    sums x[t, s] y[s] over the nonzero x[t, s] in Python ints."""
     (x, widest, _), (y, _, largest) = a, b
-    if not (widest * largest < 2**63 and x.dtype == y.dtype == np.int64):
-        x, y = x.astype(object), y.astype(object)
+    if widest * largest < 2**53:
+        return x.astype(float) @ y.astype(float)
+    x, y = x.astype(object), y.astype(object)
     rows, cols = np.nonzero(x)
     out = np.zeros((x.shape[0], y.shape[1]), dtype=x.dtype)
     if rows.size:
@@ -680,15 +685,16 @@ def reference_vanishing(items) -> list:
 
 
 def spy_residues(monkeypatch) -> dict:
-    """Record, by id of operator, the counts of primes SparseOperator.residues is asked for."""
+    """Record, by id of operator, the primes (every modulus but 2^64) SparseOperator.residue is asked for."""
     requested = {}
-    residues = SparseOperator.residues
+    residue = SparseOperator.residue
 
-    def spy(op, primes):
-        requested.setdefault(id(op), set()).add(len(primes))
-        return residues(op, primes)
+    def spy(op, q):
+        if q != 2**64:
+            requested.setdefault(id(op), set()).add(q)
+        return residue(op, q)
 
-    monkeypatch.setattr(SparseOperator, "residues", spy)
+    monkeypatch.setattr(SparseOperator, "residue", spy)
     return requested
 
 
@@ -765,7 +771,7 @@ class TestVanishing:
         assert counts[0] == 1 and counts[2] == counts[3] == 0 and min(counts[1], counts[4]) >= 3
         requested = spy_residues(monkeypatch)
         assert list(_vanishing(items)) == reference_vanishing(items) == [False, True, True, False, False]
-        assert id(small[1]) not in requested and max(requested[id(big[0])]) == max(counts)
+        assert id(small[1]) not in requested and len(requested[id(big[0])]) == max(counts)
 
     def test_every_level_of_random_specs(self, rng):
         # against dense products, which the column walk of reference_report cross-checks on the first specs
@@ -798,6 +804,20 @@ class TestVanishing:
             return {len(_moduli(bounds[g])) for *_, g in items}
 
         assert any(len(counts(items)) > 1 for items in calls)
+
+    @pytest.mark.parametrize("seed", [1729, 555])
+    def test_one_level_is_the_window_of_that_level(self, seed, monkeypatch):
+        # verify_family(spec, m) is the report _verified_levels yields at m, on the benchmark's levels of the
+        # ladders (every level of the two smaller ones), from one _vanishing call per level
+        calls = capture_items(monkeypatch)
+        for weights, last in (((4,) * 5, 4), ((3,) * 7, 3), ((2, 3, 3, 4), None), ((1, 2, 3, 4), None)):
+            spec = bench_ladder(weights, seed)
+            window = [(m, report) for m, _, report in _verified_levels(spec, 0, last)]
+            assert [m for m, _ in window] == list(range(spec.total_weight + 1 if last is None else last + 1))
+            for m, report in window:
+                calls.clear()
+                assert verify_family(spec, m) == report
+                assert len(calls) == 1
 
     @pytest.mark.parametrize("fault", ["one", "prime", "identity"])
     def test_injected_faults(self, fault, monkeypatch):

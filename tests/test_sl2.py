@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gaudin
 from gaudin import (
     ModelSpec,
     SparseOperator,
@@ -19,6 +21,24 @@ from gaudin.singular import singular_dimension
 from gaudin.sl2 import _shapovalov_norms, _weights_of
 
 from conftest import random_spec
+
+
+# the public entry points that read a level m, each called at m on a spec with z = (0, 1, 3)
+ROOTS = [0.5 + 0.5j, 2.0 + 0.5j]
+AT_LEVEL = {
+    "verify_family": lambda spec, m: gaudin.verify_family(spec, m),
+    "build_hamiltonian": lambda spec, m: gaudin.build_hamiltonian(spec, 0, m),
+    "hamiltonian_array": lambda spec, m: gaudin.hamiltonian_array(spec.weights, [0, 1, 3], 0, m),
+    "build_site_operator": lambda spec, m: build_site_operator("F", 0, spec, m),
+    "build_total_generator": lambda spec, m: build_total_generator("E", spec, m),
+    "independent_count": lambda spec, m: gaudin.independent_count(spec, m),
+    "verify_solution": lambda spec, m: gaudin.verify_solution(spec, m, SimpleNamespace(roots=np.array(ROOTS))),
+    "singular_basis_gordan": lambda spec, m: gaudin.singular_basis_gordan(spec, m),
+    "build_eigenbasis": lambda spec, m: gaudin.build_eigenbasis(spec, m),
+    "solve_bethe": lambda spec, m: gaudin.solve_bethe(spec, m),
+    "solve_bethe_numeric": lambda spec, m: gaudin.solve_bethe_numeric(spec.weights, np.array([0, 1, 3], complex), m),
+    "bethe_residual": lambda spec, m: gaudin.bethe_residual(spec, m, ROOTS),
+}
 
 
 def apply_site_generator(gen: str, site: int, state: tuple[int, ...], weights):
@@ -129,6 +149,16 @@ class TestEnumeration:
             diagonalize_singular(spec, 2.0)
         with pytest.raises(ValueError):
             singular_dimension(spec, 2.5)
+
+    @pytest.mark.parametrize("name", sorted(AT_LEVEL))
+    def test_every_entry_point_refuses_a_float_level(self, name):
+        # m = 2.0 is refused before and after the call at m = 2, whose cache entries share its key
+        spec = ModelSpec((2, 2, 3), (0, 1, 3))
+        with pytest.raises(ValueError):
+            AT_LEVEL[name](spec, 2.0)
+        AT_LEVEL[name](spec, 2)
+        with pytest.raises(ValueError):
+            AT_LEVEL[name](spec, 2.0)
 
     def test_matches_brute_force(self, rng):
         for _ in range(10):
@@ -368,8 +398,9 @@ class TestSparseOperator:
         assert np.allclose(op.apply(np.array([6.0, -1.0])), [2 / 3, -1 / 2])
         # the checks read the integer parts: row sums and residues ignore the denominator
         assert op.rowsums == [3, 5]
-        assert op.residues([7, 5]).tolist() == [[1, 2, 3, 5], [1, 2, 3, 0]]
-        assert op.wrapped.tolist() == [1, 2, 3, 5]
+        assert op.residue(7).tolist() == [1, 2, 3, 5] and op.residue(5).tolist() == [1, 2, 3, 0]
+        assert op.residue(5).dtype == np.int32 and op.residue(5) is op.residue(5)
+        assert op.residue(2**64).tolist() == [1, 2, 3, 5]
 
     @pytest.mark.parametrize("values, wrapped, dtype", [
         ((2**62, 2**62), (2**62, 2**62), np.int64),
@@ -380,5 +411,5 @@ class TestSparseOperator:
         # the values modulo 2^64 are the bits of int64 values read as uint64, or Python ints reduced; a
         # row sum of |values| at 2^63 or more is taken in Python ints, not wrapped
         op = SparseOperator(np.array([[[0]], [[1]]]), np.array(values, dtype=dtype).reshape(2, 1, 1), 2)
-        assert op.wrapped.dtype == np.uint64 and op.wrapped.tolist() == list(wrapped)
+        assert op.residue(2**64).dtype == np.uint64 and op.residue(2**64).tolist() == list(wrapped)
         assert op.rowsums == [sum(map(abs, values))]
