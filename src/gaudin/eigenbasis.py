@@ -27,11 +27,10 @@ differences z_i - z_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import _exact_family, _gather_forms, _intertwining, _site_scales, _vanishing
+from .hamiltonians import _exact_family, _gather_forms, _intertwining, _traces, _vanishing
 from .singular import _projected, singular_dimension
 from .sl2 import (
     DEFAULT_SEED,
@@ -209,14 +208,6 @@ def _gate(residuals, what: str) -> None:
         raise DiagonalizationError(f"{what} residual {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}", worst)
 
 
-def _traces(family) -> list:
-    """tr D_i H_i for each site, from the diagonal term 0 of an _exact_family (no hop reaches the diagonal).
-
-    The sum is taken in Python ints: dim entries below 2^62 of an int64 family may exceed int64.
-    """
-    return [sum(row) for row in family.coef[0].tolist()]
-
-
 def _level_family(spec: ModelSpec, m: int):
     """_exact_family(spec, m) and the family gather form of the H_i on V_m, built once per level."""
     fractions = [(x.numerator, x.denominator) for x in spec.z]  # int / int rounds correctly
@@ -257,9 +248,8 @@ def _diagonalize_level(spec: ModelSpec, m: int, below, family, seed):
     coords = (basis @ vecs) / root[:, None]
     exact = None
     if count == 1:
-        lower = _traces(below) if below is not None else [0] * spec.n_sites
-        scales = _site_scales(spec.z)
-        exact = tuple(Fraction(t - s, d) for t, s, d in zip(_traces(ints), lower, scales))
+        lower = _traces(spec, below) if below is not None else [0] * spec.n_sites
+        exact = tuple(t - s for t, s in zip(_traces(spec, ints), lower))
         eigs = np.array([[float(x)] for x in exact])
 
     # the 1-D norm of each column keeps its bits; each column's largest entry is made positive

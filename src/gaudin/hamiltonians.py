@@ -15,8 +15,8 @@ exact builder, writes the integer matrices D_i H_i in the gather form of
 _pair_map: in int64 when a proven bound keeps every partial row sum below
 2^62, in Python ints otherwise; only the dtype differs.  Every exact matrix
 here is an sl2.SparseOperator of that form: the family (_exact_family) that
-the identity checks, the emitted matrices and independent_count read, and
-build_hamiltonian, one site's pairs over the denominator D_i.
+the identity checks, independent_count, _traces (tr H_i) and _lowest_terms
+(H_i in lowest terms) read, and build_hamiltonian, one site of it over D_i.
 
 The identities [H_i, H_j] = 0, sum_i (D / D_i) D_i H_i = 0 (D = lcm of the
 D_i) and the intertwinings X_i E = E H_i, X_i F = F H_i with the family X_i
@@ -122,11 +122,10 @@ def _pair_scales(z: tuple) -> np.ndarray:
     return h
 
 
-def _integer_gathers(spec: ModelSpec, m: int, sites=None):
+def _integer_gathers(spec: ModelSpec, m: int):
     """Gather form (src, coef) of the integer matrices D_i H_i on V_m, D_i = _site_scales(spec.z)[i].
 
-    sites selects the H_i (default all) and only their pairs are read: row t
-    of the s-th one holds coef[h, s, t] in column src[h, s, t], with src from
+    Row t of D_i H_i holds coef[h, i, t] in column src[h, i, t], src from
     _pair_map (the sentinel dim V_m marks an absent hop).  An Omega_ij entry
     k / 2 becomes k h_ij, with h_ij = _pair_scales(spec.z), and the diagonal
     sums these over j != i.  No partial sum of a row of any H_i exceeds
@@ -137,18 +136,17 @@ def _integer_gathers(spec: ModelSpec, m: int, sites=None):
     h = _pair_scales(spec.z)
     widest = int(np.abs(k).sum(axis=(0, 2)).max(initial=0))
     dtype = _exact_dtype(max(map(abs, h.flat)) * widest)
-    sites = slice(None) if sites is None else np.asarray(sites)
-    h = h[:, sites, None].astype(dtype)
-    coef = np.empty(src[:, sites].shape, dtype=dtype)
-    coef[0] = np.sum(k[:, sites, 0] * h, axis=0)
-    coef[1::2], coef[2::2] = k[:, sites, 1] * h, k[:, sites, 2] * h
-    return src[:, sites], coef
+    h = h[:, :, None].astype(dtype)
+    coef = np.empty(src.shape, dtype=dtype)
+    coef[0] = np.sum(k[:, :, 0] * h, axis=0)
+    coef[1::2], coef[2::2] = k[:, :, 1] * h, k[:, :, 2] * h
+    return src, coef
 
 
 def build_hamiltonian(spec: ModelSpec, i: int, m: int) -> SparseOperator:
-    """Exact matrix of H_i on V_m (site index i is 0-based): D_i H_i over the denominator D_i, Fraction entries."""
-    src, coef = _integer_gathers(spec, _level(m), [i])
-    return SparseOperator(src, coef, src.shape[2], _site_scales(spec.z)[i])
+    """Exact matrix of H_i on V_m (site index i is 0-based): site i of _integer_gathers over the denominator D_i."""
+    src, coef = _integer_gathers(spec, _level(m))
+    return SparseOperator(src[:, [i]], coef[:, [i]], src.shape[2], _site_scales(spec.z)[i])
 
 
 def _is_prime(n: int) -> bool:
@@ -424,6 +422,19 @@ def _exact_family(spec: ModelSpec, m: int) -> SparseOperator:
     """The integer matrices D_i H_i on V_m, X_i of one SparseOperator of the _integer_gathers form."""
     src, coef = _integer_gathers(spec, m)
     return SparseOperator(src, coef, src.shape[2])
+
+
+def _traces(spec: ModelSpec, family) -> list:
+    """tr H_i of an _exact_family as Fractions: its diagonal term 0 over D_i, summed in Python ints (past int64)."""
+    return [Fraction(sum(row), d) for row, d in zip(family.coef[0].tolist(), _site_scales(spec.z))]
+
+
+def _lowest_terms(spec: ModelSpec, family):
+    """Yield (rows, cols, nums, dens), Python-int lists, of each H_i = D_i H_i / D_i of an _exact_family, reduced."""
+    for i, scale in enumerate(_site_scales(spec.z)):
+        rows, cols, values = family.summed(i)
+        common = np.gcd(values, np.array(scale, dtype=_exact_dtype(scale)))  # Python ints for a D_i past int64
+        yield rows.tolist(), cols.tolist(), (values // common).tolist(), (scale // common).tolist()
 
 
 def verify_family(spec: ModelSpec, m: int) -> VerifyReport:

@@ -90,13 +90,18 @@ class GordanCoefficients:
     coeffs: tuple
 
 
-@functools.lru_cache(maxsize=None)
 def gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
     """Coefficients c_k = (-1)^k C(m,k) (m-k-lambda2)_k / (-lambda1)_k, k = 0..m.
 
     Defined only for lambda1 >= m; otherwise a denominator factor vanishes and
-    the construction leaves its unique-solution regime.
+    the construction leaves its unique-solution regime.  ValueError for a float m.
     """
+    return _gordan_coefficients(_level(m), lambda1, lambda2)
+
+
+@functools.lru_cache(maxsize=None)
+def _gordan_coefficients(m: int, lambda1, lambda2) -> GordanCoefficients:
+    """gordan_coefficients for an int m, cached per (m, lambda1, lambda2)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     l1 = Fraction(lambda1)

@@ -208,9 +208,9 @@ class TestVerify:
         level = {None: None, "bottom": 0, "top": spec.total_weight}[shifted]
         original = hamiltonians._integer_gathers
 
-        def shifted_builder(spec, m, sites=None):
-            src, coef = original(spec, m, sites)
-            if m == level and sites is None:
+        def shifted_builder(spec, m):
+            src, coef = original(spec, m)
+            if m == level:
                 coef[0, 0] += hamiltonians._site_scales(spec.z)[0]
             return src, coef
 
@@ -376,6 +376,20 @@ class TestBethe:
         code, payload = run_json(["bethe", "--spec", spec_file(SPEC_11), "--m", "1"], capsys)
         assert code == 1
         assert payload["found"] == 1
+
+    def test_near_coalescing_sites_with_missing_solutions_exit_1(self, spec_file, capsys):
+        # z_1 and z_2 1/1000 apart: the solver verifies only some of the 6 singular eigenvectors at m = 2
+        path = spec_file('{"weights": [2, 2, 2, 2], "z": ["0", "1", "1001/1000", "3"]}')
+        code, payload = run_json(["bethe", "--spec", path, "--m", "2"], capsys)
+        assert 0 < payload["found"] < payload["expected_count"] == 6
+        assert code == 1
+
+    def test_one_missing_solution_exits_1(self, spec_file, capsys, monkeypatch):
+        # every reported solution verified, but one of the 5 expected dropped
+        solve = gaudin.cli.solve_bethe
+        monkeypatch.setattr(gaudin.cli, "solve_bethe", lambda *args, **kwargs: solve(*args, **kwargs)[1:])
+        code, payload = run_json(["bethe", "--spec", spec_file(SPEC_1234), "--m", "2"], capsys)
+        assert (code, payload["found"], payload["expected_count"]) == (1, 4, 5)
 
     def test_removed_solver_flags_are_rejected(self, spec_file, capsys):
         for flag in ("--n-starts", "--dedup-tol"):

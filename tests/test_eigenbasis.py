@@ -224,8 +224,8 @@ class TestRestriction:
         original = hamiltonians._integer_gathers
         for m in (1, 2):
 
-            def faulty(spec, k, sites=None):
-                src, coef = original(spec, k, sites)
+            def faulty(spec, k):
+                src, coef = original(spec, k)
                 if k == m:
                     coef[0, 1, 0] += 1
                 return src, coef
@@ -326,9 +326,9 @@ class TestBuildEigenbasis:
         built = []
         original = hamiltonians._integer_gathers
 
-        def counting(spec, m, sites=None):
+        def counting(spec, m):
             built.append(m)
-            return original(spec, m, sites)
+            return original(spec, m)
 
         monkeypatch.setattr(hamiltonians, "_integer_gathers", counting)
         spec = ladder_spec((3, 3, 3, 3))

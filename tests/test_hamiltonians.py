@@ -373,9 +373,9 @@ class TestBuildCounts:
         calls = []
         original = hamiltonians._integer_gathers
 
-        def counted(spec, m, sites=None):
+        def counted(spec, m):
             calls.append(m)
-            return original(spec, m, sites)
+            return original(spec, m)
 
         monkeypatch.setattr(hamiltonians, "_integer_gathers", counted)
         return calls
@@ -524,16 +524,20 @@ class TestIntegerScaling:
                 values += list(op.apply(vec, b))
                 assert {type(v) for v in values} == ({int} if op.denominator == 1 else {Fraction})
 
-    def test_one_site_is_built_from_its_pairs(self, rng):
-        # build_hamiltonian reads site i alone; its entries are the family's
-        for _ in range(3):
-            spec = self.random_spec_97(rng)
+    def test_one_site_is_site_i_of_the_family(self, rng):
+        # build_hamiltonian is site i of _exact_family over D_i, at every level, dtype included: int64 for
+        # the denominator-97 specs, Python ints where h_01 = -(2^62 + 1)
+        specs = [self.random_spec_97(rng) for _ in range(3)] + [ModelSpec((1, 2, 2), (0, 1, 2**62 + 1))]
+        for spec in specs:
             for m in range(spec.total_weight + 1):
-                src, coef = _integer_gathers(spec, m)
-                for i in range(spec.n_sites):
-                    one_src, one_coef = _integer_gathers(spec, m, [i])
-                    assert np.array_equal(one_src[:, 0], src[:, i])
-                    assert one_coef[:, 0].tolist() == coef[:, i].tolist()
+                family = _exact_family(spec, m)
+                for i, scale in enumerate(_site_scales(spec.z)):
+                    op = build_hamiltonian(spec, i, m)
+                    assert np.array_equal(op.src, family.src[:, [i]])
+                    assert op.coef.dtype == family.coef.dtype
+                    assert op.coef.tolist() == family.coef[:, [i]].tolist()
+                    assert (op.dim, op.denominator) == (family.dim, scale)
+        assert _exact_family(specs[-1], 1).coef.dtype == object
 
     def test_array_matches_float_formula(self, rng):
         for _ in range(4):
@@ -552,6 +556,13 @@ class TestStructure:
         for _ in range(5):
             spec = random_spec(rng, n_max=4, lam_max=3)
             assert independent_count(spec, 1) == spec.n_sites - 1
+
+    @pytest.mark.parametrize("weights, counts", [((1, 1), [1, 1, 1]), ((1, 2, 3), [1, 2, 2, 2, 2, 2, 1]),
+                                                 ((2, 3, 3, 4), [1] + [3] * 11 + [1])])
+    def test_independent_count_at_every_level(self, weights, counts):
+        # N - 1 inside, 1 at m = 0 and at the top level, where V_m is one-dimensional and each H_i a number
+        spec = ladder_spec(weights)
+        assert [independent_count(spec, m) for m in range(spec.total_weight + 1)] == counts
 
     def test_preserves_weight_space(self, rng):
         # every column of H_i stays inside V_m by construction; check shapes
@@ -828,9 +839,9 @@ class TestVanishing:
         clean = [verify_family(spec, m) for m in (level - 1, level, level + 1)]
         clean_moduli = max(len(_moduli(max(_bounds(items)))) for items in calls)
 
-        def faulty(spec, m, sites=None):
-            src, coef = original(spec, m, sites)
-            if m == level and sites is None:
+        def faulty(spec, m):
+            src, coef = original(spec, m)
+            if m == level:
                 if fault == "identity":
                     coef[0, 1] += 5 * _site_scales(spec.z)[1]
                 else:
@@ -886,9 +897,9 @@ class TestVanishing:
         # first prime of each group it reaches, in a late batch, finds it
         original = hamiltonians._integer_gathers
 
-        def faulty(spec, m, sites=None):
-            src, coef = original(spec, m, sites)
-            if m == 3 and sites is None:
+        def faulty(spec, m):
+            src, coef = original(spec, m)
+            if m == 3:
                 hop = int(np.flatnonzero(src[1:, 5, -1] != src.shape[2])[0]) + 1
                 coef[hop, 5, -1] += 2**64
             return src, coef

@@ -92,6 +92,15 @@ class TestGordanCoefficients:
         with pytest.raises(GordanSingularityError):
             gordan_coefficients(3, 2, 5)
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_float_level_rejected_before_the_cache(self, cached):
+        # 2.0 == 2 as a cache key: m is read as an int before the cache could answer with the m = 2 entry
+        singular._gordan_coefficients.cache_clear()
+        if cached:
+            gordan_coefficients(2, 3, 3)
+        with pytest.raises(ValueError, match="not an integer"):
+            gordan_coefficients(2.0, 3, 3)
+
 
 class TestApplyP:
     def test_k0_is_identity_embedding(self):
