@@ -29,13 +29,14 @@ multiple root's rounding floor is frozen), collapsed in one pass over all
 row means, and reported only when the residual reaches DEFAULT_TOL_ROOT.
 
 No exact operator and no dense Hamiltonian is built.  Each solve or
-verification builds the family gather form of the H_i once
-(hamiltonians._gather_forms) from this layer's float differences z_i - z_j,
-real for real z.  The Bethe vectors of all solutions and their residuals
-(eigenbasis._residual and _singular_residual) come from gathers through the
-sl2 index maps, with elementwise arithmetic only: a root set gets the same
-residuals alone as in a batch.  Complex site points are accepted by the
-numeric layer; only the exact-algebra layer restricts z to rationals.
+verification builds the family form of the H_i once
+(hamiltonians._gather_forms, its present entries only) from this layer's
+float differences z_i - z_j, real for real z.  The Bethe vectors of all
+solutions come from gathers through the sl2 index maps, and their residuals
+from eigenbasis._residual and _singular_residual, with elementwise
+arithmetic only: a root set gets the same residuals alone as in a batch.
+Complex site points are accepted by the numeric layer; only the
+exact-algebra layer restricts z to rationals.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def _multiset_gaps(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonian_gathers(weights, z: np.ndarray, m: int):
-    """The family gather form of the H_i on V_m from the float differences z_i - z_j, real for real z."""
+    """hamiltonians._gather_forms of the H_i on V_m from the float differences z_i - z_j, real for real z."""
     diffs = z[:, None] - z
     return _gather_forms(weights, diffs if np.any(z.imag) else diffs.real, m)
 
@@ -298,7 +299,7 @@ def _eigenbasis_roots(weights, lam, z, m, count, hams, vacuum, seed) -> np.ndarr
     """One polished root set per singular joint eigenvector of V_m; shape (<= count, m).
 
     The eigenvalue tuples come from eigenbasis._singular_eigen, the routine
-    of the eigenbasis layer, on the gather forms hams (seeded by seed).  Each
+    of the eigenbasis layer, on the family form hams (seeded by seed).  Each
     tuple gives V from the cofactors that also give P, and V the monic y whose
     roots, from one batched eigvals of companion matrices built as np.roots
     builds them, start the polish, so no residual gate applies to the tuples.

@@ -19,9 +19,10 @@ and the exact intertwining E H_i = H_i E makes it invariant.  The restricted
 Hamiltonians are jointly diagonalized by eigh of one seeded random
 combination (_singular_eigen, whose eigenvalues the Bethe layer shares).
 Every eigenvector is verified by its singular and eigenvector residuals in
-V_m coordinates.  No dense operator is built: the H_i act by the gathers of
-hamiltonians._gather_forms, from the correctly rounded floats of the exact
-differences z_i - z_j.
+V_m coordinates.  No dense operator is built: _images, the one applier of
+the H_i for the restriction, the residual gate and the Bethe layer, adds the
+present entries of hamiltonians._gather_forms (here from the correctly
+rounded floats of the exact differences z_i - z_j) and reads no absent hop.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ DEFAULT_TOL_RANK = 1e-8
 # eigenvalues of the combination closer than this fraction of its spread form
 # a cluster that a fresh combination diagonalizes once more
 _CLUSTER_GAP = 1e-6
-_BLOCK = 1 << 16  # the entries _images gathers per term, or one site's worth
+_BLOCK = 1 << 16  # the entries of one chunk of sites that _images forms, or one site's worth
 
 
 class DiagonalizationError(RuntimeError):
@@ -159,19 +160,29 @@ def _joint_eigen(mats, seed):
 
 
 def _images(hams, vecs: np.ndarray):
-    """Yield (sites, H_i vecs for the i in sites), hams a family gather form and vecs (dim, S) padded once."""
-    src, coef = hams
-    padded = _pad(vecs)
-    step = max(1, _BLOCK // padded.size)
-    for start in range(0, src.shape[1], step):
-        sites = slice(start, start + step)
-        yield sites, _gather_sum(padded, src[:, sites], coef[:, sites])
+    """Yield (sites, H_i vecs for the i in sites), hams a family form of hamiltonians._gather_forms, vecs (dim, S).
+
+    Each row of H_i vecs is its diagonal term, then its present hops added in
+    term order, elementwise only: a column is the same alone as in a batch.
+    """
+    diag, flat, cols, vals, bounds = hams
+    n, dim = diag.shape
+    step = max(1, _BLOCK // vecs.size)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # a C-ordered copy of vecs per site times the diagonal: NumPy forms complex products in other
+        # layouts by other loops, whose bits can differ
+        out = np.repeat(vecs[None], stop - start, axis=0) * diag[start:stop, :, None]
+        rows = out.reshape(-1, vecs.shape[1])  # a view of out
+        for lo, hi in bounds[:, [start, stop]].tolist():
+            rows[flat[lo:hi] - start * dim] += vecs[cols[lo:hi]] * vals[lo:hi, None]
+        yield slice(start, stop), out
 
 
 def _singular_eigen(weights, m: int, count: int, hams, seed):
     """(root, basis, vecs, eigs): the joint eigenvectors of the H_i on the singular subspace of V_m.
 
-    hams is the family gather form of the H_i.  Their restrictions
+    hams is the family form of the H_i (_images).  Their restrictions
     basis^T S^1/2 H_i S^-1/2 basis to the QR frame of the projector block
     (_singular_frame) are jointly diagonalized: column j of vecs is an
     eigenvector in frame coordinates, (basis @ vecs) / root[:, None] in V_m
@@ -186,8 +197,8 @@ def _singular_eigen(weights, m: int, count: int, hams, seed):
 def _residual(hams, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """max_i |H_i v - E_i v| / max |v| for each column v of vecs, shape (dim, S).
 
-    eigenvalues has shape (N, S), column j the tuple of vecs[:, j].  Gathers
-    act on each column alone, so it gets the same residual as in a batch.
+    eigenvalues has shape (N, S), column j the tuple of vecs[:, j].  _images
+    acts on each column alone, so it gets the same residual as in a batch.
     """
     gaps = [
         np.max(np.abs(images - eigenvalues[sites, None] * vecs), axis=(0, 1))
@@ -209,7 +220,7 @@ def _gate(residuals, what: str) -> None:
 
 
 def _level_family(spec: ModelSpec, m: int):
-    """_exact_family(spec, m) and the family gather form of the H_i on V_m, built once per level."""
+    """_exact_family(spec, m) and the family form of the H_i on V_m (_gather_forms), built once per level."""
     fractions = [(x.numerator, x.denominator) for x in spec.z]  # int / int rounds correctly
     diffs = np.array([[(p * e - q * d) / (d * e) for q, e in fractions] for p, d in fractions])
     return _exact_family(spec, m), _gather_forms(spec.weights, diffs, m)

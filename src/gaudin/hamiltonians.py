@@ -39,12 +39,15 @@ with no tolerance, and a fault changes the bound its own group is checked
 against.  The total H is the scalar sum(weights) - 2m on V_m, so it needs no
 check.
 
-For float or complex z, _gather_forms writes every H_i as 2N - 1 gathers
-(the diagonal and two hops per j != i) with entries (k / 2) / (z_i - z_j),
-given the differences z_i - z_j: the eigenbasis layer passes the correctly
-rounded exact ones, the Bethe layer its float ones, and neither layer builds
-a dense Hamiltonian.  hamiltonian_array scatters one H_i into a dense matrix
-by sl2._scatter.
+For float or complex z, _gather_forms writes every H_i as its diagonal and
+its present hops, with entries (k / 2) / (z_i - z_j), given the differences
+z_i - z_j: the eigenbasis layer passes the correctly rounded exact ones, the
+Bethe layer its float ones, and neither layer builds a dense Hamiltonian.
+_hops reads the present hops off _pair_map once per (weights, m).  An
+absent hop is neither stored nor gathered: absent hops are 62 % of the
+entries of the 2N - 1 terms at (3,)^7, m = 3, and 70 % at (1,)^14, m = 7.
+eigenbasis._images applies the family, and hamiltonian_array scatters one
+H_i into a dense matrix.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .sl2 import (
     _level,
     _lowering_map,
     _raising_gathers,
-    _scatter,
 )
 
 
@@ -82,7 +84,8 @@ def _pair_map(weights: tuple[int, ...], m: int):
     columns src[2r + 1, i] and src[2r + 2, i].  src[0, i] is the identity.
     A hop E^(a) F^(b) takes row t to t - e_b by sl2._lowering_map, then
     raises site a by sl2._raising_gathers, with k twice that E coefficient.
-    A hop that misses row t reads the sentinel dim V_m, with k = 0.
+    A hop that misses row t reads the sentinel dim V_m, with k = 0: the exact
+    builder keeps these terms, and _hops drops them for the float forms.
     """
     space = enumerate_weight_space(weights, m)
     n, dim = len(weights), space.dim
@@ -100,6 +103,31 @@ def _pair_map(weights: tuple[int, ...], m: int):
     src = np.concatenate([np.broadcast_to(np.arange(dim), (1, n, dim)), hops])
     src.flags.writeable = k.flags.writeable = False
     return src, k
+
+
+@functools.lru_cache(maxsize=None)
+def _hops(weights: tuple[int, ...], m: int):
+    """Read-only (flat, cols, half, pair, bounds): the hops of _pair_map whose source is not the sentinel, cached.
+
+    Term by term, h = 1..2N - 2, and within a term by the flat position
+    flat = i dim + t (site i, row t): row t of H_i reads column cols, with
+    the Omega_ij entry half = k / 2 and z_i - z_j at diffs.ravel()[pair].
+    Term h's entries at the sites i0..i1 - 1 are bounds[h - 1, i0] up to
+    bounds[h - 1, i1].  Like the maps they do not depend on z.
+    """
+    src, k = _pair_map(weights, m)
+    n, dim = src.shape[1:]
+    size = n * dim
+    hops = src[1:].reshape(-1, size)
+    term, flat = np.nonzero(hops != dim)  # term by term, each by flat position
+    cols = hops[term, flat]
+    half = k[:, :, 1:].transpose(0, 2, 1, 3).reshape(-1, size)[term, flat] / 2
+    site, r = flat // dim, term // 2
+    pair = site * n + r + (r >= site)
+    bounds = np.searchsorted(term * size + flat, np.arange(2 * n - 2)[:, None] * size + np.arange(n + 1) * dim)
+    for array in (flat, cols, half, pair, bounds):
+        array.flags.writeable = False
+    return flat, cols, half, pair, bounds
 
 
 _BATCH = 1 << 13  # the most products of single entries one batch of _vanishing holds, unless one row holds more
@@ -297,21 +325,22 @@ def _vanishing_modulo(items, moduli, groups: int) -> np.ndarray:
 
 
 def _gather_forms(weights, diffs: np.ndarray, m: int):
-    """(src, coef) of the family: H_i psi = sl2._gather_sum(sl2._pad(psi), src, coef)[i], src from _pair_map.
+    """(diag, flat, cols, vals, bounds): the family H_i on V_m, applied by eigenbasis._images, z-free parts from _hops.
 
-    diffs[i, j] = z_i - z_j, float or complex, sets the dtype of coef, which
-    has a trailing axis of length 1.  The diagonal of H_i is summed over
-    j != i in ascending order; every k / 2 becomes (k / 2) / diffs[i, j].
+    diffs[i, j] = z_i - z_j, float or complex, sets the dtype of diag and
+    vals.  diag[i] is the diagonal of H_i, summed over j != i in ascending
+    order; vals holds the present hops of _hops, each k / 2 as
+    (k / 2) / diffs[i, j].
     """
-    src, k = _pair_map(weights, m)
-    n, dim = src.shape[1:]
+    k = _pair_map(weights, m)[1]
+    flat, cols, half, pair, bounds = _hops(weights, m)
+    n = len(weights)
     r = np.arange(n - 1)[:, None]
-    terms = k / 2 / diffs[np.arange(n), r + (r >= np.arange(n))][:, :, None, None]
-    diag = np.zeros((n, dim), dtype=diffs.dtype)
-    for row in terms[:, :, 0]:
+    terms = k[:, :, 0] / 2 / diffs[np.arange(n), r + (r >= np.arange(n))][:, :, None]
+    diag = np.zeros(terms.shape[1:], dtype=diffs.dtype)
+    for row in terms:
         diag = diag + row
-    hops = terms[:, :, 1:].transpose(0, 2, 1, 3).reshape(-1, n, dim)
-    return src, np.concatenate([diag[None], hops])[..., None]
+    return diag, flat, cols, half / diffs.ravel()[pair], bounds
 
 
 def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
@@ -323,8 +352,13 @@ def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     ascending order gives; ValueError unless weights and z follow ModelSpec.
     """
     z = np.asarray(z, dtype=complex)
-    src, coef = _gather_forms(_checked_sites(weights, z), z[:, None] - z, _level(m))
-    return _scatter(src[:, i], coef[:, i], src.shape[2], complex)
+    diag, flat, cols, vals, bounds = _gather_forms(_checked_sites(weights, z), z[:, None] - z, _level(m))
+    dim = diag.shape[1]
+    arr = np.zeros((dim, dim), dtype=complex)
+    arr[np.arange(dim), np.arange(dim)] += diag[i]
+    for lo, hi in bounds[:, i : i + 2].tolist():
+        arr[flat[lo:hi] - i * dim, cols[lo:hi]] += vals[lo:hi]
+    return arr
 
 
 def vacuum_eigenvalue(spec: ModelSpec, i: int) -> Fraction:

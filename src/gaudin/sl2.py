@@ -220,9 +220,8 @@ def _pad(psi: np.ndarray) -> np.ndarray:
 def _gather_sum(padded: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_h padded[src[h]] * coef[h] for a block of columns padded by _pad, shape (dim + 1, S).
 
-    A sentinel dim in src reads the zero row; src[h] may hold a family of
-    operators (hamiltonians._gather_forms).  The terms are added in the order
-    of h, elementwise only: a column is the same alone as in a batch.
+    A sentinel dim in src reads the zero row.  The terms are added in the
+    order of h, elementwise only: a column is the same alone as in a batch.
     """
     out = padded[src[0]] * coef[0]
     for s, c in zip(src[1:], coef[1:]):

@@ -41,7 +41,7 @@ from gaudin.bethe import (
     _vacuum,
     _z_scale,
 )
-from gaudin.eigenbasis import DEFAULT_TOL, _joint_eigen, _singular_eigen, _singular_frame
+from gaudin.eigenbasis import DEFAULT_TOL, _images, _joint_eigen, _singular_eigen, _singular_frame
 from gaudin.hamiltonians import _vacuum_eigenvalue, hamiltonian_array
 from gaudin.sl2 import DEFAULT_SEED, _gather_sum, _pad, _raising_gathers
 
@@ -958,7 +958,7 @@ class TestBatchedLayer:
                     dense = [build_total_generator("E", spec, m).to_array(float)]
                     dense += [hamiltonian_array(spec.weights, z, i, m) for i in range(spec.n_sites)]
                     images = [_gather_sum(padded, *_raising_gathers(spec.weights, m))]
-                    images += list(_gather_sum(padded, *_hamiltonian_gathers(spec.weights, z, m)))
+                    images += [h for _, chunk in _images(_hamiltonian_gathers(spec.weights, z, m), psi) for h in chunk]
                     for mat, got in zip(dense, images):
                         bound = np.abs(mat) @ np.abs(psi)  # the sum of the terms' sizes
                         assert got.shape == (mat.shape[0], 3)
@@ -1025,7 +1025,7 @@ class TestEdgeInputs:
         ((hams, vecs, eigenvalues, out),) = calls
         assert vecs.shape == (3, 1) and out.shape == (1,)
         v = vecs[:, 0]
-        images = _gather_sum(_pad(v[:, None]), *hams)[:, :, 0]
+        images = np.concatenate([chunk for _, chunk in _images(hams, v[:, None])])[:, :, 0]
         alone = max(np.max(np.abs(h - e * v)) for h, e in zip(images, eigenvalues[:, 0])) / np.max(np.abs(v))
         assert ev.residual == out[0] == alone <= 1e-12
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,7 +25,15 @@ from gaudin import (
 )
 from gaudin import bethe, eigenbasis, hamiltonians
 from gaudin.eigenbasis import _joint_eigen, _singular_eigen, _singular_frame
-from gaudin.sl2 import DEFAULT_SEED, _gather_sum, _lowering_map, _pad, _raising_gathers, _shapovalov_norms
+from gaudin.sl2 import (
+    DEFAULT_SEED,
+    _gather_sum,
+    _lowering_map,
+    _pad,
+    _raising_gathers,
+    _scatter,
+    _shapovalov_norms,
+)
 
 from conftest import random_spec
 
@@ -540,6 +549,63 @@ class TestRealPath:
             errors = [check.relative_error for check in report.checks]
             assert np.array(errors).tobytes() == np.array(complex_nonsingularity(basis, m)).tobytes()
             assert report.worst_relative_error == max(errors)
+
+
+def dense_family(weights, diffs, m):
+    """The H_i on V_m as 2N - 1 dense gathers over _pair_map's src, sentinels included: (src, coef), coef of
+    shape (2N - 1, N, dim, 1), the diagonal summed over j != i in ascending order and each k / 2 over diffs[i, j]."""
+    src, k = hamiltonians._pair_map(weights, m)
+    n, dim = src.shape[1:]
+    r = np.arange(n - 1)[:, None]
+    terms = k / 2 / diffs[np.arange(n), r + (r >= np.arange(n))][:, :, None, None]
+    diag = np.zeros((n, dim), dtype=diffs.dtype)
+    for row in terms[:, :, 0]:
+        diag = diag + row
+    hops = terms[:, :, 1:].transpose(0, 2, 1, 3).reshape(-1, n, dim)
+    return src, np.concatenate([diag[None], hops])[..., None]
+
+
+def same_bits(a, b) -> bool:
+    """Equal bits once each zero is made +0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+class TestImages:
+    """_images against the dense gathers of every term, absent hops included, which it skips."""
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_matches_the_dense_gathers(self, rng, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(eigenbasis, "_BLOCK", block)  # every site its own chunk
+        specs = [random_spec(rng, n_max=5, lam_max=3) for _ in range(4)] + [SPEC2, ladder_spec((1, 3, 2))]
+        for spec in specs:
+            real_z = np.array([float(x) for x in spec.z])
+            for z in (real_z, real_z + 1j * rng.standard_normal(spec.n_sites)):
+                diffs = z[:, None] - z
+                for m in range(spec.total_weight + 1):
+                    hams = hamiltonians._gather_forms(spec.weights, diffs, m)
+                    src, coef = dense_family(spec.weights, diffs, m)
+                    dim = src.shape[2]
+                    for width, dtype in itertools.product((1, 3), (float, complex)):
+                        vecs = rng.standard_normal((dim, width))
+                        if dtype is complex:
+                            vecs = vecs + 1j * rng.standard_normal((dim, width))
+                        want = _gather_sum(_pad(vecs), src, coef)
+                        got = np.concatenate([images for _, images in eigenbasis._images(hams, vecs)])
+                        assert same_bits(got, want)
+                        for c in range(width):
+                            alone = np.concatenate([g for _, g in eigenbasis._images(hams, vecs[:, c : c + 1])])
+                            assert alone.tobytes() == np.ascontiguousarray(got[:, :, c : c + 1]).tobytes()
+
+    def test_array_is_the_dense_scatter(self, rng):
+        for spec in [random_spec(rng, n_max=5, lam_max=3) for _ in range(3)] + [SPEC2]:
+            real_z = np.array([complex(x) for x in spec.z])
+            for z in (real_z, real_z + 1j * rng.standard_normal(spec.n_sites)):
+                for m in range(spec.total_weight + 1):
+                    src, coef = dense_family(spec.weights, z[:, None] - z, m)
+                    for i in range(spec.n_sites):
+                        want = _scatter(src[:, i], coef[:, i], src.shape[2], complex)
+                        assert hamiltonian_array(spec.weights, z, i, m).tobytes() == want.tobytes()
 
 
 class TestCompletenessFailures:

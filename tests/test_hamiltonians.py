@@ -24,6 +24,7 @@ from gaudin.hamiltonians import (
     _bounds,
     _exact_family,
     _gather_forms,
+    _hops,
     _integer_gathers,
     _level_items,
     _moduli,
@@ -615,20 +616,22 @@ class TestStructure:
 
 class TestPairMap:
     def test_maps_are_read_only(self):
-        for arr in _pair_map((2, 1, 3), 2):
+        for arr in _pair_map((2, 1, 3), 2) + _hops((2, 1, 3), 2):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
 
     def test_second_z_hits_the_cache(self):
+        # the maps and the present hops are built once per (weights, m); a form for a new z only reads them
         weights, m = (3, 1, 2, 2), 3
-        _pair_map(weights, m)
-        misses = _pair_map.cache_info().misses
+        flat, cols, _, _, bounds = _hops(weights, m)
+        misses = [cache.cache_info().misses for cache in (_pair_map, _hops)]
         for z in (np.array([0.0, 1.0, 2.5, -1.0]), np.array([0.5j, 1.0, 2.0 - 1.0j, 4.0])):
-            hits = _pair_map.cache_info().hits
-            _gather_forms(weights, z[:, None] - z, m)
-            assert _pair_map.cache_info().hits == hits + 1
-        assert _pair_map.cache_info().misses == misses
+            hits = [cache.cache_info().hits for cache in (_pair_map, _hops)]
+            form = _gather_forms(weights, z[:, None] - z, m)
+            assert [cache.cache_info().hits for cache in (_pair_map, _hops)] == [h + 1 for h in hits]
+            assert form[1] is flat and form[2] is cols and form[4] is bounds
+        assert [cache.cache_info().misses for cache in (_pair_map, _hops)] == misses
 
     def test_maps_hold_every_pair_term(self, rng):
         for _ in range(4):
