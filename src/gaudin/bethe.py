@@ -32,9 +32,10 @@ No exact operator and no dense Hamiltonian is built.  Each solve or
 verification builds the family form of the H_i once
 (hamiltonians._gather_forms, its present entries only) from this layer's
 float differences z_i - z_j, real for real z.  The Bethe vectors of all
-solutions come from gathers through the sl2 index maps, and their residuals
-from eigenbasis._residual and _singular_residual, with elementwise
-arithmetic only: a root set gets the same residuals alone as in a batch.
+solutions come from sl2._apply on the present entries of F, each site's
+term scaled per root set by 1 / (w - z_k), and their residuals from
+eigenbasis._residual and _singular_residual, with elementwise arithmetic
+only: a root set gets the same residuals alone as in a batch.
 Complex site points are accepted by the numeric layer; only the
 exact-algebra layer restricts z to rationals.
 """
@@ -48,16 +49,7 @@ import numpy as np
 from .eigenbasis import DEFAULT_TOL, _residual, _singular_eigen, _singular_residual
 from .hamiltonians import _gather_forms, _vacuum_eigenvalue
 from .singular import singular_dimension
-from .sl2 import (
-    DEFAULT_SEED,
-    ModelSpec,
-    enumerate_weight_space,
-    _checked_sites,
-    _level,
-    _lower,
-    _lowering_map,
-    _weights_of,
-)
+from .sl2 import DEFAULT_SEED, ModelSpec, enumerate_weight_space, _apply, _checked_sites, _form, _level, _weights_of
 
 # a polished root set whose residual max_k |f_k| exceeds this is not reported
 DEFAULT_TOL_ROOT = 1e-11
@@ -100,20 +92,21 @@ def lowering_field(spec: ModelSpec, w: complex, m: int) -> np.ndarray:
     w = complex(w)
     _check_off_poles(z, np.array(w))
     dim = enumerate_weight_space(spec, m).dim
-    return _lower(np.eye(dim, dtype=complex), _lowering_map(spec.weights, m), (1.0 / (w - z))[:, None])
+    return _apply(_form("F", spec.weights, m), np.eye(dim, dtype=complex), scale=(1.0 / (w - z))[:, None])
 
 
 def _bethe_vectors(weights, z: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Bethe vectors F(w_1)...F(w_m) v_0, one column per root set: roots (S, m) -> (dim V_m, S).
 
-    Each F(w) acts by gathers through _lowering_map (sl2._lower), in
-    O(N dim S) work per root.  Only elementwise arithmetic is used, so a
-    column comes out the same whether it is built alone or in a batch.
+    Each F(w) is sl2._apply on the present entries of F, site k's term
+    scaled by 1 / (w - z_k) per column, in O(N dim S) work per root.  Only
+    elementwise arithmetic is used, so a column comes out the same whether
+    it is built alone or in a batch.
     """
     _check_off_poles(z, roots)
     psi = np.ones((1, len(roots)), dtype=complex)
     for degree in range(roots.shape[1]):
-        psi = _lower(psi, _lowering_map(tuple(weights), degree), 1.0 / (roots[:, degree] - z[:, None]))
+        psi = _apply(_form("F", tuple(weights), degree), psi, scale=1.0 / (roots[:, degree] - z[:, None]))
     return psi
 
 
@@ -126,8 +119,9 @@ def _check_distinct(roots: np.ndarray, z: np.ndarray) -> None:
 
 
 def bethe_vector(spec: ModelSpec, roots) -> np.ndarray:
-    """psi_m = F(w_1)...F(w_m) v_0 in V_m coordinates (not normalized)."""
+    """psi_m = F(w_1)...F(w_m) v_0 in V_m coordinates (not normalized); ValueError for more than sum(weights) roots."""
     roots = np.asarray(roots, dtype=complex)
+    enumerate_weight_space(spec, len(roots))  # raises for m = len(roots) above sum(weights)
     z = np.array([complex(x) for x in spec.z])
     _check_distinct(roots, z)
     return _bethe_vectors(spec.weights, z, roots[None, :])[:, 0]

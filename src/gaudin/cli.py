@@ -27,15 +27,7 @@ from .singular import (
     singular_dimension_formula,
 )
 from .rational_linalg import rank
-from .sl2 import (
-    DEFAULT_SEED,
-    ModelSpec,
-    _gather_sum,
-    _pad,
-    _raising_gathers,
-    enumerate_weight_space,
-    weight_space_dimension_formula,
-)
+from .sl2 import DEFAULT_SEED, ModelSpec, _apply, _form, enumerate_weight_space, weight_space_dimension_formula
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -181,7 +173,7 @@ def cmd_singular(args) -> int:
         method = "kernel"
         span_ok = True
     block = np.array(basis.vectors, dtype=object).reshape(basis.count, enumerate_weight_space(spec, m).dim).T
-    annihilated = not (_gather_sum(_pad(block), *_raising_gathers(spec.weights, m)) != 0).any()
+    annihilated = not (_apply(_form("E", spec.weights, m), block) != 0).any()
     vectors = []
     for j, vec in enumerate(basis.vectors):
         vectors.append(

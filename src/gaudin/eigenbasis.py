@@ -3,7 +3,7 @@
 On each V_m, m = 0..sum(weights), the basis splits into singular
 eigenvectors and nonsingular ones (images under the total lowering operator
 of the previous level's eigenvectors, which inherit their eigenvalue tuples
-unchanged, all lowered at once by the index-map gathers of sl2._lower).  The
+unchanged, all lowered at once by sl2._apply on the present entries of F).  The
 chain of a singular vector at level a ends after sum(weights) - 2a
 lowerings.  For the rational z of a ModelSpec every level is a real float64
 array, lowered, gated and checked for completeness as such; only the
@@ -19,10 +19,11 @@ and the exact intertwining E H_i = H_i E makes it invariant.  The restricted
 Hamiltonians are jointly diagonalized by eigh of one seeded random
 combination (_singular_eigen, whose eigenvalues the Bethe layer shares).
 Every eigenvector is verified by its singular and eigenvector residuals in
-V_m coordinates.  No dense operator is built: _images, the one applier of
-the H_i for the restriction, the residual gate and the Bethe layer, adds the
-present entries of hamiltonians._gather_forms (here from the correctly
-rounded floats of the exact differences z_i - z_j) and reads no absent hop.
+V_m coordinates.  No dense operator is built: _images applies the H_i for
+the restriction, the residual gate and the Bethe layer by sl2._apply, which
+adds the present entries of hamiltonians._gather_forms (here from the
+correctly rounded floats of the exact differences z_i - z_j) and reads no
+absent hop; the total E of the singular residual goes through it too.
 """
 
 from __future__ import annotations
@@ -33,19 +34,7 @@ import numpy as np
 
 from .hamiltonians import _exact_family, _gather_forms, _intertwining, _traces, _vanishing
 from .singular import _projected, singular_dimension
-from .sl2 import (
-    DEFAULT_SEED,
-    ModelSpec,
-    _gather_sum,
-    _generator,
-    _level,
-    _lower,
-    _lowering_map,
-    _pad,
-    _raising_gathers,
-    _shapovalov_norms,
-    enumerate_weight_space,
-)
+from .sl2 import DEFAULT_SEED, ModelSpec, _apply, _form, _generator, _level, _shapovalov_norms, enumerate_weight_space
 
 # fixed gates: an eigenvector residual above DEFAULT_TOL, or a level whose
 # stacked coordinates have a singular value at or below DEFAULT_TOL_RANK, fails
@@ -163,19 +152,16 @@ def _images(hams, vecs: np.ndarray):
     """Yield (sites, H_i vecs for the i in sites), hams a family form of hamiltonians._gather_forms, vecs (dim, S).
 
     Each row of H_i vecs is its diagonal term, then its present hops added in
-    term order, elementwise only: a column is the same alone as in a batch.
+    term order by sl2._apply: a column is the same alone as in a batch.
     """
-    diag, flat, cols, vals, bounds = hams
-    n, dim = diag.shape
+    diag, hops = hams
     step = max(1, _BLOCK // vecs.size)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    for start in range(0, len(diag), step):
+        stop = min(start + step, len(diag))
         # a C-ordered copy of vecs per site times the diagonal: NumPy forms complex products in other
         # layouts by other loops, whose bits can differ
         out = np.repeat(vecs[None], stop - start, axis=0) * diag[start:stop, :, None]
-        rows = out.reshape(-1, vecs.shape[1])  # a view of out
-        for lo, hi in bounds[:, [start, stop]].tolist():
-            rows[flat[lo:hi] - start * dim] += vecs[cols[lo:hi]] * vals[lo:hi, None]
+        _apply(hops, vecs, out.reshape(-1, vecs.shape[1]), (start, stop))  # into a view of out
         yield slice(start, stop), out
 
 
@@ -208,8 +194,8 @@ def _residual(hams, vecs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _singular_residual(weights, m: int, vecs: np.ndarray) -> np.ndarray:
-    """max |E v| / max |v| for each column v of vecs on V_m, by the gathers of the total E."""
-    image = _gather_sum(_pad(vecs), *_raising_gathers(weights, m))
+    """max |E v| / max |v| for each column v of vecs on V_m, by the present entries of the total E."""
+    image = _apply(_form("E", weights, m), vecs)
     return np.max(np.abs(image), axis=0, initial=0.0) / np.max(np.abs(vecs), axis=0)
 
 
@@ -316,14 +302,13 @@ def build_eigenbasis(spec: ModelSpec, m_max: int, seed=DEFAULT_SEED) -> EigenBas
     levels = [_diagonalize_level(spec, 0, None, family, seed)]
     coords, eigs = _real_rows(levels[0], 1, spec.n_sites)
     times = np.zeros(1, dtype=int)  # times_lowered of each row
-    unit = np.ones((spec.n_sites, 1))  # the total F: coefficient 1 on every site
 
     for m in range(1, m_max + 1):
         below, family = family[0], _level_family(spec, m)
         parents = levels[m - 1]
         # the chain of a singular vector at level a = m - 1 - times ends after sum(weights) - 2a lowerings
         keep = np.flatnonzero(times + 1 <= spec.total_weight - 2 * (m - 1 - times))
-        images = _lower(coords[keep].T, _lowering_map(spec.weights, m - 1), unit).T.astype(complex, order="C")
+        images = _apply(_form("F", spec.weights, m - 1), coords[keep].T).T.astype(complex, order="C")
         norms = [float(np.linalg.norm(image)) for image in images]
         if 0.0 in norms:
             raise CompletenessError(f"lowering annihilated an eigenvector at level {m}")
@@ -384,11 +369,13 @@ def verify_nonsingularity(basis: EigenBasis, m: int) -> NonSingularityReport:
     For v = F u with u lowered k times from a singular ancestor,
     E v = (k+1) (sum(weights) - 2(m-1) + k) u holds up to the stored
     normalization (relative error at most DEFAULT_TOL), and the integer
-    scalar is strictly positive.
+    scalar is strictly positive.  m is an integer in 0..len(basis.levels) - 1; ValueError otherwise.
     """
-    spec = basis.spec
+    spec, m = basis.spec, _level(m)
+    if not 0 <= m < len(basis.levels):
+        raise ValueError(f"spin deviation m={m} outside 0..{len(basis.levels) - 1}")
     level = basis.levels[m]
-    images = _gather_sum(_pad(np.array([v.coords.real for v in level]).T), *_raising_gathers(spec.weights, m)).T
+    images = _apply(_form("E", spec.weights, m), np.array([v.coords.real for v in level]).T).T
     checks = []
     ok = True
     worst = 0.0

@@ -43,9 +43,10 @@ For float or complex z, _gather_forms writes every H_i as its diagonal and
 its present hops, with entries (k / 2) / (z_i - z_j), given the differences
 z_i - z_j: the eigenbasis layer passes the correctly rounded exact ones, the
 Bethe layer its float ones, and neither layer builds a dense Hamiltonian.
-_hops reads the present hops off _pair_map once per (weights, m).  An
-absent hop is neither stored nor gathered: absent hops are 62 % of the
-entries of the 2N - 1 terms at (3,)^7, m = 3, and 70 % at (1,)^14, m = 7.
+_hops reads the present hops off _pair_map once per (weights, m), in the
+present-entry form of sl2._apply, the applier of F and E too.  An absent
+hop is neither stored nor gathered: absent hops are 62 % of the entries of
+the 2N - 1 terms at (3,)^7, m = 3, and 70 % at (1,)^14, m = 7.
 eigenbasis._images applies the family, and hamiltonian_array scatters one
 H_i into a dense matrix.
 """
@@ -66,10 +67,12 @@ from .sl2 import (
     SparseOperator,
     enumerate_weight_space,
     _checked_sites,
+    _apply,
     _exact_dtype,
     _generator,
     _level,
     _lowering_map,
+    _present,
     _raising_gathers,
 )
 
@@ -91,7 +94,7 @@ def _pair_map(weights: tuple[int, ...], m: int):
     n, dim = len(weights), space.dim
     up, coef = _raising_gathers(weights, m)  # from V_{m-1}, with a column appended for its sentinel
     up = np.concatenate([up, np.full((n, 1), dim)], axis=1)
-    twice_e = np.concatenate([2 * coef[..., 0], np.zeros((n, 1), dtype=np.int64)], axis=1)
+    twice_e = np.concatenate([2 * coef, np.zeros((n, 1), dtype=np.int64)], axis=1)
     below = _lowering_map(weights, m - 1).T  # below[b, t]: the V_{m-1} index of t - e_b
     hop_src, hop_k = up[:, below], twice_e[:, below]  # [a, b, t]: the hop E^(a) F^(b) at row t
     h = np.array(weights, dtype=np.int64)[:, None] - 2 * np.array(space.states, dtype=np.int64).T  # H^(s) at row t
@@ -110,21 +113,19 @@ def _hops(weights: tuple[int, ...], m: int):
     """Read-only (flat, cols, half, pair, bounds): the hops of _pair_map whose source is not the sentinel, cached.
 
     Term by term, h = 1..2N - 2, and within a term by the flat position
-    flat = i dim + t (site i, row t): row t of H_i reads column cols, with
-    the Omega_ij entry half = k / 2 and z_i - z_j at diffs.ravel()[pair].
-    Term h's entries at the sites i0..i1 - 1 are bounds[h - 1, i0] up to
-    bounds[h - 1, i1].  Like the maps they do not depend on z.
+    flat = i dim + t (site i, row t), as sl2._present reads them: row t of
+    H_i reads column cols, with the Omega_ij entry half = k / 2 and
+    z_i - z_j at diffs.ravel()[pair].  Term h's entries at the sites
+    i0..i1 - 1 are bounds[h - 1, i0] up to bounds[h - 1, i1].  Like the maps
+    they do not depend on z.
     """
     src, k = _pair_map(weights, m)
     n, dim = src.shape[1:]
-    size = n * dim
-    hops = src[1:].reshape(-1, size)
-    term, flat = np.nonzero(hops != dim)  # term by term, each by flat position
-    cols = hops[term, flat]
-    half = k[:, :, 1:].transpose(0, 2, 1, 3).reshape(-1, size)[term, flat] / 2
+    term, flat, bounds = _present(src[1:], dim)
+    cols = src[1:].reshape(2 * n - 2, -1)[term, flat]
+    half = k[:, :, 1:].transpose(0, 2, 1, 3).reshape(2 * n - 2, -1)[term, flat] / 2
     site, r = flat // dim, term // 2
     pair = site * n + r + (r >= site)
-    bounds = np.searchsorted(term * size + flat, np.arange(2 * n - 2)[:, None] * size + np.arange(n + 1) * dim)
     for array in (flat, cols, half, pair, bounds):
         array.flags.writeable = False
     return flat, cols, half, pair, bounds
@@ -325,12 +326,13 @@ def _vanishing_modulo(items, moduli, groups: int) -> np.ndarray:
 
 
 def _gather_forms(weights, diffs: np.ndarray, m: int):
-    """(diag, flat, cols, vals, bounds): the family H_i on V_m, applied by eigenbasis._images, z-free parts from _hops.
+    """(diag, hops): the family H_i on V_m, applied by eigenbasis._images, z-free parts from _hops.
 
-    diffs[i, j] = z_i - z_j, float or complex, sets the dtype of diag and
-    vals.  diag[i] is the diagonal of H_i, summed over j != i in ascending
-    order; vals holds the present hops of _hops, each k / 2 as
-    (k / 2) / diffs[i, j].
+    diffs[i, j] = z_i - z_j, float or complex, sets the dtype of diag and of
+    the hops' coefficients.  diag[i] is the diagonal of H_i, summed over
+    j != i in ascending order; hops is the sl2._apply form (flat, cols,
+    vals, bounds, dim) of the present hops of _hops, each k / 2 as
+    (k / 2) / diffs[i, j], with X_i the hops of H_i.
     """
     k = _pair_map(weights, m)[1]
     flat, cols, half, pair, bounds = _hops(weights, m)
@@ -340,25 +342,21 @@ def _gather_forms(weights, diffs: np.ndarray, m: int):
     diag = np.zeros(terms.shape[1:], dtype=diffs.dtype)
     for row in terms:
         diag = diag + row
-    return diag, flat, cols, half / diffs.ravel()[pair], bounds
+    return diag, (flat, cols, half / diffs.ravel()[pair], bounds, diag.shape[1])
 
 
 def hamiltonian_array(weights, z, i: int, m: int) -> np.ndarray:
     """Dense complex matrix of H_i on V_m for arbitrary complex site points z.
 
-    The entries of _gather_forms are added into a zero matrix: off the
-    diagonal each position comes from one hop of one pair, so every entry,
-    the sign of a zero part included, is the one a sum over the pairs in
-    ascending order gives; ValueError unless weights and z follow ModelSpec.
+    The hops of _gather_forms are applied (sl2._apply) to the identity and
+    added to the diagonal matrix: off the diagonal each position comes from
+    one hop of one pair, so every entry, the sign of a zero part included,
+    is the one a sum over the pairs in ascending order gives; ValueError
+    unless weights and z follow ModelSpec.
     """
     z = np.asarray(z, dtype=complex)
-    diag, flat, cols, vals, bounds = _gather_forms(_checked_sites(weights, z), z[:, None] - z, _level(m))
-    dim = diag.shape[1]
-    arr = np.zeros((dim, dim), dtype=complex)
-    arr[np.arange(dim), np.arange(dim)] += diag[i]
-    for lo, hi in bounds[:, i : i + 2].tolist():
-        arr[flat[lo:hi] - i * dim, cols[lo:hi]] += vals[lo:hi]
-    return arr
+    diag, hops = _gather_forms(_checked_sites(weights, z), z[:, None] - z, _level(m))
+    return _apply(hops, np.eye(diag.shape[1], dtype=complex), np.diag(diag[i]), (i, i + 1))
 
 
 def vacuum_eigenvalue(spec: ModelSpec, i: int) -> Fraction:

@@ -9,16 +9,17 @@ adjoining one site with the bilinear covariant-style operator
 where mu is the SL(2) weight of the left factor u and (x)_j is the rising
 factorial.  Compositions sharing a prefix share its vector: the prefix tree
 is walked one depth at a time, the nodes of one depth and degree forming one
-block of primitive int columns, whose lowering chain F_tot^t u is gathered
-once through the cached index maps of sl2 and combined with each child's
-coefficients cleared by their lcm.  The kernel route, the independent
-cross-check, applies the sl2 extremal projector prod_k (1 - F E / c_k)
-(Asherova, Smirnov and Tolstoy, Theor. Math. Phys. 8, 1971) to the ballot
-states of V_m, the highest-weight states of the crystal (Kashiwara's
-signature rule), through the same index maps.  It is valid for every m,
-the truncated regime m > min(weights) included, and its block gives the
-eigenbasis layer its frame.  Both routes run on NumPy int64 blocks while a
-bound on every entry they form stays below 2^62, and on Python ints above it.
+block of primitive int columns, whose lowering chain F_tot^t u is formed
+once by sl2._apply on the present entries of F (sl2._form) and combined
+with each child's coefficients cleared by their lcm.  The kernel route, the
+independent cross-check, applies the sl2 extremal projector
+prod_k (1 - F E / c_k) (Asherova, Smirnov and Tolstoy, Theor. Math. Phys.
+8, 1971) to the ballot states of V_m, the highest-weight states of the
+crystal (Kashiwara's signature rule), by the same applier and forms.  It
+is valid for every m, the truncated regime m > min(weights) included, and
+its block gives the eigenbasis layer its frame.  Both routes run on NumPy
+int64 blocks while a bound on every entry they form stays below 2^62, and
+on Python ints above it.
 """
 
 from __future__ import annotations
@@ -31,20 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .rational_linalg import _cleared
-from .sl2 import (
-    _appended,
-    _bounded_compositions,
-    _exact_dtype,
-    _gather_sum,
-    _level,
-    _lower,
-    _lowering_map,
-    _pad,
-    _raising_gathers,
-    _space,
-    enumerate_weight_space,
-    _weights_of,
-)
+from .sl2 import (_appended, _apply, _bounded_compositions, _exact_dtype, _form, _level, _space,
+                  enumerate_weight_space, _weights_of)
 
 
 class GordanSingularityError(ValueError):
@@ -130,11 +119,11 @@ def _adjoin(weights: tuple, degree: int, block: np.ndarray, ks) -> list:
     cleared = [_cleared(gordan_coefficients(k, sum(prefix) - 2 * degree, lam).coeffs) for k in ks]
     growth = math.prod(min(len(prefix), degree + t + 1) for t in range(ks[-1]))
     dtype = _exact_dtype(int(np.abs(block).max()) * growth * max(abs(c) for _, cs in cleared for c in cs))
-    chain, unit = [block.astype(dtype)], np.ones((len(prefix), 1), dtype=dtype)
+    chain = [block.astype(dtype)]
     out = []
     for k, (lcm, coeffs) in zip(ks, cleared):
         while len(chain) <= k:
-            chain.append(_lower(chain[-1], _lowering_map(prefix, degree + len(chain) - 1), unit))
+            chain.append(_apply(_form("F", prefix, degree + len(chain) - 1), chain[-1]))
         w = np.zeros((_space(weights, degree + k).dim, block.shape[1]), dtype=dtype)
         for j in range(max(0, k - lam), k + 1):
             w[_appended(weights, degree + k, k - j)] = coeffs[j] * chain[j]
@@ -241,16 +230,18 @@ def _projected(weights: tuple, m: int) -> np.ndarray:
     ballot = np.flatnonzero((states <= np.cumsum(step, axis=1) - step).all(axis=1))
     scales = [k * (sum(weights) - 2 * m + k + 1) for k in range(1, m + 1)
               if len(ballot) and singular_dimension(weights, m - k)]
-    (src, coef), lower = _raising_gathers(weights, m), _lowering_map(weights, m - 1)
-    # a step multiplies the largest entry by at most c_k plus the row sums of E (coef is 0 at
-    # the sentinel) times those of F (at most min(N, m) ones)
-    gain = int(coef.sum(axis=0).max(initial=0)) * min(len(weights), m)
+    raising, lowering = _form("E", weights, m), _form("F", weights, m - 1)
+    # a step multiplies the largest entry by at most c_k plus the row sums of E (its present
+    # coefficients added per row) times those of F (at most min(N, m) ones)
+    rows, _, coef, _, height = raising
+    sums = np.zeros(height, dtype=np.int64)
+    np.add.at(sums, rows, coef)
+    gain = int(sums.max(initial=0)) * min(len(weights), m)
     dtype = _exact_dtype(math.prod(c + gain for c in scales))
     vecs = np.zeros((space.dim, len(ballot)), dtype=dtype)
     vecs[ballot, np.arange(len(ballot))] = 1
-    unit = np.ones((len(weights), 1), dtype=dtype)
     for c in scales:
-        vecs = c * vecs - _lower(_gather_sum(_pad(vecs), src, coef), lower, unit)
+        vecs = c * vecs - _apply(lowering, _apply(raising, vecs))
     return vecs
 
 

@@ -11,11 +11,14 @@ The tensor product of N sites is graded by the spin deviation m = sum(n_i);
 this module enumerates the weight subspaces V_m.  The cached index maps
 _lowering_map (F) and _raising_gathers (E) are the one table of the action,
 and _raising_gathers the only place the coefficient n (lam - n + 1) is
-written: float layers gather through them, and dense operators are
-scattered from them.  SparseOperator, the one exact operator type, keeps
-such a gather form with a denominator in sparse integer rows; the
-generator builders, the Hamiltonians and the exact identity checks of
-hamiltonians all use it.
+written; an entry that a site cannot take reads the sentinel dim V_m.
+_form reads the present entries of the total F and E off them, and _apply,
+the one applier of every operator on a block of columns, adds those entries
+and nothing else: F, E, the Hamiltonians of hamiltonians._gather_forms and
+SparseOperator.apply.  SparseOperator, the one exact operator type, keeps the
+sentinel tables with a denominator and their present entries in sparse
+integer rows; the generator builders, the Hamiltonians and the exact
+identity checks of hamiltonians all use it.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
     F^(k) sends the basis vector F^n v to F^(n + e_k) v with coefficient 1,
     so row t of F^(k) holds 1 in column src[t, k], the V_m index of t - e_k,
     for every site k with n_k(t) > 0.  Where n_k(t) = 0, src[t, k] = dim V_m,
-    a sentinel that points at an appended zero.  V_{-1} is the zero space.
+    a sentinel that marks the entry absent.  V_{-1} is the zero space.
     """
     domain = _space(weights, m)
     codomain = _space(weights, m + 1)
@@ -188,12 +191,12 @@ def _lowering_map(weights: tuple[int, ...], m: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _raising_gathers(weights: tuple[int, ...], m: int):
-    """Read-only (src, coef) of the total E from V_m to V_{m-1}, cached: E psi = _gather_sum(_pad(psi), src, coef).
+    """Read-only (src, coef) of the total E from V_m to V_{m-1}, cached: row r of E^(k) holds coef[k, r] at src[k, r].
 
     _lowering_map(weights, m - 1) read backwards: F^(k) sends the state r of
     V_{m-1} to r + e_k, and E^(k) sends it back with n (lam_k - n + 1),
-    n = r_k + 1.  src has shape (N, dim V_{m-1}), and the int64 coef the same
-    with a trailing axis of length 1; the sentinel dim V_m marks r_k = lam_k.
+    n = r_k + 1.  src and the int64 coef have shape (N, dim V_{m-1}); the
+    sentinel dim V_m, with coef 0, marks r_k = lam_k.
     """
     lower = _lowering_map(weights, m - 1)
     dim, n = lower.shape
@@ -202,9 +205,36 @@ def _raising_gathers(weights: tuple[int, ...], m: int):
     src[np.arange(n), lower] = np.arange(dim)[:, None]  # the sentinel column below.dim is dropped
     src = src[:, :-1].copy()
     occupied = np.array(below.states, dtype=np.int64).reshape(below.dim, n).T
-    coef = ((occupied + 1) * (np.array(weights, dtype=np.int64)[:, None] - occupied))[:, :, None]
+    coef = (occupied + 1) * (np.array(weights, dtype=np.int64)[:, None] - occupied)
     src.flags.writeable = coef.flags.writeable = False
     return src, coef
+
+
+def _present(src: np.ndarray, dim: int):
+    """(term, flat, bounds) of the entries of a table src of shape (terms, ops, rows) that are not the sentinel dim.
+
+    Term by term, each by flat = op rows + row; term h's entries of the ops
+    a..b - 1 are bounds[h, a] up to bounds[h, b].
+    """
+    terms, ops, rows = src.shape
+    term, flat = np.nonzero(src.reshape(terms, ops * rows) != dim)
+    keys = np.arange(terms)[:, None] * ops * rows + np.arange(ops + 1) * rows
+    return term, flat, np.searchsorted(term * ops * rows + flat, keys)
+
+
+@functools.lru_cache(maxsize=None)
+def _form(gen: str, weights: tuple[int, ...], m: int):
+    """Read-only _apply form (rows, cols, coef, bounds, height) of the total F or E from V_m, cached.
+
+    Term k is site k, its present entries only; coef is None for F, whose
+    coefficients are all 1, and int64 for E.  It does not depend on z.
+    """
+    src, coef = (_lowering_map(weights, m).T, None) if gen == "F" else _raising_gathers(weights, m)
+    term, rows, bounds = _present(src[:, None], _space(weights, m).dim)
+    form = rows, src[term, rows], coef if coef is None else coef[term, rows], bounds, src.shape[1]
+    for array in (x for x in form[:4] if x is not None):
+        array.flags.writeable = False
+    return form
 
 
 def _exact_dtype(bound: int):
@@ -212,41 +242,28 @@ def _exact_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-def _pad(psi: np.ndarray) -> np.ndarray:
-    """A block of column vectors psi, shape (dim, S), with a zero row appended at index dim."""
-    return np.concatenate([psi, np.zeros((1, psi.shape[1]), dtype=psi.dtype)])
+def _apply(form, vecs: np.ndarray, out=None, ops=(0, 1), scale=None) -> np.ndarray:
+    """X_a vecs, ..., X_{b-1} vecs stacked, (a, b) = ops, for a block vecs (dim, S): the one present-entry applier.
 
-
-def _gather_sum(padded: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_h padded[src[h]] * coef[h] for a block of columns padded by _pad, shape (dim + 1, S).
-
-    A sentinel dim in src reads the zero row.  The terms are added in the
-    order of h, elementwise only: a column is the same alone as in a batch.
+    form is (rows, cols, coef, bounds, height).  Term h adds vecs[cols] times
+    coef (1 for None) and scale[h], if given, to the rows rows - a height of
+    out, of shape ((b - a) height, S), or of a zero block, for its entries
+    bounds[h, a] up to bounds[h, b]: in place and in term order, elementwise
+    only, so a column is the same alone as in a batch.  A row thus sums the
+    terms a gather of every term would, but for the sign of an exact zero.
+    Blocks are float, complex, int64 or object.
     """
-    out = padded[src[0]] * coef[0]
-    for s, c in zip(src[1:], coef[1:]):
-        out += padded[s] * c
+    rows, cols, coef, bounds, height = form
+    a, b = ops
+    if out is None:
+        dtype = np.result_type(vecs, *(x for x in (coef, scale) if x is not None))
+        out = np.zeros(((b - a) * height, vecs.shape[1]), dtype=dtype)
+    for h, (lo, hi) in enumerate(bounds[:, a : b + 1 : b - a].tolist()):  # the columns a and b, as Python ints
+        term = vecs[cols[lo:hi]] if coef is None else vecs[cols[lo:hi]] * coef[lo:hi, None]
+        if scale is not None:  # a (1, S) row: NumPy forms the product by one loop whatever the width S
+            term = term * scale[h : h + 1]
+        out[rows[lo:hi] - a * height if a else rows[lo:hi]] += term
     return out
-
-
-def _scatter(src: np.ndarray, coef: np.ndarray, dim: int, dtype) -> np.ndarray:
-    """The dense matrix M with M psi = _gather_sum(_pad(psi), src, coef), for src of shape (terms, rows).
-
-    The terms are added into a zero matrix in order; the sentinel column dim is dropped.
-    """
-    rows = np.arange(src.shape[1])
-    arr = np.zeros((src.shape[1], dim + 1), dtype=dtype)
-    for cols, values in zip(src, coef):
-        arr[rows, cols] += values[:, 0]
-    return arr[:, :dim].copy()
-
-
-def _lower(psi: np.ndarray, src: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] F^(k) psi for a block psi of shape (dim V_m, S), coeffs (N, S) or (N, 1).
-
-    src is _lowering_map(weights, m).
-    """
-    return _gather_sum(_pad(psi), src.T, coeffs[:, None])
 
 
 def _shapovalov_norms(weights: tuple[int, ...], m: int) -> list[int]:
@@ -331,17 +348,25 @@ class SparseOperator:
             values = [Fraction(v, self.denominator) for v in values]
         return list(zip(rows.tolist(), cols.tolist(), values))
 
+    def _form(self, b: int):
+        """The _apply form of X_b: its gather terms without their sentinel entries (_present), term by term."""
+        term, rows, bounds = _present(self.src[:, [b]], self.dim)
+        return rows, self.src[term, b, rows], self.coef[term, b, rows], bounds, self.rows
+
     def apply(self, vec, b: int = 0) -> np.ndarray:
         """X_b vec for a coordinate vector, exact in Python ints and Fractions unless vec is a float or complex ndarray."""
         if len(vec) != self.dim:
             raise ValueError("vector length does not match operator domain")
         if not (isinstance(vec, np.ndarray) and vec.dtype.kind in "fc"):
             vec = np.array(vec, dtype=object)
-        return self._over(_gather_sum(_pad(vec[:, None]), self.src[:, b], self.coef[:, b, :, None])[:, 0])
+        return self._over(_apply(self._form(b), vec[:, None])[:, 0])
 
     def to_array(self, dtype=float, b: int = 0) -> np.ndarray:
         """Dense X_b, shape (rows, dim); dtype=object gives exact ints, or Fractions over the denominator."""
-        arr = self._over(_scatter(self.src[:, b], self.coef[:, b, :, None], self.dim, object))
+        rows, cols, values, _, _ = self._form(b)
+        arr = np.zeros((self.rows, self.dim), dtype=object)
+        np.add.at(arr, (rows, cols), values)  # _apply of the identity, in O(entries) work, not O(entries dim)
+        arr = self._over(arr)
         return arr if dtype is object else arr.astype(dtype)
 
     def residue(self, q: int) -> np.ndarray:
@@ -368,7 +393,7 @@ def _generator(gen: str, weights: tuple[int, ...], m: int, sites=None) -> Sparse
         coef = np.ones_like(src)
     elif gen == "E":
         src, coef = _raising_gathers(weights, m)
-        src, coef = src[picked], coef[picked, :, 0]
+        src, coef = src[picked], coef[picked]
     elif gen == "H":
         coef = np.sum(np.array(weights)[picked] - 2 * np.array(_space(weights, m).states)[:, picked], axis=1)[None]
         src = np.arange(dim)[None]

@@ -32,7 +32,6 @@ from gaudin.bethe import (
     _diagnostics,
     _heine_stieltjes_polynomials,
     _jacobian,
-    _lowering_map,
     _hamiltonian_gathers,
     _multiset_gaps,
     _polish,
@@ -43,7 +42,7 @@ from gaudin.bethe import (
 )
 from gaudin.eigenbasis import DEFAULT_TOL, _images, _joint_eigen, _singular_eigen, _singular_frame
 from gaudin.hamiltonians import _vacuum_eigenvalue, hamiltonian_array
-from gaudin.sl2 import DEFAULT_SEED, _gather_sum, _pad, _raising_gathers
+from gaudin.sl2 import DEFAULT_SEED, _apply, _form, _lowering_map
 
 from conftest import lowering_field_exact, random_spec
 
@@ -301,6 +300,14 @@ class TestBetheVector:
     def test_coincident_roots_rejected(self):
         with pytest.raises(ValueError):
             bethe_vector(SPEC2, [0.5, 0.5])
+
+    @pytest.mark.parametrize("roots", [[0.3, 0.6, 2.0, -1.0], [0.3, 0.6, 2.0, -1.0, 3.0]])
+    def test_more_roots_than_the_total_weight_are_refused(self, roots):
+        # (1, 2) has levels 0..3: F on the top level maps to the zero space, which gave an empty vector
+        spec = ModelSpec((1, 2), (Fraction(0), Fraction(1)))
+        assert bethe_vector(spec, roots[:3]).shape == (1,)
+        with pytest.raises(ValueError, match=f"spin deviation m={len(roots)} outside 0..3"):
+            bethe_vector(spec, roots)
 
 
 class TestBetheResidual:
@@ -954,10 +961,9 @@ class TestBatchedLayer:
                 for m in range(1, spec.total_weight + 1):
                     dim = enumerate_weight_space(spec, m).dim
                     psi = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-                    padded = _pad(psi)
                     dense = [build_total_generator("E", spec, m).to_array(float)]
                     dense += [hamiltonian_array(spec.weights, z, i, m) for i in range(spec.n_sites)]
-                    images = [_gather_sum(padded, *_raising_gathers(spec.weights, m))]
+                    images = [_apply(_form("E", spec.weights, m), psi)]
                     images += [h for _, chunk in _images(_hamiltonian_gathers(spec.weights, z, m), psi) for h in chunk]
                     for mat, got in zip(dense, images):
                         bound = np.abs(mat) @ np.abs(psi)  # the sum of the terms' sizes
@@ -1113,9 +1119,7 @@ class TestBenchmarkInterface:
         def refuse(*args, **kwargs):
             raise AssertionError("dense operator built")
 
-        for module in (gaudin.sl2, gaudin.hamiltonians, gaudin.eigenbasis):
-            # raising=False: eigenbasis does not import _scatter, and an import there would be refused too
-            monkeypatch.setattr(module, "_scatter", refuse, raising=False)
+        monkeypatch.setattr(SparseOperator, "to_array", refuse)
         monkeypatch.setattr(gaudin.hamiltonians, "hamiltonian_array", refuse)
         sols = solve_bethe(spec, 2, seed=5)
         assert len(sols) == 3 == len(diagonalize_singular(spec, 2))

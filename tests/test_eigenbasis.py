@@ -25,17 +25,9 @@ from gaudin import (
 )
 from gaudin import bethe, eigenbasis, hamiltonians
 from gaudin.eigenbasis import _joint_eigen, _singular_eigen, _singular_frame
-from gaudin.sl2 import (
-    DEFAULT_SEED,
-    _gather_sum,
-    _lowering_map,
-    _pad,
-    _raising_gathers,
-    _scatter,
-    _shapovalov_norms,
-)
+from gaudin.sl2 import DEFAULT_SEED, _apply, _form, _shapovalov_norms
 
-from conftest import random_spec
+from conftest import random_spec, sentinel_gather, sentinel_scatter
 
 
 SPEC2 = ModelSpec((1, 1), (Fraction(0), Fraction(1)))
@@ -479,13 +471,12 @@ class TestWholeModule:
 def complex_lowered(spec, basis, m):
     """The lowered vectors of level m by complex formulas from their parents' complex fields.
 
-    Complex _lower of the stacked parent coords, the norm of each complex row,
+    The complex F of the stacked parent coords, the norm of each complex row,
     the row over its norm, and the complex _residual: the real path must give
     the same bits.
     """
     parents = [basis.levels[m - 1][v.preimage] for v in basis.nonsingular_at(m)]
-    unit = np.ones((spec.n_sites, 1))
-    images = eigenbasis._lower(np.array([p.coords for p in parents]).T, _lowering_map(spec.weights, m - 1), unit).T
+    images = _apply(_form("F", spec.weights, m - 1), np.array([p.coords for p in parents]).T).T
     norms = [float(np.linalg.norm(image)) for image in images]
     units = [image / norm for image, norm in zip(images, norms)]
     eigenvalues = np.array([p.eigenvalues for p in parents])
@@ -496,8 +487,7 @@ def complex_lowered(spec, basis, m):
 def complex_nonsingularity(basis, m):
     """The relative errors of verify_nonsingularity, from E-images of the complex coords."""
     level = basis.levels[m]
-    raise_e = _raising_gathers(basis.spec.weights, m)
-    images = _gather_sum(_pad(np.array([v.coords for v in level]).T), *raise_e).T
+    images = _apply(_form("E", basis.spec.weights, m), np.array([v.coords for v in level]).T).T
     errors = []
     for vec, image in zip(level, images):
         if vec.origin != "singular":
@@ -586,16 +576,20 @@ class TestImages:
                     hams = hamiltonians._gather_forms(spec.weights, diffs, m)
                     src, coef = dense_family(spec.weights, diffs, m)
                     dim = src.shape[2]
-                    for width, dtype in itertools.product((1, 3), (float, complex)):
+                    for width, dtype in itertools.product((1, 3), (float, complex, np.int64, object)):
                         vecs = rng.standard_normal((dim, width))
                         if dtype is complex:
                             vecs = vecs + 1j * rng.standard_normal((dim, width))
-                        want = _gather_sum(_pad(vecs), src, coef)
+                        elif dtype is not float:  # Python ints in the object block
+                            vecs = rng.integers(-5, 6, (dim, width)).astype(dtype)
+                        want = sentinel_gather(vecs, src, coef)
                         got = np.concatenate([images for _, images in eigenbasis._images(hams, vecs)])
-                        assert same_bits(got, want)
+                        exact = dtype is object  # Python floats, summed in the same order
+                        assert (got.dtype == want.dtype and (got == want).all()) if exact else same_bits(got, want)
                         for c in range(width):
                             alone = np.concatenate([g for _, g in eigenbasis._images(hams, vecs[:, c : c + 1])])
-                            assert alone.tobytes() == np.ascontiguousarray(got[:, :, c : c + 1]).tobytes()
+                            column = np.ascontiguousarray(got[:, :, c : c + 1])
+                            assert (alone == column).all() if exact else alone.tobytes() == column.tobytes()
 
     def test_array_is_the_dense_scatter(self, rng):
         for spec in [random_spec(rng, n_max=5, lam_max=3) for _ in range(3)] + [SPEC2]:
@@ -604,7 +598,7 @@ class TestImages:
                 for m in range(spec.total_weight + 1):
                     src, coef = dense_family(spec.weights, z[:, None] - z, m)
                     for i in range(spec.n_sites):
-                        want = _scatter(src[:, i], coef[:, i], src.shape[2], complex)
+                        want = sentinel_scatter(src[:, i], coef[:, i, :, 0], src.shape[2], complex)
                         assert hamiltonian_array(spec.weights, z, i, m).tobytes() == want.tobytes()
 
 
@@ -612,14 +606,15 @@ class TestCompletenessFailures:
     """The completeness checks of build_eigenbasis, each driven by one faulty step."""
 
     def test_annihilated_lowered_vector_raises(self, monkeypatch):
-        original = eigenbasis._lower
+        lowering = _form("F", SPEC2.weights, 0)
 
-        def first_image_zero(psi, src, coef):
-            out = original(psi, src, coef)
-            out[:, 0] = 0
+        def first_image_zero(form, vecs, *args, **kwargs):
+            out = _apply(form, vecs, *args, **kwargs)
+            if form is lowering:  # the lowering of level 0, not the E and H_i of the gates
+                out[:, 0] = 0
             return out
 
-        monkeypatch.setattr(eigenbasis, "_lower", first_image_zero)
+        monkeypatch.setattr(eigenbasis, "_apply", first_image_zero)
         with pytest.raises(CompletenessError, match="lowering annihilated an eigenvector at level 1"):
             build_eigenbasis(SPEC2, 1)
 
@@ -650,6 +645,14 @@ class TestCompletenessFailures:
 
 
 class TestVerifyNonsingularity:
+    @pytest.mark.parametrize("m", [-3, -2, -1, 3, 1.0])
+    def test_a_level_outside_the_basis_is_refused(self, m):
+        # -3 gave ok=True with no check, -2 and -1 a NumPy reduction error, 3 an IndexError, 1.0 a TypeError
+        basis = build_eigenbasis(ModelSpec((1, 2), (Fraction(0), Fraction(1))), 2)
+        assert len(basis.levels) == 3 and verify_nonsingularity(basis, 2).ok
+        with pytest.raises(ValueError, match="spin deviation"):
+            verify_nonsingularity(basis, m)
+
     def test_first_level_scalar_is_total_weight(self):
         # E (F v_0) = (sum of weights) v_0
         basis = build_eigenbasis(SPEC2, 1)

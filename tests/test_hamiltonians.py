@@ -38,9 +38,9 @@ from gaudin.hamiltonians import (
 )
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_basis_kernel
-from gaudin.sl2 import _scatter, _shapovalov_norms
+from gaudin.sl2 import _shapovalov_norms
 
-from conftest import random_spec
+from conftest import random_spec, sentinel_scatter
 
 
 SPEC2 = ModelSpec((1, 1), (Fraction(0), Fraction(1)))
@@ -121,7 +121,7 @@ def dense(op, b=0):
     largest |entry|), in int64 when the row sums of |coef|, summed in floats, are below 2^62 (so surely
     below 2^63), and in Python ints otherwise."""
     int64 = op.coef.dtype == np.int64 and np.abs(op.coef[:, b]).astype(float).sum(axis=0).max(initial=0) < 2**62
-    mat = _scatter(op.src[:, b], op.coef[:, b, :, None], op.dim, np.int64 if int64 else object)
+    mat = sentinel_scatter(op.src[:, b], op.coef[:, b], op.dim, np.int64 if int64 else object)
     absolute = np.abs(mat)
     return mat, int(absolute.sum(axis=1).max(initial=0)), int(absolute.max(initial=0))
 
@@ -598,7 +598,7 @@ class TestStructure:
                 norms = _shapovalov_norms(spec.weights, m)
                 src, coef = _integer_gathers(spec, m)
                 for i in range(spec.n_sites):
-                    rows = _scatter(src[:, i], coef[:, i, :, None], src.shape[2], object).tolist()
+                    rows = sentinel_scatter(src[:, i], coef[:, i], src.shape[2], object).tolist()
                     for r, row in enumerate(rows):
                         for c, value in enumerate(row):
                             assert norms[r] * value == norms[c] * rows[c][r]
@@ -630,7 +630,8 @@ class TestPairMap:
             hits = [cache.cache_info().hits for cache in (_pair_map, _hops)]
             form = _gather_forms(weights, z[:, None] - z, m)
             assert [cache.cache_info().hits for cache in (_pair_map, _hops)] == [h + 1 for h in hits]
-            assert form[1] is flat and form[2] is cols and form[4] is bounds
+            hops = form[1]
+            assert hops[0] is flat and hops[1] is cols and hops[3] is bounds
         assert [cache.cache_info().misses for cache in (_pair_map, _hops)] == misses
 
     def test_maps_hold_every_pair_term(self, rng):

@@ -506,7 +506,7 @@ class TestExactBlocks:
     def test_bound_covers_every_formed_entry(self, monkeypatch, rng):
         log = []
         monkeypatch.setattr(singular, "_exact_dtype", lambda bound: log.append(("bound", bound)) or object)
-        for name in ("_lower", "_gather_sum", "_adjoin"):
+        for name in ("_apply", "_adjoin"):
             def spy(*args, step=getattr(singular, name)):
                 out = step(*args)
                 blocks = [w for _, w, _ in out] if isinstance(out, list) else [out]

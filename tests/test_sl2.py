@@ -18,9 +18,10 @@ from gaudin import (
 )
 from gaudin.rational_linalg import rank
 from gaudin.singular import singular_dimension
-from gaudin.sl2 import _shapovalov_norms, _weights_of
+from gaudin.hamiltonians import _exact_family
+from gaudin.sl2 import _apply, _form, _lowering_map, _raising_gathers, _shapovalov_norms, _weights_of
 
-from conftest import random_spec
+from conftest import random_spec, sentinel_gather, sentinel_scatter
 
 
 # the public entry points that read a level m, each called at m on a spec with z = (0, 1, 3)
@@ -413,3 +414,90 @@ class TestSparseOperator:
         op = SparseOperator(np.array([[[0]], [[1]]]), np.array(values, dtype=dtype).reshape(2, 1, 1), 2)
         assert op.residue(2**64).dtype == np.uint64 and op.residue(2**64).tolist() == list(wrapped)
         assert op.rowsums == [sum(map(abs, values))]
+
+
+def blocks(rng, dim, width):
+    """A float64, complex128, int64 and object block of shape (dim, width); the floats hold exact zeros of both
+    signs, the object block Python ints past int64."""
+    real = rng.standard_normal((dim, width))
+    real[rng.random((dim, width)) < 0.3] = 0.0
+    real[rng.random((dim, width)) < 0.3] = -0.0
+    ints = rng.integers(-5, 6, (dim, width))
+    return [real, real + 1j * rng.standard_normal((dim, width)), ints, ints.astype(object) * 2**70 + 1]
+
+
+def assert_same(got, want):
+    """Same dtype and shape; equal bits once each float zero is made +0.0, equal values of equal types otherwise."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype.kind in "fc":
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    else:
+        assert (got == want).all() and [type(x) for x in got.flat] == [type(x) for x in want.flat]
+
+
+def assert_columns_alone(form, vecs, got, scale=None):
+    """Each column of vecs applied alone gives its column of the batch: bit for bit, or equal objects."""
+    for c in range(vecs.shape[1]):
+        alone = _apply(form, vecs[:, c : c + 1], scale=None if scale is None else scale[:, c : c + 1])
+        column = np.ascontiguousarray(got[:, c : c + 1])
+        assert (alone == column).all() if got.dtype == object else alone.tobytes() == column.tobytes()
+
+
+class TestApply:
+    """_apply on the present entries of F and E against the gather of every term, absent ones reading a zero row."""
+
+    def specs(self, rng):
+        return [random_spec(rng, n_max=5, lam_max=3) for _ in range(4)] + [ModelSpec((1, 1), (0, 1)),
+                                                                         ModelSpec((1, 3, 2), (0, 1, -2))]
+
+    def test_lowering_matches_the_sentinel_gather(self, rng):
+        for spec in self.specs(rng):
+            n = spec.n_sites
+            for m in range(spec.total_weight + 1):
+                form, src = _form("F", spec.weights, m), _lowering_map(spec.weights, m).T
+                for vecs in blocks(rng, enumerate_weight_space(spec, m).dim, 3):
+                    got = _apply(form, vecs)
+                    want = sentinel_gather(vecs, src, np.ones((n, 1, 1), dtype=np.int64))
+                    assert_same(got, want)
+                    assert_columns_alone(form, vecs, got)
+                    w = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+                    scale = 1.0 / (w - np.arange(n)[:, None])
+                    got = _apply(form, vecs, scale=scale)
+                    assert_same(got, sentinel_gather(vecs, src, scale[:, None]))
+                    assert_columns_alone(form, vecs, got, scale=scale)
+
+    def test_raising_matches_the_sentinel_gather(self, rng):
+        for spec in self.specs(rng):
+            for m in range(spec.total_weight + 1):
+                form, (src, coef) = _form("E", spec.weights, m), _raising_gathers(spec.weights, m)
+                for vecs in blocks(rng, enumerate_weight_space(spec, m).dim, 3):
+                    got = _apply(form, vecs)
+                    want = sentinel_gather(vecs, src, coef[..., None])
+                    assert_same(got, want)
+                    assert_columns_alone(form, vecs, got)
+
+    def test_forms_are_cached_and_read_only(self):
+        for gen in "FE":
+            form = _form(gen, (2, 1, 3), 2)
+            assert _form(gen, (2, 1, 3), 2) is form
+            for array in form[:4]:
+                if array is not None:
+                    assert not array.flags.writeable
+        assert _form("F", (2, 1, 3), 2)[2] is None and _form("E", (2, 1, 3), 2)[2].dtype == np.int64
+
+    def test_sparse_operators_match_the_sentinel_gather(self, rng):
+        # the exact families hold negative entries, build_hamiltonian a denominator, and E absent entries
+        for spec in self.specs(rng)[:3]:
+            for m in range(spec.total_weight + 1):
+                dim = enumerate_weight_space(spec, m).dim
+                ops = (_exact_family(spec, m), gaudin.build_hamiltonian(spec, 0, m), build_total_generator("E", spec, m))
+                for op in ops:
+                    for b in range(op.src.shape[1]):
+                        dense = sentinel_scatter(op.src[:, b], op.coef[:, b], dim, object) * Fraction(1, op.denominator)
+                        assert op.to_array(object, b).tolist() == dense.tolist()
+                        vec = rng.standard_normal(dim)
+                        want = sentinel_gather(vec[:, None], op.src[:, b], op.coef[:, b, :, None])[:, 0]
+                        want = want / op.denominator
+                        assert_same(op.apply(vec, b), want)
+                        ints = [int(x) for x in rng.integers(-9, 10, dim)]
+                        assert list(op.apply(ints, b)) == list(dense @ np.array(ints, dtype=object))
